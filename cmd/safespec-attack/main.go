@@ -68,8 +68,10 @@ func run(attackName, modeName string, verbose bool, workers int) error {
 		}
 	}
 
-	// Each Execute builds its own simulator, so the cells are independent;
-	// results land in the cell slice, keeping the printed order fixed.
+	// Each Execute draws a simulator from core's shared pool and reads its
+	// results before releasing it, and the memoized attack programs are
+	// read-only, so the cells are independent; results land in the cell
+	// slice, keeping the printed order fixed.
 	err := sweep.ForEach(context.Background(), len(cells), workers,
 		func(_ context.Context, i int) error {
 			cells[i].out, cells[i].err = attacks.Execute(cells[i].attack, cells[i].cfg)

@@ -22,6 +22,7 @@ package attacks
 
 import (
 	"fmt"
+	"sync"
 
 	"safespec/internal/asm"
 	"safespec/internal/core"
@@ -108,7 +109,9 @@ type Outcome struct {
 	Cycles uint64
 }
 
-// Execute builds, runs and scores an attack under cfg.
+// Execute builds, runs and scores an attack under cfg. The simulator comes
+// from core's shared pool and goes back to it once the results array has
+// been read.
 func Execute(a Attack, cfg core.Config) (Outcome, error) {
 	prog, err := a.Build(a.Secret)
 	if err != nil {
@@ -120,23 +123,63 @@ func Execute(a Attack, cfg core.Config) (Outcome, error) {
 		// unchanged so Table III/IV rows stay comparable.
 		cfg.Pipeline.Threads = a.Threads
 	}
-	sim := core.New(cfg, prog)
+	sim := core.Acquire(cfg, prog)
 	if a.Setup != nil {
 		a.Setup(sim.CPU(), prog)
 	}
-	res := sim.Run()
-	times := make([]uint64, Slots)
-	for i := 0; i < Slots; i++ {
-		v, fault := sim.CPU().Mem().Read(ResultsBase+uint64(i)*8, true)
-		if fault != mem.FaultNone {
-			return Outcome{}, fmt.Errorf("attacks: reading results[%d]: %v", i, fault)
-		}
-		times[i] = uint64(v)
+	cycles := sim.Run().Cycles
+	times, err := readResults(sim, Slots)
+	sim.Release()
+	if err != nil {
+		return Outcome{}, err
 	}
-	out := Outcome{Times: times, Secret: a.Secret, Cycles: res.Cycles}
+	out := Outcome{Times: times, Secret: a.Secret, Cycles: cycles}
 	out.Recovered = decide(times, a.MinGap, a.FastIsSignal)
 	out.Leaked = out.Recovered == a.Secret
 	return out, nil
+}
+
+// readResults copies the first n words of the results array out of the
+// simulator's memory.
+func readResults(sim *core.Simulator, n int) ([]uint64, error) {
+	times := make([]uint64, n)
+	for i := range times {
+		v, fault := sim.CPU().Mem().Read(ResultsBase+uint64(i)*8, true)
+		if fault != mem.FaultNone {
+			return nil, fmt.Errorf("attacks: reading results[%d]: %v", i, fault)
+		}
+		times[i] = uint64(v)
+	}
+	return times, nil
+}
+
+// progMemo memoizes one builder's programs per key. A program is immutable
+// after Build (the simulator loads its image into its own memory and never
+// writes back), so every caller may share it, and the stable pointer lets a
+// pooled simulator roll its memory back instead of loading the image again.
+// Failed builds are not cached.
+type progMemo[K comparable] struct{ progs sync.Map }
+
+func (m *progMemo[K]) get(key K, build func(K) (*isa.Program, error)) (*isa.Program, error) {
+	if p, ok := m.progs.Load(key); ok {
+		return p.(*isa.Program), nil
+	}
+	p, err := build(key)
+	if err != nil {
+		return nil, err
+	}
+	// Concurrent builders may race; LoadOrStore keeps the first, so every
+	// caller agrees on one program per key.
+	got, _ := m.progs.LoadOrStore(key, p)
+	return got.(*isa.Program), nil
+}
+
+// memoized wraps a per-secret builder in its own progMemo. Each built-in
+// attack's Build is one of these, so a caller-supplied Build — even under a
+// reused attack name — never aliases a built-in program.
+func memoized(build func(secret int64) (*isa.Program, error)) func(secret int64) (*isa.Program, error) {
+	m := new(progMemo[int64])
+	return func(secret int64) (*isa.Program, error) { return m.get(secret, build) }
 }
 
 // decide picks the uniquely fastest (or slowest) slot among candidates

@@ -20,11 +20,13 @@ func DTLBVariant() Attack {
 	return Attack{
 		Name:         "spectre-dtlb",
 		Secret:       DefaultSecret,
-		Build:        buildDTLB,
+		Build:        dtlbProgram,
 		MinGap:       30,
 		FastIsSignal: true,
 	}
 }
+
+var dtlbProgram = memoized(buildDTLB)
 
 func buildDTLB(secret int64) (*isa.Program, error) {
 	b := asm.NewBuilder()

@@ -22,7 +22,7 @@ func ICacheVariant() Attack {
 	return Attack{
 		Name:         "spectre-icache",
 		Secret:       DefaultSecret,
-		Build:        func(secret int64) (*isa.Program, error) { return buildInstrVariant(secret, 1) },
+		Build:        icacheProgram,
 		MinGap:       50,
 		FastIsSignal: true,
 	}
@@ -37,11 +37,16 @@ func ITLBVariant() Attack {
 	return Attack{
 		Name:         "spectre-itlb",
 		Secret:       DefaultSecret,
-		Build:        func(secret int64) (*isa.Program, error) { return buildInstrVariant(secret, 2) },
+		Build:        itlbProgram,
 		MinGap:       50,
 		FastIsSignal: true,
 	}
 }
+
+var (
+	icacheProgram = memoized(func(secret int64) (*isa.Program, error) { return buildInstrVariant(secret, 1) })
+	itlbProgram   = memoized(func(secret int64) (*isa.Program, error) { return buildInstrVariant(secret, 2) })
+)
 
 func fnLabel(i int) string { return fmt.Sprintf("fn%d", i) }
 

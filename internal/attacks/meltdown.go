@@ -22,11 +22,13 @@ func Meltdown() Attack {
 	return Attack{
 		Name:         "meltdown",
 		Secret:       DefaultSecret,
-		Build:        buildMeltdown,
+		Build:        meltdownProgram,
 		MinGap:       50,
 		FastIsSignal: true,
 	}
 }
+
+var meltdownProgram = memoized(buildMeltdown)
 
 func buildMeltdown(secret int64) (*isa.Program, error) {
 	b := asm.NewBuilder()

@@ -32,7 +32,7 @@ func SMTBTBV2() Attack {
 	return Attack{
 		Name:         "smt-btb-v2",
 		Secret:       DefaultSecret,
-		Build:        buildSMTBTBV2,
+		Build:        smtBTBV2Program,
 		Threads:      2,
 		MinGap:       50,
 		FastIsSignal: true,
@@ -49,6 +49,8 @@ func init() {
 		return buildSMTBTBV2(DefaultSecret)
 	})
 }
+
+var smtBTBV2Program = memoized(buildSMTBTBV2)
 
 func buildSMTBTBV2(secret int64) (*isa.Program, error) {
 	b := asm.NewBuilder()

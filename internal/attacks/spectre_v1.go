@@ -28,11 +28,13 @@ func SpectreV1() Attack {
 	return Attack{
 		Name:         "spectre-v1",
 		Secret:       DefaultSecret,
-		Build:        buildSpectreV1,
+		Build:        spectreV1Program,
 		MinGap:       50,
 		FastIsSignal: true,
 	}
 }
+
+var spectreV1Program = memoized(buildSpectreV1)
 
 func buildSpectreV1(secret int64) (*isa.Program, error) {
 	b := asm.NewBuilder()

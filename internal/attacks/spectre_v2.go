@@ -23,12 +23,14 @@ func SpectreV2() Attack {
 	return Attack{
 		Name:         "spectre-v2",
 		Secret:       DefaultSecret,
-		Build:        buildSpectreV2,
+		Build:        spectreV2Program,
 		Setup:        setupSpectreV2,
 		MinGap:       50,
 		FastIsSignal: true,
 	}
 }
+
+var spectreV2Program = memoized(buildSpectreV2)
 
 func buildSpectreV2(secret int64) (*isa.Program, error) {
 	b := asm.NewBuilder()

@@ -6,7 +6,6 @@ import (
 	"safespec/internal/asm"
 	"safespec/internal/core"
 	"safespec/internal/isa"
-	"safespec/internal/mem"
 	"safespec/internal/shadow"
 )
 
@@ -59,6 +58,10 @@ func TinyShadowPolicy() (d, i, dtlb, itlb shadow.Policy) {
 	return d, i, dtlb, itlb
 }
 
+// tsaThreshold (cycles) splits the timed A-load: a shadow-committed L1 hit
+// reads bit 0, a memory miss (the trojan replaced A's shadow entry) bit 1.
+const tsaThreshold = 60
+
 // Run executes the attack under cfg, leaking the secret bit by bit (one
 // program run per bit, retraining each time).
 func (t TSA) Run(cfg core.Config) (TSAOutcome, error) {
@@ -67,20 +70,20 @@ func (t TSA) Run(cfg core.Config) (TSAOutcome, error) {
 		secret = DefaultSecret
 	}
 	out := TSAOutcome{Secret: secret}
-	const threshold = 60 // cycles: shadow-committed L1 hit vs memory miss
 	for bit := 0; bit < 4; bit++ {
-		prog, err := buildTSABit(secret, bit)
+		prog, err := tsaPrograms.get(tsaKey{secret, bit}, buildTSABit)
 		if err != nil {
 			return out, fmt.Errorf("attacks: building tsa bit %d: %w", bit, err)
 		}
-		sim := core.New(cfg, prog)
+		sim := core.Acquire(cfg, prog)
 		sim.Run()
-		v, fault := sim.CPU().Mem().Read(ResultsBase, true)
-		if fault != mem.FaultNone {
-			return out, fmt.Errorf("attacks: reading tsa result: %v", fault)
+		times, err := readResults(sim, 1)
+		sim.Release()
+		if err != nil {
+			return out, err
 		}
-		out.BitTimes[bit] = uint64(v)
-		if uint64(v) > threshold {
+		out.BitTimes[bit] = times[0]
+		if times[0] > tsaThreshold {
 			out.Recovered |= 1 << uint(bit)
 		}
 	}
@@ -96,8 +99,18 @@ const (
 	tsaChain2 uint64 = 0x0022_0000 // delays the trojan's guarding branch B2
 )
 
-// buildTSABit assembles the program leaking bit `bit` of the secret.
-func buildTSABit(secret int64, bit int) (*isa.Program, error) {
+// tsaKey identifies one memoized TSA program: the planted secret and the
+// bit it leaks.
+type tsaKey struct {
+	secret int64
+	bit    int
+}
+
+var tsaPrograms progMemo[tsaKey]
+
+// buildTSABit assembles the program leaking bit k.bit of k.secret.
+func buildTSABit(k tsaKey) (*isa.Program, error) {
+	secret, bit := k.secret, k.bit
 	b := asm.NewBuilder()
 	emitResultsRegion(b)
 	b.Region(tsaLineA, 4096, false)

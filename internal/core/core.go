@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"safespec/internal/isa"
 	"safespec/internal/mem"
@@ -87,10 +88,12 @@ type Results struct {
 }
 
 // Simulator is a configured core bound to a program. Use New + Run, or the
-// package-level Run convenience. A Simulator can be Reset and run again —
-// sweep executors keep one per goroutine and rebind it across cells, which
-// skips reconstructing the ROB, caches, TLBs, shadow structures, predictor
-// tables and (for an unchanged program) the loaded memory image.
+// package-level Run convenience. A Simulator can be Reset and run again,
+// which skips reconstructing the ROB, caches, TLBs, shadow structures,
+// predictor tables and (for an unchanged program) the loaded memory image.
+// Sweep cells and attack cells draw simulators from one shared pool
+// (Acquire/Release); with memoized programs a recycled simulator often rolls
+// its memory back instead of loading the image again.
 type Simulator struct {
 	cfg Config
 	cpu *pipeline.CPU
@@ -133,6 +136,28 @@ func (s *Simulator) Reset(cfg Config, prog *isa.Program) {
 	}
 	s.cfg = cfg
 }
+
+// pool recycles simulators across cells: Acquire Resets a pooled simulator
+// to the next cell's configuration and program. Reset guarantees run-for-run
+// identical results, so pooling is invisible in every output.
+var pool sync.Pool
+
+// Acquire returns a simulator bound to (cfg, prog) exactly as New would,
+// recycling one from the shared pool when available. Hand it back with
+// Release once its results have been read.
+func Acquire(cfg Config, prog *isa.Program) *Simulator {
+	if s, ok := pool.Get().(*Simulator); ok {
+		s.Reset(cfg, prog)
+		return s
+	}
+	return New(cfg, prog)
+}
+
+// Release returns s to the pool. Everything that aliases s — the raw
+// Results of Run (Detach them first), its CPU and its memory — is invalid
+// afterwards. A simulator whose Run panicked must not be released: its state
+// is suspect, so callers release explicitly rather than with defer.
+func (s *Simulator) Release() { pool.Put(s) }
 
 // CPU exposes the underlying core (attack helpers need the predictor and
 // memory system).

@@ -87,3 +87,30 @@ func TestDetachIsolatesResults(t *testing.T) {
 		t.Fatal("detached results changed when the simulator was reused")
 	}
 }
+
+// TestAcquireMatchesNew: a simulator drawn from the shared pool after
+// another cell was released into it must reproduce a fresh simulator's
+// results for the next (config, program), including a repeat of the first
+// cell's program.
+func TestAcquireMatchesNew(t *testing.T) {
+	perl := buildKernel(t, "perlbench")
+	exch := buildKernel(t, "exchange2")
+	cells := []struct {
+		cfg  core.Config
+		prog *isa.Program
+	}{
+		{core.WFC().WithLimits(5_000, 2_000_000), perl},
+		{core.Baseline().WithLimits(5_000, 2_000_000), exch},
+		{core.WFB().WithLimits(5_000, 2_000_000), perl},
+		{core.WFB().WithLimits(5_000, 2_000_000), perl},
+	}
+	for i, c := range cells {
+		sim := core.Acquire(c.cfg, c.prog)
+		got := sim.Run().Detach()
+		sim.Release()
+		if want := core.Run(c.cfg, c.prog); !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Errorf("cell %d: pooled simulator diverged from fresh run\npooled: %s\nfresh:  %s",
+				i, got.Summary(), want.Summary())
+		}
+	}
+}

@@ -239,13 +239,6 @@ var executeJob = func(_ context.Context, _ int, j Job) (*core.Results, error) {
 	return execute(j)
 }
 
-// simPool recycles simulators across jobs: a pooled simulator is Reset to
-// the next job's configuration and program, which reuses its ROB, caches,
-// TLBs, shadow structures, predictor tables and — when the memoized program
-// repeats — the loaded memory image. Reset guarantees run-for-run identical
-// results, so pooling is invisible in every sink (CI gates byte-equality).
-var simPool sync.Pool
-
 // execute builds and runs one job, recovering panics into an error.
 func execute(j Job) (res *core.Results, err error) {
 	defer func() {
@@ -257,18 +250,12 @@ func execute(j Job) (res *core.Results, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var sim *core.Simulator
-	if v := simPool.Get(); v != nil {
-		sim = v.(*core.Simulator)
-		sim.Reset(j.Config, prog)
-	} else {
-		sim = core.New(j.Config, prog)
-	}
-	// Detach before pooling: the raw results alias the simulator's
+	sim := core.Acquire(j.Config, prog)
+	// Detach before releasing: the raw results alias the simulator's
 	// accumulator, which the next job would overwrite. A simulator that
-	// panicked mid-run is deliberately NOT pooled (its state is suspect).
+	// panicked mid-run is deliberately NOT released (its state is suspect).
 	res = sim.Run().Detach()
-	simPool.Put(sim)
+	sim.Release()
 	return res, nil
 }
 
