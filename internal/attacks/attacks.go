@@ -155,8 +155,9 @@ func readResults(sim *core.Simulator, n int) ([]uint64, error) {
 
 // progMemo memoizes one builder's programs per key. A program is immutable
 // after Build (the simulator loads its image into its own memory and never
-// writes back), so every caller may share it, and the stable pointer lets a
-// pooled simulator roll its memory back instead of loading the image again.
+// writes back), so every caller may share it, and the stable pointer keys
+// the memory image every pooled simulator shares instead of loading it
+// again.
 // Failed builds are not cached.
 type progMemo[K comparable] struct{ progs sync.Map }
 

@@ -88,8 +88,8 @@ func tsaFresh(t *testing.T, secret int64, cfg core.Config) TSAOutcome {
 // probe timings, recovered value and cycle count exactly. The cells run
 // serially twice, in two interleavings, so the recycled simulator crosses
 // Threads 1↔2 (smt-btb-v2), tiny↔secure shadow sizing (the TSA rows) and
-// all three protection modes, both on a repeated program (memory rollback)
-// and across program switches.
+// all three protection modes, both on a repeated program (a reload of the
+// same image) and across program switches.
 func TestPooledMatchesFresh(t *testing.T) {
 	type cell struct {
 		name   string
@@ -148,7 +148,7 @@ func TestPooledMatchesFresh(t *testing.T) {
 		return nil
 	}
 	// Table order first: each attack's program runs under baseline, wfb,
-	// wfc back to back, so the recycled simulator rolls its memory back
+	// wfc back to back, so the recycled simulator reloads the same image
 	// across mode changes. Then the strided order, which switches program,
 	// mode and secret on every cell.
 	for _, i := range append(identity(len(cells)), order...) {

@@ -13,7 +13,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"weak"
 
 	"safespec/internal/isa"
 	"safespec/internal/mem"
@@ -89,19 +91,19 @@ type Results struct {
 
 // Simulator is a configured core bound to a program. Use New + Run, or the
 // package-level Run convenience. A Simulator can be Reset and run again,
-// which skips reconstructing the ROB, caches, TLBs, shadow structures,
-// predictor tables and (for an unchanged program) the loaded memory image.
-// Sweep cells and attack cells draw simulators from one shared pool
-// (Acquire/Release); with memoized programs a recycled simulator often rolls
-// its memory back instead of loading the image again.
+// which skips reconstructing the ROB, caches, TLBs, shadow structures and
+// predictor tables. Every simulator bound to a program reads the same
+// memory image, built once per program and shared copy-on-write, so a Reset
+// — even one that switches program — never rebuilds page tables or data
+// frames. Sweep cells and attack cells draw simulators from one shared pool
+// (Acquire/Release).
 type Simulator struct {
 	cfg Config
 	cpu *pipeline.CPU
-	// prog/mem cache the loaded memory image: as long as the program stays
-	// the same, Reset rolls the journaled memory back to its post-load
-	// state instead of rebuilding page tables and data frames.
-	prog *isa.Program
-	mem  *mem.Memory
+	// mem reads through the bound program's image and holds private copies
+	// of the frames the last run wrote; Reset hands those copies back as
+	// spares by loading the next image.
+	mem *mem.Memory
 }
 
 // New builds a Simulator for prog under cfg.
@@ -115,16 +117,11 @@ func New(cfg Config, prog *isa.Program) *Simulator {
 // reusing previously allocated structures wherever the configuration allows.
 // Results of a run after Reset are identical to those of a fresh simulator.
 func (s *Simulator) Reset(cfg Config, prog *isa.Program) {
-	// Rollback replays one record per journaled write; a rebuild writes
-	// (roughly) one word per allocated backing word. Past that break-even
-	// point — store-heavy runs at large instruction budgets — rebuilding is
-	// cheaper and also returns the journal's memory.
-	if s.mem != nil && s.prog == prog && s.mem.JournalLen() <= 2*s.mem.Words() {
-		s.mem.Rollback()
+	img := imageOf(prog)
+	if s.mem == nil {
+		s.mem = mem.FromImage(img)
 	} else {
-		s.mem = pipeline.BuildMemory(prog)
-		s.mem.StartJournal()
-		s.prog = prog
+		s.mem.Load(img)
 	}
 	if s.cpu == nil {
 		s.cpu = pipeline.NewWith(cfg.Pipeline, prog, s.mem)
@@ -135,6 +132,47 @@ func (s *Simulator) Reset(cfg Config, prog *isa.Program) {
 		s.cpu.EnableOccupancySampling()
 	}
 	s.cfg = cfg
+}
+
+// images caches each program's frozen memory image for as long as the
+// program itself is reachable: the key is weak, and a cleanup on the
+// program removes its entry.
+var images = struct {
+	sync.Mutex
+	byProg map[weak.Pointer[isa.Program]]*imageEntry
+}{byProg: map[weak.Pointer[isa.Program]]*imageEntry{}}
+
+// imageEntry builds one program's image once, however many simulators ask
+// for it at the same time.
+type imageEntry struct {
+	once sync.Once
+	img  *mem.Image
+}
+
+// imageOf returns prog's image, building it on first use.
+func imageOf(prog *isa.Program) *mem.Image {
+	key := weak.Make(prog)
+	images.Lock()
+	e, ok := images.byProg[key]
+	if !ok {
+		e = &imageEntry{}
+		images.byProg[key] = e
+		runtime.AddCleanup(prog, dropImage, key)
+	}
+	images.Unlock()
+	e.once.Do(func() { e.img = pipeline.BuildMemory(prog).Freeze() })
+	if e.img == nil {
+		// The first build panicked (a malformed image); fail the same way.
+		return pipeline.BuildMemory(prog).Freeze()
+	}
+	return e.img
+}
+
+// dropImage removes the cache entry of a collected program.
+func dropImage(key weak.Pointer[isa.Program]) {
+	images.Lock()
+	delete(images.byProg, key)
+	images.Unlock()
 }
 
 // pool recycles simulators across cells: Acquire Resets a pooled simulator

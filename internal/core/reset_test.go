@@ -26,11 +26,14 @@ func buildKernel(t *testing.T, name string) *isa.Program {
 // off, stores dirtying memory — must reproduce, for every cell, results
 // deeply equal to a fresh simulator's. Byte-identical sweep output across
 // local, cached and distributed execution rests on exactly this property.
+// The fresh simulator reads the same cached image; the independent
+// reference is TestPooledMatchesPrivateMemory's private memories.
 func TestResetDeterminism(t *testing.T) {
-	// perlbench stores every 4th iteration (exercises the memory journal
-	// rollback); exchange2 is store-free compute (exercises the program
-	// switch). The sequence deliberately revisits cell 0 at the end so a
-	// state leak from any intermediate cell would surface.
+	// perlbench stores every 4th iteration (exercises reloading an image
+	// over copied-on-write frames); exchange2 is store-free compute
+	// (exercises the program switch). The sequence deliberately revisits
+	// cell 0 at the end so a state leak from any intermediate cell would
+	// surface.
 	perl := buildKernel(t, "perlbench")
 	exch := buildKernel(t, "exchange2")
 	withOcc := func(c core.Config) core.Config {

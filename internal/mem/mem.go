@@ -17,6 +17,10 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"weak"
 )
 
 // PageBits is log2 of the page size. 4 KiB pages, as on x86-64.
@@ -105,13 +109,12 @@ const (
 // stride so a physical address maps to its region by pure arithmetic.
 const regionBytes = entriesPerL * 8
 
-// writeRec is one journaled physical write (see StartJournal).
-type writeRec struct {
-	pa  uint64
-	old int64
-}
-
 // Memory is the simulated physical memory plus the page-table machinery.
+//
+// A memory either owns all its frames (New, then Map and LoadImage) or
+// reads through an immutable Image (FromImage, Load) and copies a frame the
+// first time it writes to it. Pooled simulators share one Image per program
+// that way: binding a memory to an image copies frame headers, not words.
 type Memory struct {
 	// frames holds the allocated regions in bump order: region i covers
 	// physical addresses [physBase+i*regionBytes, +len(frames[i])*8).
@@ -121,19 +124,18 @@ type Memory struct {
 	// ReadPhys/WritePhys — the hottest memory-system calls (every PTE read
 	// of every page walk lands here) — map-free.
 	frames [][]int64
+	// owned[i] reports whether frames[i] is this memory's private copy.
+	// Other frames belong to an Image (or are the shared zero frame) and
+	// are never written: WritePhys copies them first.
+	owned []bool
+	// spareData and spareTables hold private frames released by Load, by
+	// size, for the next copy-on-write to reuse, so a memory that is loaded
+	// and run again and again allocates nothing once warm.
+	spareData, spareTables [][]int64
 	// rootPA is the physical base of the level-1 page table.
 	rootPA uint64
 	// nextFreePA is a bump allocator for frames (page tables and data).
 	nextFreePA uint64
-
-	// journal, when enabled, records the old value of every physical write
-	// so Rollback can restore the post-load image exactly. Sweep executors
-	// use it to reuse one loaded Memory across runs of the same program
-	// instead of rebuilding page tables and data frames per job.
-	journal    []writeRec
-	journaling bool
-	// words totals the allocated backing words across all frames.
-	words int
 }
 
 // physBase is where the bump allocator starts handing out frames.
@@ -155,82 +157,202 @@ func (m *Memory) allocFrame(words int) uint64 {
 	base := m.nextFreePA
 	m.nextFreePA += regionBytes
 	m.frames = append(m.frames, make([]int64, words))
-	m.words += words
+	m.owned = append(m.owned, true)
 	return base
 }
-
-// Words returns the total allocated backing words — a proxy for the cost
-// of rebuilding this memory from scratch, which callers weigh against the
-// journal length when deciding between Rollback and a rebuild.
-func (m *Memory) Words() int { return m.words }
-
-// JournalLen returns the number of journaled writes awaiting Rollback.
-func (m *Memory) JournalLen() int { return len(m.journal) }
 
 // RootPA returns the physical address of the root page table, which the
 // page walker dereferences.
 func (m *Memory) RootPA() uint64 { return m.rootPA }
 
-// frameOf locates the allocated region containing pa.
-func (m *Memory) frameOf(pa uint64) ([]int64, uint64, bool) {
+// slotOf locates the allocated region containing pa.
+func (m *Memory) slotOf(pa uint64) (uint64, bool) {
 	if pa < physBase {
-		return nil, 0, false
+		return 0, false
 	}
 	slot := (pa - physBase) / regionBytes
-	if slot >= uint64(len(m.frames)) {
-		return nil, 0, false
-	}
-	return m.frames[slot], physBase + slot*regionBytes, true
+	return slot, slot < uint64(len(m.frames))
 }
 
 // ReadPhys reads the 64-bit word at physical address pa (8-byte aligned by
 // truncation).
 func (m *Memory) ReadPhys(pa uint64) (int64, error) {
-	f, base, ok := m.frameOf(pa)
+	slot, ok := m.slotOf(pa)
 	if !ok {
 		return 0, ErrUnmapped
 	}
-	i := (pa - base) / 8
+	f := m.frames[slot]
+	i := (pa - physBase) % regionBytes / 8
 	if i >= uint64(len(f)) {
 		return 0, ErrUnmapped
 	}
 	return f[i], nil
 }
 
-// WritePhys writes the 64-bit word at physical address pa.
+// WritePhys writes the 64-bit word at physical address pa, first copying
+// the containing frame if this memory does not own it yet.
 func (m *Memory) WritePhys(pa uint64, v int64) error {
-	f, base, ok := m.frameOf(pa)
+	slot, ok := m.slotOf(pa)
 	if !ok {
 		return ErrUnmapped
 	}
-	i := (pa - base) / 8
-	if i >= uint64(len(f)) {
+	i := (pa - physBase) % regionBytes / 8
+	if i >= uint64(len(m.frames[slot])) {
 		return ErrUnmapped
 	}
-	if m.journaling {
-		m.journal = append(m.journal, writeRec{pa: pa, old: f[i]})
+	if !m.owned[slot] {
+		m.own(slot)
 	}
-	f[i] = v
+	m.frames[slot][i] = v
 	return nil
 }
 
-// StartJournal begins recording physical writes so Rollback can undo them.
-// Call it once the program image is fully loaded; mapping new pages while
-// journaling is not supported (Rollback restores content, not layout).
-func (m *Memory) StartJournal() {
-	m.journaling = true
-	m.journal = m.journal[:0]
+// own replaces the borrowed frame at slot with a private copy, reusing a
+// spare frame of the same size when there is one.
+func (m *Memory) own(slot uint64) {
+	src := m.frames[slot]
+	spare := m.spares(len(src))
+	var dst []int64
+	if n := len(*spare); n > 0 {
+		dst = (*spare)[n-1]
+		*spare = (*spare)[:n-1]
+	} else {
+		dst = make([]int64, len(src))
+	}
+	copy(dst, src)
+	m.frames[slot] = dst
+	m.owned[slot] = true
 }
 
-// Rollback undoes every journaled write in reverse order, restoring memory
-// to its content at the matching StartJournal, and starts a fresh journal.
-func (m *Memory) Rollback() {
-	for i := len(m.journal) - 1; i >= 0; i-- {
-		rec := m.journal[i]
-		f, base, _ := m.frameOf(rec.pa)
-		f[(rec.pa-base)/8] = rec.old
+// spares returns the spare list for frames of the given word count.
+func (m *Memory) spares(words int) *[][]int64 {
+	if words == entriesPerL {
+		return &m.spareTables
 	}
-	m.journal = m.journal[:0]
+	return &m.spareData
+}
+
+// Image is an immutable snapshot of a loaded memory. Any number of
+// memories, on any number of goroutines, can read through one Image at
+// once: each copies a frame on its first write to it and never writes the
+// Image itself.
+type Image struct {
+	// slots is the number of allocated regions.
+	slots int
+	// frames lists every region that is not an all-zero data frame, in slot
+	// order; the regions it omits read as zeroFrame. Stored frames are
+	// interned, so Images share every frame whose content they have in
+	// common: the page tables of programs with one layout (a kernel under
+	// different seeds) and data such as a kernel's jump table.
+	frames             []imageFrame
+	rootPA, nextFreePA uint64
+}
+
+// imageFrame is one stored region of an Image.
+type imageFrame struct {
+	slot int
+	*frozen
+}
+
+// frozen holds the words of an interned frame, which never change. Images
+// point to it so the intern table can hold it weakly.
+type frozen struct{ words []int64 }
+
+// zeroFrame backs every all-zero data frame of every Image. Nothing writes
+// it: it is never owned by a Memory.
+var zeroFrame [PageSize / 8]int64
+
+// Freeze snapshots m into an Image. m keeps its content but no longer owns
+// any frame: from now on it reads through the Image and copies on write,
+// exactly like FromImage(img).
+func (m *Memory) Freeze() *Image {
+	img := &Image{slots: len(m.frames), rootPA: m.rootPA, nextFreePA: m.nextFreePA}
+	for slot, f := range m.frames {
+		if len(f) == len(zeroFrame) && slices.Equal(f, zeroFrame[:]) {
+			continue
+		}
+		img.frames = append(img.frames, imageFrame{slot: slot, frozen: intern(f)})
+	}
+	clear(m.owned)
+	m.Load(img)
+	return img
+}
+
+// FromImage returns a memory that reads through img.
+func FromImage(img *Image) *Memory {
+	m := &Memory{}
+	m.Load(img)
+	return m
+}
+
+// Load rebinds m to img in O(frames): it copies frame headers and keeps the
+// private frames of m's previous content as spares for later copies.
+func (m *Memory) Load(img *Image) {
+	for slot, f := range m.frames {
+		if m.owned[slot] {
+			spare := m.spares(len(f))
+			*spare = append(*spare, f)
+		}
+	}
+	clear(m.frames) // drop references past img.slots too
+	m.frames = slices.Grow(m.frames[:0], img.slots)[:img.slots]
+	for slot := range m.frames {
+		m.frames[slot] = zeroFrame[:]
+	}
+	for _, f := range img.frames {
+		m.frames[f.slot] = f.words
+	}
+	m.owned = slices.Grow(m.owned[:0], img.slots)[:img.slots]
+	clear(m.owned)
+	m.rootPA, m.nextFreePA = img.rootPA, img.nextFreePA
+}
+
+// interned maps content hashes to the frozen frames of live Images. The
+// references are weak: once no Image holds a frame any more, it is
+// collected and dropInterned removes its entry.
+var interned = struct {
+	sync.Mutex
+	byHash map[uint64][]weak.Pointer[frozen]
+}{byHash: map[uint64][]weak.Pointer[frozen]{}}
+
+// intern returns the frozen frame whose words equal f, freezing f itself
+// if there is none.
+func intern(f []int64) *frozen {
+	h := hashWords(f)
+	interned.Lock()
+	defer interned.Unlock()
+	for _, w := range interned.byHash[h] {
+		if z := w.Value(); z != nil && slices.Equal(z.words, f) {
+			return z
+		}
+	}
+	z := &frozen{words: f}
+	interned.byHash[h] = append(interned.byHash[h], weak.Make(z))
+	runtime.AddCleanup(z, dropInterned, h)
+	return z
+}
+
+// dropInterned removes the collected frames under hash h.
+func dropInterned(h uint64) {
+	interned.Lock()
+	defer interned.Unlock()
+	live := slices.DeleteFunc(interned.byHash[h], func(w weak.Pointer[frozen]) bool {
+		return w.Value() == nil
+	})
+	if len(live) == 0 {
+		delete(interned.byHash, h)
+	} else {
+		interned.byHash[h] = live
+	}
+}
+
+// hashWords is FNV-1a over 64-bit words.
+func hashWords(f []int64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range f {
+		h = (h ^ uint64(w)) * 1099511628211
+	}
+	return h
 }
 
 // Map establishes a mapping for the virtual page containing va with the given
@@ -368,18 +490,40 @@ func (m *Memory) EnsureMapped(va uint64, perm Perm) {
 }
 
 // LoadImage installs the program's data segments: Data words into user pages
-// and KernelData words into kernel-only pages.
+// and KernelData words into kernel-only pages. Pages that need a new frame
+// are mapped in ascending VA order before any word is written, so the
+// physical layout does not depend on map iteration order.
 func (m *Memory) LoadImage(data, kernelData map[uint64]int64) {
+	var missing []uint64
+	for va := range data {
+		if m.Walk(va).Fault != FaultNone {
+			missing = append(missing, va&^uint64(PageMask))
+		}
+	}
+	for _, page := range sortedPages(missing) {
+		m.Map(page, PermUser|PermKernel)
+	}
 	for va, v := range data {
-		m.EnsureMapped(va, PermUser|PermKernel)
 		if f := m.Write(va, v, true); f != FaultNone {
 			panic(fmt.Sprintf("mem: loading user data at %#x: %v", va, f))
 		}
 	}
+	kernelPages := make([]uint64, 0, len(kernelData))
+	for va := range kernelData {
+		kernelPages = append(kernelPages, va&^uint64(PageMask))
+	}
+	for _, page := range sortedPages(kernelPages) {
+		m.Map(page, PermKernel)
+	}
 	for va, v := range kernelData {
-		m.Map(va, PermKernel)
 		if f := m.Write(va, v, true); f != FaultNone {
 			panic(fmt.Sprintf("mem: loading kernel data at %#x: %v", va, f))
 		}
 	}
+}
+
+// sortedPages sorts pages and drops duplicates in place.
+func sortedPages(pages []uint64) []uint64 {
+	slices.Sort(pages)
+	return slices.Compact(pages)
 }

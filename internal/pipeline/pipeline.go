@@ -378,10 +378,9 @@ func New(cfg Config, prog *isa.Program) *CPU {
 }
 
 // BuildMemory loads prog's image (code pages, data segments, declared
-// regions) into a fresh architectural memory. Callers that reuse one
-// simulator across runs build the memory once, enable its write journal,
-// and roll it back between runs instead of rebuilding page tables and data
-// frames per run.
+// regions) into a fresh architectural memory that owns all its frames.
+// Callers that run a program many times build it once, Freeze it into a
+// mem.Image and load that image into each run's memory instead.
 func BuildMemory(prog *isa.Program) *mem.Memory {
 	m := mem.New()
 	// Map the code region (user-readable: fetch is a user access).
@@ -414,7 +413,7 @@ func NewWith(cfg Config, prog *isa.Program, m *mem.Memory) *CPU {
 // partitions and fetch rings, the cache hierarchy, TLBs, branch predictor
 // and shadow structures are cleared in place rather than reallocated. m
 // must be a memory holding prog's loaded image (a fresh BuildMemory result,
-// or a journaled one rolled back to its post-load state). A reset CPU
+// or a memory freshly loaded from prog's frozen image). A reset CPU
 // produces results identical to a new one; sweep executors rely on that to
 // reuse one simulator per goroutine across cells.
 func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestProgramMemoization: every caller of the same (bench, seed, threads)
-// must observe one canonical *isa.Program — the stable pointer is what lets
-// the sweep executor detect "same program" and roll its memory back instead
-// of rebuilding — and the memoized build must equal a fresh one exactly.
+// must observe one canonical *isa.Program — the stable pointer is what keys
+// the simulator's shared memory image, built once per program instead of
+// per job — and the memoized build must equal a fresh one exactly.
 func TestProgramMemoization(t *testing.T) {
 	a, err := Program("gcc", 0, 1)
 	if err != nil {

@@ -138,8 +138,8 @@ type progKey struct {
 // budgets. Programs are immutable after Build (the simulator loads their
 // image into its own memory and never writes back), so sharing one
 // *isa.Program across concurrent jobs is safe — and the stable pointer is
-// what lets simulator reuse detect "same program" and roll back its memory
-// instead of rebuilding it. The cache holds one entry per (benchmark, seed)
+// what keys the simulator's per-program memory image, so the image is
+// built once and shared instead of rebuilt per job. The cache holds one entry per (benchmark, seed)
 // ever requested; seed fans are small in practice.
 var progCache sync.Map
 
