@@ -33,12 +33,8 @@ import (
 // Schema identifies the report format. Bump it when fields change meaning
 // so trajectory tooling never silently misreads an old report. v2 adds
 // per-benchmark rows (bench_rows) measured in a dedicated serial-by-bench
-// pass; Load still accepts v1 reports so committed baselines keep gating
-// the aggregate metrics, but per-benchmark gating needs two v2 reports.
-const (
-	Schema   = "safespec/perf/v2"
-	SchemaV1 = "safespec/perf/v1"
-)
+// pass; Load reads v2 only.
+const Schema = "safespec/perf/v2"
 
 // Options configures a measurement.
 type Options struct {
@@ -127,8 +123,7 @@ type Report struct {
 	// Repeats records every timed run, first to last.
 	Repeats []Repeat `json:"repeats"`
 
-	// BenchRows breaks the matrix down per benchmark (absent in v1
-	// reports).
+	// BenchRows breaks the matrix down per benchmark.
 	BenchRows []BenchRow `json:"bench_rows,omitempty"`
 }
 
@@ -298,9 +293,7 @@ func (r *Report) Write(dir string) (string, error) {
 	return path, nil
 }
 
-// Load reads a report back, verifying its schema. Both the current v2
-// schema and v1 (no bench_rows) are accepted: committed v1 baselines keep
-// gating the aggregate metrics.
+// Load reads a report back, verifying its schema.
 func Load(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -310,12 +303,8 @@ func Load(path string) (*Report, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("perf: %s: %w", path, err)
 	}
-	if r.Schema != Schema && r.Schema != SchemaV1 {
-		return nil, fmt.Errorf("perf: %s holds schema %q, this binary reads %q (or %q baselines)", path, r.Schema, Schema, SchemaV1)
-	}
-	if r.Schema == SchemaV1 {
-		// bench_rows is a v2 concept; a v1 document carrying one is corrupt.
-		r.BenchRows = nil
+	if r.Schema != Schema {
+		return nil, fmt.Errorf("perf: %s holds schema %q, this binary reads %q", path, r.Schema, Schema)
 	}
 	return &r, nil
 }
@@ -326,8 +315,7 @@ func Load(path string) (*Report, error) {
 //     not equal work);
 //   - cur's cell throughput fell more than maxRegress (a fraction, e.g.
 //     0.15) below the baseline — in aggregate, or for any benchmark when
-//     both reports carry per-benchmark rows (a v1 baseline gates only the
-//     aggregate);
+//     both reports carry per-benchmark rows;
 //   - maxAllocRegress is non-negative and cur's allocations per simulated
 //     cycle exceed the baseline's by more than it. The bound is absolute
 //     (allocs/cycle), not relative: the repository's steady state is zero

@@ -232,23 +232,25 @@ func TestRunEmitsBenchRows(t *testing.T) {
 	}
 }
 
-func TestLoadAcceptsV1Baseline(t *testing.T) {
+// TestLoadRejectsV1Report: v1 reports (no per-benchmark rows) are no longer
+// read; Load must name the schema it found and the one it reads.
+func TestLoadRejectsV1Report(t *testing.T) {
 	dir := t.TempDir()
 	v1 := &Report{
-		Schema: SchemaV1, Label: "old", Preset: "quick", Cells: 18,
+		Schema: "safespec/perf/v1", Label: "old", Preset: "quick", Cells: 18,
 		Instructions: 15_000, CellsPerSec: 44,
-		// A v1 document cannot carry rows; Load must drop them if present.
-		BenchRows: []BenchRow{{Bench: "bogus"}},
 	}
 	path, err := v1.Write(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatalf("v1 baseline rejected: %v", err)
+	_, err = Load(path)
+	if err == nil {
+		t.Fatal("v1 report accepted")
 	}
-	if back.CellsPerSec != 44 || len(back.BenchRows) != 0 {
-		t.Errorf("v1 load: cells/sec %.1f rows %d, want 44 and no rows", back.CellsPerSec, len(back.BenchRows))
+	for _, want := range []string{`"safespec/perf/v1"`, `"` + Schema + `"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }

@@ -61,20 +61,22 @@ func (c *CPU) executeScan(t *thread, issued, loads, stores *int) {
 
 // issueOutcome classifies a failed (or successful) issue attempt so the
 // event scheduler knows whether to drop the entry from the ready queue
-// (issueOperands: a producer wakeup will re-enqueue it) or keep retrying it
-// every cycle (issueBlocked), exactly as the reference scan would.
+// (issueOperands, issueStoreWait: a producer's writeback or the blocking
+// store's address resolution will re-enqueue it) or keep retrying it every
+// cycle (issueBlocked), exactly as the reference scan would.
 type issueOutcome uint8
 
 const (
-	issueOK       issueOutcome = iota // entry began executing
-	issueOperands                     // an operand's producer has not finished
-	issueBlocked                      // structural retry: blocked memory, CSR serialization, unresolved older store
+	issueOK        issueOutcome = iota // entry began executing
+	issueOperands                      // an operand's producer has not finished
+	issueStoreWait                     // a load parked on an older store with an unresolved address
+	issueBlocked                       // structural retry: blocked memory, CSR serialization
 )
 
 // tryIssue attempts to begin execution of e on thread t. It reports failure
-// when operands are not ready, a structural condition blocks, or the memory
-// system asked for a retry (shadow Block policy, unresolved older store
-// address).
+// when operands are not ready, an older store's address is unresolved, a
+// structural condition blocks, or the memory system asked for a retry
+// (shadow Block policy).
 func (c *CPU) tryIssue(t *thread, idx int, e *entry) issueOutcome {
 	v1, ok1 := t.resolveSrc(e.reg1, e.src1)
 	v2, ok2 := t.resolveSrc(e.reg2, e.src2)
@@ -147,9 +149,11 @@ func (c *CPU) issueLoad(t *thread, idx int, e *entry, v1 int64) issueOutcome {
 
 	// Walk older stores, youngest-first, over the store bitmap. An older
 	// store with an unresolved address blocks the load (no
-	// memory-dependence speculation).
-	if s, blocked := c.olderStoreScan(t, idx, va); blocked {
-		return issueBlocked
+	// memory-dependence speculation): the load parks in that store's waiter
+	// row, free because a store has no destination register.
+	if s, blk := c.olderStoreScan(t, idx, va); blk >= 0 {
+		setBit(t.waiters[blk*t.schedWords:], idx)
+		return issueStoreWait
 	} else if s != nil {
 		if s.fault != mem.FaultNone {
 			// Forwarding from a faulting store: the load will be
@@ -207,6 +211,7 @@ func (c *CPU) issueStore(t *thread, idx int, e *entry, v1, v2 int64) issueOutcom
 	e.fault = res.fault
 	e.sdata = v2
 	e.addrReady = true
+	c.wakeWaiters(t, idx) // loads parked on this store's address
 	e.addDHs(res.dhs())
 	e.dtlbHandle = res.dtlbHandle
 	e.state = stExec
@@ -268,7 +273,7 @@ func (c *CPU) resolveBranch(t *thread, idx int, e *entry) bool {
 
 	if correct {
 		t.releaseRASSnap(e)
-		c.clearTag(t, e)
+		c.clearTag(t, idx, e)
 		return false
 	}
 
@@ -298,21 +303,22 @@ func (c *CPU) resolveBranch(t *thread, idx int, e *entry) bool {
 		// Re-pop the (restored) RAS to consume the return.
 		t.bp.PredictReturn()
 	}
-	c.clearTag(t, e)
+	c.clearTag(t, idx, e)
 	c.flushFetch(t, e.actualTarget)
 	return true
 }
 
-// clearTag releases e's branch tag and clears the bit from all younger
-// entries' masks, applying the WFB motion rule to entries that become safe.
-func (c *CPU) clearTag(t *thread, e *entry) {
+// clearTag releases the tag of branch e (in slot idx) and clears the bit from
+// all younger entries' masks, applying the WFB motion rule to entries that
+// become safe. Only entries dispatched after the branch can carry its bit.
+func (c *CPU) clearTag(t *thread, idx int, e *entry) {
 	bit := e.tagBit
 	if bit == 0 {
 		return
 	}
 	e.tagBit = 0
 	t.activeTags &^= bit
-	for i := 0; i < t.count; i++ {
+	for i := t.ordinal(idx) + 1; i < t.count; i++ {
 		ent := &t.rob[t.slot(i)]
 		if ent.mask&bit == 0 {
 			continue

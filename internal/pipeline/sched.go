@@ -13,25 +13,26 @@ import "math/bits"
 //
 //   - readyMask: a slot bitmap of stWait entries worth attempting to issue —
 //     entries whose operands were ready at dispatch, plus entries woken when
-//     a producer wrote back, plus entries that failed for a structural
-//     reason (blocked memory, CSR serialization) and must retry. Iterating
-//     set bits from the ROB head preserves the scan's oldest-first issue
-//     priority exactly.
+//     a producer wrote back or a blocking store resolved its address, plus
+//     entries that failed for a structural reason (blocked memory, CSR
+//     serialization) and must retry. Iterating set bits from the ROB head
+//     preserves the scan's oldest-first issue priority exactly.
 //   - waiters: per-producer slot bitmaps. A dispatched entry whose operand
 //     names an unfinished producer registers in that producer's row; the
-//     producer's writeback ORs the row into readyMask. Spurious wakeups
-//     (stale bits surviving a squash of the waiter) are harmless: the
-//     attempt fails operand resolution without side effects and the bit is
+//     producer's writeback ORs the row into readyMask. A load blocked by an
+//     older store with an unresolved address parks in the store's row (free:
+//     a store has no destination register) and the store's issue wakes it.
+//     Spurious wakeups (stale bits surviving a squash of the waiter) are
+//     harmless: the attempt fails without side effects and the bit is
 //     dropped again.
 //   - a completion timing wheel keyed on completeAt: issuing schedules the
 //     entry in bucket completeAt mod span, where span is a power of two
 //     sized at Reset to exceed the largest latency the denormalized
 //     cache/TLB/memory configuration can compose. Because every scheduled
-//     entry completes within span cycles, each occupied bucket holds exactly
-//     one completion time, so draining due buckets and peeking the next
-//     event both cost O(occupied buckets) — in practice the handful of
-//     distinct latencies in flight. fastForward becomes that peek instead of
-//     an O(ROB) re-scan.
+//     entry completes within span cycles and fastForward never skips a
+//     completion, each cycle drains only its own bucket, and peeking the
+//     next event is a circular scan for the nearest occupied bucket.
+//     fastForward becomes that peek instead of an O(ROB) re-scan.
 //
 // The bitmaps are indexed by ROB slot, not ordinal, so squash and commit
 // clear state in O(1) per entry and iteration order falls out of starting
@@ -240,22 +241,13 @@ func (c *CPU) wheelRemove(t *thread, idx int) {
 	t.wheelCount--
 }
 
-// drainWheel moves every scheduled entry whose completeAt has passed into
-// compMask. Each occupied bucket holds exactly one completion time (every
-// entry completes within one wheel revolution of its issue), so testing the
-// bucket head decides the whole bucket.
+// drainWheel moves every scheduled entry due this cycle into compMask.
+// fastForward never skips a completion (skipTo stops one cycle before the
+// earliest completeAt), so every earlier bucket was drained on its own cycle
+// and only this cycle's bucket can be due.
 func (c *CPU) drainWheel(t *thread) {
-	if t.wheelCount > 0 {
-		for w := range t.bucketOcc {
-			occ := t.bucketOcc[w]
-			for occ != 0 {
-				b := w<<6 + bits.TrailingZeros64(occ)
-				occ &= occ - 1
-				if t.rob[t.bucketHead[b]].completeAt <= c.cycle {
-					c.drainBucket(t, b)
-				}
-			}
-		}
+	if b := int(c.cycle & uint64(len(t.bucketHead)-1)); t.bucketHead[b] != wheelNone {
+		c.drainBucket(t, b)
 	}
 	for i := 0; i < len(t.overflow); {
 		idx := int(t.overflow[i])
@@ -284,20 +276,20 @@ func (c *CPU) drainBucket(t *thread, b int) {
 }
 
 // wheelPeek returns thread t's earliest scheduled completion strictly after
-// the current cycle (every due entry was drained and written back before an
-// idle cycle can reach fastForward).
+// the current cycle. Every due entry was drained before an idle cycle can
+// reach fastForward and every other one completes within one revolution, so
+// the first occupied bucket after the current one, scanning circularly,
+// holds the earliest completion.
 func (c *CPU) wheelPeek(t *thread) (next uint64, ok bool) {
 	if t.wheelCount > 0 {
-		for w := range t.bucketOcc {
-			occ := t.bucketOcc[w]
-			for occ != 0 {
-				b := w<<6 + bits.TrailingZeros64(occ)
-				occ &= occ - 1
-				if at := t.rob[t.bucketHead[b]].completeAt; !ok || at < next {
-					next, ok = at, true
-				}
-			}
+		s := int((c.cycle + 1) & uint64(len(t.bucketHead)-1))
+		w := s >> 6
+		occ := t.bucketOcc[w] >> uint(s&63) << uint(s&63)
+		for occ == 0 { // terminates: some bucket is occupied
+			w = (w + 1) % len(t.bucketOcc)
+			occ = t.bucketOcc[w]
 		}
+		next, ok = t.rob[t.bucketHead[w<<6+bits.TrailingZeros64(occ)]].completeAt, true
 	}
 	for _, s := range t.overflow {
 		if at := t.rob[s].completeAt; !ok || at < next {
@@ -377,14 +369,13 @@ func (c *CPU) executeRange(t *thread, lo, hi int, issued, loads, stores *int) bo
 				continue
 			}
 			switch c.tryIssue(t, idx, e) {
-			case issueOperands:
+			case issueOperands, issueStoreWait:
 				// Not ready after all: drop the bit; the registration with
-				// the unfinished producer re-wakes it.
+				// the unfinished producer or the blocking store re-wakes it.
 				clearBit(t.readyMask, idx)
 			case issueBlocked:
-				// Structural retry (blocked memory, CSR serialization,
-				// unresolved older store): keep the bit, as the scan keeps
-				// re-attempting every cycle.
+				// Structural retry (blocked memory, CSR serialization):
+				// keep the bit, as the scan keeps re-attempting every cycle.
 			case issueOK:
 				c.active = true
 				*issued++
@@ -405,25 +396,22 @@ func (c *CPU) executeRange(t *thread, lo, hi int, issued, loads, stores *int) bo
 // olderStoreScan walks thread t's in-flight stores older than the load at
 // idx, youngest first, via the store bitmap — the event-driven replacement
 // for scanning every older ROB entry. found is the youngest older store
-// whose resolved address matches the load's doubleword; blocked reports an
-// older store with an unresolved address encountered first (no
-// memory-dependence speculation).
-func (c *CPU) olderStoreScan(t *thread, idx int, va uint64) (found *entry, blocked bool) {
+// whose resolved address matches the load's doubleword; blocker is the slot
+// of an older store with an unresolved address encountered first (no
+// memory-dependence speculation), or -1.
+func (c *CPU) olderStoreScan(t *thread, idx int, va uint64) (found *entry, blocker int) {
 	n := len(t.rob)
 	if idx >= t.head {
-		if e, blk := c.storeScanRange(t, t.head, idx, va); e != nil || blk {
-			return e, blk
-		}
-		return nil, false
+		return c.storeScanRange(t, t.head, idx, va)
 	}
-	if e, blk := c.storeScanRange(t, 0, idx, va); e != nil || blk {
+	if e, blk := c.storeScanRange(t, 0, idx, va); e != nil || blk >= 0 {
 		return e, blk
 	}
 	return c.storeScanRange(t, t.head, n, va)
 }
 
 // storeScanRange scans thread t's store slots in [lo, hi) youngest-first.
-func (c *CPU) storeScanRange(t *thread, lo, hi int, va uint64) (found *entry, blocked bool) {
+func (c *CPU) storeScanRange(t *thread, lo, hi int, va uint64) (found *entry, blocker int) {
 	for cur := hi; cur > lo; {
 		w := (cur - 1) >> 6
 		rem := t.storeMask[w] << uint(63-(cur-1)&63) // bits strictly below cur, MSB-aligned
@@ -433,15 +421,15 @@ func (c *CPU) storeScanRange(t *thread, lo, hi int, va uint64) (found *entry, bl
 		}
 		cur -= 1 + bits.LeadingZeros64(rem)
 		if cur < lo {
-			return nil, false
+			return nil, -1
 		}
 		s := &t.rob[cur]
 		if !s.addrReady {
-			return nil, true
+			return nil, cur
 		}
 		if s.va>>3 == va>>3 {
-			return s, false
+			return s, -1
 		}
 	}
-	return nil, false
+	return nil, -1
 }

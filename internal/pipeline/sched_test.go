@@ -17,7 +17,9 @@ import (
 // reference scan scheduler and requires bit-identical statistics and
 // architectural state. This is the equivalence contract of the event
 // scheduler: same issues, same writebacks, same squashes, same skipped
-// cycles — not just the same final registers.
+// cycles — not just the same final registers. The event run is stepped one
+// cycle at a time with the scheduler invariants checked after every Step,
+// so a bug both schedulers share (clearTag, the wheel) still shows.
 func diffRun(t *testing.T, name string, cfg pipeline.Config, prog *isa.Program,
 	sample bool, setup func(*pipeline.CPU, *isa.Program)) {
 	t.Helper()
@@ -30,7 +32,10 @@ func diffRun(t *testing.T, name string, cfg pipeline.Config, prog *isa.Program,
 		if setup != nil {
 			setup(cpu, prog)
 		}
-		st := cpu.Run()
+		if !ref {
+			stepChecked(t, name, cpu, cfg.Normalize())
+		}
+		st := cpu.Run() // finishes the stepped run and finalizes statistics
 		var regs [isa.RegCount]int64
 		for r := 0; r < isa.RegCount; r++ {
 			regs[r] = cpu.Reg(isa.Reg(r))
@@ -46,6 +51,18 @@ func diffRun(t *testing.T, name string, cfg pipeline.Config, prog *isa.Program,
 	}
 	if evRegs != refRegs {
 		t.Errorf("%s: event scheduler register file diverges from reference scan", name)
+	}
+}
+
+// stepChecked steps cpu under Run's loop condition and checks the scheduler
+// invariants after every Step, failing the test at the first violation.
+func stepChecked(t *testing.T, name string, cpu *pipeline.CPU, cfg pipeline.Config) {
+	t.Helper()
+	for !cpu.Halted() && cpu.Cycle() < cfg.MaxCycles && cpu.St.Committed < cfg.MaxInstrs {
+		cpu.Step()
+		if err := cpu.CheckSchedInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -80,18 +97,123 @@ func TestSchedulerDifferentialTinyConfig(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		prog := randomProgram(int64(trial)*31_337 + 7)
 		for _, policy := range []shadow.OnFull{shadow.Drop, shadow.Block} {
-			cfg := core.WFC().Pipeline
-			cfg.ROBSize = 12
-			cfg.IQSize = 6
-			cfg.LDQSize = 3
-			cfg.STQSize = 3
-			cfg.MaxBranchTags = 3
-			cfg.ShadowD = shadow.Policy{Name: "shadow-dcache", Entries: 2, WhenFull: policy}
-			cfg.ShadowI = shadow.Policy{Name: "shadow-icache", Entries: 4, WhenFull: policy}
-			cfg.ShadowDTLB = shadow.Policy{Name: "shadow-dtlb", Entries: 2, WhenFull: policy}
-			cfg.ShadowITLB = shadow.Policy{Name: "shadow-itlb", Entries: 2, WhenFull: policy}
-			cfg = cfg.Normalize()
-			diffRun(t, "tiny", cfg, prog, false, nil)
+			diffRun(t, "tiny", tinyShadowConfig(policy), prog, false, nil)
+		}
+	}
+}
+
+// tinyShadowConfig is a cramped WFC core whose shadow structures apply policy
+// when full.
+func tinyShadowConfig(policy shadow.OnFull) pipeline.Config {
+	cfg := core.WFC().Pipeline
+	cfg.ROBSize = 12
+	cfg.IQSize = 6
+	cfg.LDQSize = 3
+	cfg.STQSize = 3
+	cfg.MaxBranchTags = 3
+	cfg.ShadowD = shadow.Policy{Name: "shadow-dcache", Entries: 2, WhenFull: policy}
+	cfg.ShadowI = shadow.Policy{Name: "shadow-icache", Entries: 4, WhenFull: policy}
+	cfg.ShadowDTLB = shadow.Policy{Name: "shadow-dtlb", Entries: 2, WhenFull: policy}
+	cfg.ShadowITLB = shadow.Policy{Name: "shadow-itlb", Entries: 2, WhenFull: policy}
+	return cfg.Normalize()
+}
+
+// storeWaitProgram chases a pointer list laid out one node per page, so
+// nearly every chase misses the caches and TLB, and stores to an address
+// derived from each chased pointer. Eight independent younger loads follow
+// every store: each must wait for the store's address (no
+// memory-dependence speculation), one of them aliases it and forwards, and
+// two more read elsewhere. This is the event scheduler's store-parked-load
+// path: the loads park on the store and are woken when its address resolves.
+func storeWaitProgram(seed int64) *isa.Program {
+	rng := rand.New(rand.NewSource(seed))
+	b := asm.NewBuilder()
+	const chain, nodes = 0x10_0000, 48
+	const array = 0x2_0000
+	b.Region(chain, nodes*4096, false)
+	b.Region(array, 4096, false)
+	perm := rng.Perm(nodes)
+	for i, n := range perm {
+		next := uint64(chain + perm[(i+1)%nodes]*4096)
+		// The low bits pick the store's doubleword; the chase strips them.
+		b.Data(chain+uint64(n)*4096, int64(next|uint64(rng.Intn(8))<<3))
+	}
+	b.Movi(isa.S10, int64(chain+perm[0]*4096))
+	b.Movi(isa.S11, array)
+	b.Movi(isa.S5, 0) // iteration counter
+	b.Movi(isa.S0, 1)
+	b.Label("loop")
+	b.Load(isa.T0, isa.S10, 0)
+	b.Andi(isa.T1, isa.T0, 0x38)
+	b.Xor(isa.S10, isa.T0, isa.T1)
+	b.Add(isa.T1, isa.S11, isa.T1)
+	b.Store(isa.S0, isa.T1, 0)
+	for k, r := range []isa.Reg{isa.T2, isa.T3, isa.T4, isa.T5, isa.A0, isa.A1, isa.A2, isa.A3} {
+		b.Load(r, isa.S11, int64(k)*8)
+	}
+	b.Load(isa.A4, isa.S11, 512)
+	b.Load(isa.A5, isa.S11, 1024)
+	for _, r := range []isa.Reg{isa.T2, isa.T3, isa.T4, isa.T5, isa.A0, isa.A1, isa.A2, isa.A3, isa.A4, isa.A5} {
+		b.Add(isa.S0, isa.S0, r)
+	}
+	b.Addi(isa.S5, isa.S5, 1)
+	b.Slti(isa.T6, isa.S5, 2*nodes)
+	b.Bne(isa.T6, isa.Zero, "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestSchedulerDifferentialStoreWait pins event-vs-scan equivalence on loads
+// blocked by an older store whose address is unresolved: the event
+// scheduler parks them on the store and wakes them when the store issues,
+// which must reach them in the same cycle the reference scan's every-cycle
+// retry would. It covers all three modes, the cramped core under both
+// shadow policies (Block makes the store itself retry) and Threads=2.
+func TestSchedulerDifferentialStoreWait(t *testing.T) {
+	for trial := 0; trial < 2; trial++ {
+		prog := storeWaitProgram(int64(trial)*7 + 3)
+		for name, cfg := range modeConfigs() {
+			diffRun(t, "storewait/"+name, cfg, prog, trial%2 == 0, nil)
+			cfg.Threads = 2
+			diffRun(t, "storewait/smt/"+name, cfg, prog, false, nil)
+		}
+		for _, policy := range []shadow.OnFull{shadow.Drop, shadow.Block} {
+			diffRun(t, "storewait/tiny", tinyShadowConfig(policy), prog, false, nil)
+		}
+	}
+	// Sanity: the stores' addresses arrive late and the aliasing loads
+	// forward from them.
+	cpu := pipeline.New(core.WFC().Pipeline, storeWaitProgram(3))
+	st := cpu.Run()
+	if st.StoreForwards < 32 || st.DReadMisses < 48 {
+		t.Fatalf("store-wait kernel does not wait on stores: %d forwards, %d load misses", st.StoreForwards, st.DReadMisses)
+	}
+}
+
+// TestSchedulerDifferentialSMT repeats the random, squash-heavy and
+// cross-thread attack corpora on a two-thread core, whose threads share the
+// issue ports and interleave their completion wheels.
+func TestSchedulerDifferentialSMT(t *testing.T) {
+	for trial := 0; trial < 4; trial++ {
+		random := randomProgram(int64(trial)*4099 + 11)
+		squash := squashHeavyProgram(int64(trial)*613 + 2)
+		for name, cfg := range modeConfigs() {
+			cfg.Threads = 2
+			diffRun(t, "smt/random/"+name, cfg, random, trial%2 == 0, nil)
+			diffRun(t, "smt/squash/"+name, cfg, squash, false, nil)
+		}
+	}
+	for _, a := range attacks.All() {
+		if a.Threads < 2 {
+			continue
+		}
+		prog, err := a.Build(a.Secret)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		for name, cfg := range modeConfigs() {
+			cfg.Threads = a.Threads
+			diffRun(t, a.Name+"/"+name, cfg, prog, false, a.Setup)
 		}
 	}
 }

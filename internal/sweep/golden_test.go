@@ -10,19 +10,22 @@ import (
 	"safespec/internal/sweep"
 )
 
-// The golden files below were generated from the pre-SMT-refactor tree
+// The Quick golden files below were generated from the pre-SMT-refactor
+// tree, the Full golden from the tree before the O(1)-per-Step scheduler
 // (set UPDATE_GOLDEN=1 to regenerate — only ever from a commit whose
-// single-thread output is known-good). They pin two things across the
+// single-thread output is known-good). They pin three things across the
 // per-thread pipeline refactor and any future change:
 //
 //   - the JSONL sink bytes of the pinned Quick matrix (the exact stream CI
-//     compares across worker counts, the grid and the result cache), and
+//     compares across worker counts, the grid and the result cache),
+//   - the JSONL sink bytes of the Full matrix, and
 //   - every Quick job's content-address (sweep.Job.Hash), so warm result
 //     caches written before the refactor stay valid for Threads=1 cells.
 
 const (
-	goldenJSONL  = "testdata/quick_threads1.jsonl"
-	goldenHashes = "testdata/quick_threads1.hashes"
+	goldenJSONL     = "testdata/quick_threads1.jsonl"
+	goldenHashes    = "testdata/quick_threads1.hashes"
+	goldenFullJSONL = "testdata/full_threads1.jsonl"
 )
 
 func quickJobs(t *testing.T) []sweep.Job {
@@ -54,20 +57,46 @@ func TestGoldenQuickJSONLByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full Quick matrix")
 	}
+	checkGoldenJSONL(t, quickJobs(t), goldenJSONL)
+}
+
+// TestGoldenFullJSONLByteIdentity pins the Full preset (every kernel under
+// every mode, seed 0), so a simulator change must keep all of the figure
+// rows byte-identical, not only the Quick subset. It is skipped under the
+// race detector: each cell runs on one goroutine, so -race would add ~10x
+// run time and check nothing the Quick golden does not.
+func TestGoldenFullJSONLByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the Full matrix")
+	}
+	if raceEnabled {
+		t.Skip("single-goroutine simulation; covered without -race")
+	}
+	jobs, err := sweep.Full().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenJSONL(t, jobs, goldenFullJSONL)
+}
+
+// checkGoldenJSONL runs jobs locally and requires the JSONL sink output to
+// match the golden file at path byte for byte.
+func checkGoldenJSONL(t *testing.T, jobs []sweep.Job, path string) {
+	t.Helper()
 	var buf bytes.Buffer
-	_, err := sweep.Run(context.Background(), quickJobs(t),
+	_, err := sweep.Run(context.Background(), jobs,
 		sweep.Options{Workers: 4, Sinks: []sweep.Sink{sweep.NewJSONL(&buf)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	maybeUpdate(t, goldenJSONL, buf.Bytes())
-	want, err := os.ReadFile(goldenJSONL)
+	maybeUpdate(t, path, buf.Bytes())
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("Quick-matrix JSONL diverged from pre-refactor golden (%d vs %d bytes);\n"+
-			"single-thread results must stay byte-identical", buf.Len(), len(want))
+		t.Fatalf("%s: JSONL diverged from golden (%d vs %d bytes);\n"+
+			"single-thread results must stay byte-identical", path, buf.Len(), len(want))
 	}
 }
 
