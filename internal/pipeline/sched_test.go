@@ -120,11 +120,12 @@ func tinyShadowConfig(policy shadow.OnFull) pipeline.Config {
 
 // storeWaitProgram chases a pointer list laid out one node per page, so
 // nearly every chase misses the caches and TLB, and stores to an address
-// derived from each chased pointer. Eight independent younger loads follow
-// every store: each must wait for the store's address (no
-// memory-dependence speculation), one of them aliases it and forwards, and
-// two more read elsewhere. This is the event scheduler's store-parked-load
-// path: the loads park on the store and are woken when its address resolves.
+// derived from each chased pointer. Ten independent younger loads follow
+// every store and must wait for its address (no memory-dependence
+// speculation): eight read the doublewords of its line, one of which
+// aliases the store and forwards, and two read elsewhere. This is the event
+// scheduler's store-parked-load path: the loads park on the store and are
+// woken when its address resolves.
 func storeWaitProgram(seed int64) *isa.Program {
 	rng := rand.New(rand.NewSource(seed))
 	b := asm.NewBuilder()
