@@ -18,6 +18,7 @@ package asm
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"safespec/internal/isa"
@@ -28,8 +29,8 @@ type Builder struct {
 	code    []isa.Instr
 	labels  map[string]int
 	fixups  []fixup
-	data    map[uint64]int64
-	kdata   map[uint64]int64
+	pages   map[uint64]*isa.DataPage // data pages by VA
+	last    *isa.DataPage            // the page written last, usually the next one too
 	dfixups []dataFixup
 	regions []isa.MemRegion
 	trap    string // label of trap handler, "" if none
@@ -54,8 +55,7 @@ type dataFixup struct {
 func NewBuilder() *Builder {
 	return &Builder{
 		labels: make(map[string]int),
-		data:   make(map[uint64]int64),
-		kdata:  make(map[uint64]int64),
+		pages:  make(map[uint64]*isa.DataPage),
 	}
 }
 
@@ -94,15 +94,36 @@ func (b *Builder) SetThreadEntry(tid int, label string) {
 }
 
 // Data installs an initial 64-bit value at a user-accessible address.
-func (b *Builder) Data(addr uint64, v int64) { b.data[addr] = v }
+func (b *Builder) Data(addr uint64, v int64) { b.set(addr, v, false) }
 
 // KernelData installs an initial 64-bit value at a kernel-only address.
-func (b *Builder) KernelData(addr uint64, v int64) { b.kdata[addr] = v }
+func (b *Builder) KernelData(addr uint64, v int64) { b.set(addr, v, true) }
 
 // DataLabel installs the instruction index of label as a 64-bit value at a
 // user-accessible address (for jump tables driving indirect calls).
 func (b *Builder) DataLabel(addr uint64, label string) {
+	b.set(addr, 0, false)
 	b.dfixups = append(b.dfixups, dataFixup{addr: addr, label: label})
+}
+
+// set writes the data word at addr. Build reports a misaligned addr and a
+// page holding both user and kernel words.
+func (b *Builder) set(addr uint64, v int64, kernel bool) {
+	va := addr &^ (isa.PageWords*8 - 1)
+	if b.last == nil || b.last.VA != va {
+		if b.last = b.pages[va]; b.last == nil {
+			b.last = &isa.DataPage{VA: va, Kernel: kernel, Words: make([]int64, isa.PageWords)}
+			b.pages[va] = b.last
+		}
+	}
+	switch {
+	case addr%8 != 0:
+		b.errs = append(b.errs, fmt.Errorf("asm: data address %#x is not 8-byte aligned", addr))
+	case b.last.Kernel != kernel:
+		b.errs = append(b.errs, fmt.Errorf("asm: page %#x holds both user and kernel data", va))
+	default:
+		b.last.Words[(addr-va)/8] = v
+	}
 }
 
 // Region declares a virtual address range the loader maps before running.
@@ -338,65 +359,62 @@ func (b *Builder) Build() (*isa.Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
+	// resolve looks a label up; the first undefined one is Build's error.
+	var err error
+	resolve := func(label, what string) int {
+		idx, ok := b.labels[label]
+		if !ok && err == nil {
+			err = fmt.Errorf("asm: undefined %s %q", what, label)
+		}
+		return idx
+	}
 	code := make([]isa.Instr, len(b.code))
 	copy(code, b.code)
 	for _, f := range b.fixups {
-		idx, ok := b.labels[f.label]
-		if !ok {
-			return nil, fmt.Errorf("asm: undefined label %q", f.label)
-		}
-		if code[f.instr].Op == isa.OpMovi {
+		if idx := resolve(f.label, "label"); code[f.instr].Op == isa.OpMovi {
 			code[f.instr].Imm = int64(idx)
 		} else {
 			code[f.instr].Target = idx
 		}
 	}
-	data := copyMap(b.data)
+	// Copy the pages, sorted by VA, so a later Data call cannot change the
+	// program, and resolve the DataLabel words in the copy.
+	pages := make([]isa.DataPage, 0, len(b.pages))
+	words := make([]int64, len(b.pages)*isa.PageWords)
+	for _, p := range b.pages {
+		w := words[len(pages)*isa.PageWords:][:isa.PageWords:isa.PageWords]
+		copy(w, p.Words)
+		pages = append(pages, isa.DataPage{VA: p.VA, Kernel: p.Kernel, Words: w})
+	}
+	sort.Slice(pages, func(i, j int) bool { return pages[i].VA < pages[j].VA })
 	for _, f := range b.dfixups {
-		idx, ok := b.labels[f.label]
-		if !ok {
-			return nil, fmt.Errorf("asm: undefined data label %q", f.label)
-		}
-		data[f.addr] = int64(idx)
+		i := sort.Search(len(pages), func(i int) bool { return pages[i].VA > f.addr }) - 1
+		pages[i].Words[f.addr%(isa.PageWords*8)/8] = int64(resolve(f.label, "data label"))
 	}
 	prog := &isa.Program{
 		Code:        code,
 		TrapHandler: -1,
-		Data:        data,
-		KernelData:  copyMap(b.kdata),
+		Pages:       pages,
 		Regions:     append([]isa.MemRegion(nil), b.regions...),
-		Symbols:     make(map[string]int, len(b.labels)),
-	}
-	for name, idx := range b.labels {
-		prog.Symbols[name] = idx
+		Symbols:     maps.Clone(b.labels),
 	}
 	if b.trap != "" {
-		idx, ok := b.labels[b.trap]
-		if !ok {
-			return nil, fmt.Errorf("asm: undefined trap handler label %q", b.trap)
-		}
-		prog.TrapHandler = idx
+		prog.TrapHandler = resolve(b.trap, "trap handler label")
 	}
 	if b.entry != "" {
-		idx, ok := b.labels[b.entry]
-		if !ok {
-			return nil, fmt.Errorf("asm: undefined entry label %q", b.entry)
-		}
-		prog.Entry = idx
+		prog.Entry = resolve(b.entry, "entry label")
 	}
 	if len(b.threadEntries) > 0 {
 		prog.ThreadEntries = make([]int, len(b.threadEntries))
 		for tid, label := range b.threadEntries {
-			if label == "" {
-				prog.ThreadEntries[tid] = prog.Entry
-				continue
+			prog.ThreadEntries[tid] = prog.Entry
+			if label != "" {
+				prog.ThreadEntries[tid] = resolve(label, fmt.Sprintf("thread %d entry label", tid))
 			}
-			idx, ok := b.labels[label]
-			if !ok {
-				return nil, fmt.Errorf("asm: undefined thread %d entry label %q", tid, label)
-			}
-			prog.ThreadEntries[tid] = idx
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return prog, nil
 }
@@ -427,12 +445,4 @@ func Disassemble(p *isa.Program) string {
 		out = append(out, fmt.Sprintf("%5d:  %s\n", i, in)...)
 	}
 	return string(out)
-}
-
-func copyMap(m map[uint64]int64) map[uint64]int64 {
-	out := make(map[uint64]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,8 +107,8 @@ func TestDataLabel(t *testing.T) {
 	b.Halt()
 	b.DataLabel(0x1000, "fn")
 	p := b.MustBuild()
-	if p.Data[0x1000] != 1 {
-		t.Errorf("DataLabel value = %d, want 1", p.Data[0x1000])
+	if v, _ := p.Word(0x1000); v != 1 {
+		t.Errorf("DataLabel value = %d, want 1", v)
 	}
 }
 
@@ -122,16 +123,31 @@ func TestDataLabelUndefined(t *testing.T) {
 
 func TestDataAndRegions(t *testing.T) {
 	b := NewBuilder()
+	b.KernelData(0x5200, 9)
 	b.Data(0x100, 7)
-	b.KernelData(0x200, 9)
+	b.Data(0x3008, 0) // an explicit 0 still puts its page in the image
 	b.Region(0x3000, 8192, true)
 	b.Halt()
 	p := b.MustBuild()
-	if p.Data[0x100] != 7 {
-		t.Errorf("Data = %d", p.Data[0x100])
+	if v, ok := p.Word(0x100); v != 7 || !ok {
+		t.Errorf("Data = %d, %v", v, ok)
 	}
-	if p.KernelData[0x200] != 9 {
-		t.Errorf("KernelData = %d", p.KernelData[0x200])
+	if v, ok := p.Word(0x5200); v != 9 || !ok {
+		t.Errorf("KernelData = %d, %v", v, ok)
+	}
+	if _, ok := p.Word(0x4000); ok {
+		t.Error("a page without data words is in the image")
+	}
+	var got []isa.DataPage
+	for _, pg := range p.Pages {
+		got = append(got, isa.DataPage{VA: pg.VA, Kernel: pg.Kernel})
+		if len(pg.Words) != isa.PageWords {
+			t.Errorf("page %#x has %d words", pg.VA, len(pg.Words))
+		}
+	}
+	want := []isa.DataPage{{VA: 0}, {VA: 0x3000}, {VA: 0x5000, Kernel: true}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pages = %+v, want %+v (sorted by VA)", got, want)
 	}
 	if len(p.Regions) != 1 || !p.Regions[0].Kernel || p.Regions[0].Size != 8192 {
 		t.Errorf("Regions = %+v", p.Regions)
@@ -146,8 +162,34 @@ func TestBuildIsolation(t *testing.T) {
 	b.Halt()
 	p1 := b.MustBuild()
 	b.Data(0x10, 2)
-	if p1.Data[0x10] != 1 {
-		t.Error("Build did not copy the data map")
+	if v, _ := p1.Word(0x10); v != 1 {
+		t.Error("Build did not copy the data pages")
+	}
+	if p2 := b.MustBuild(); &p2.Pages[0].Words[0] == &p1.Pages[0].Words[0] {
+		t.Error("two builds share data pages")
+	}
+}
+
+// TestBuildRejectsMalformedData: a misaligned data address (which the
+// loader would fold into its neighbour word) and a page holding both user
+// and kernel words are Build errors, not silent choices.
+func TestBuildRejectsMalformedData(t *testing.T) {
+	cases := map[string]func(b *Builder){
+		"misaligned Data":       func(b *Builder) { b.Data(0x1004, 1) },
+		"misaligned KernelData": func(b *Builder) { b.KernelData(0x1001, 1) },
+		"misaligned DataLabel":  func(b *Builder) { b.DataLabel(0x100c, "end") },
+		"kernel after user":     func(b *Builder) { b.Data(0x1000, 1); b.KernelData(0x1ff8, 2) },
+		"user after kernel":     func(b *Builder) { b.KernelData(0x1000, 1); b.Data(0x1008, 2) },
+		"label on kernel page":  func(b *Builder) { b.KernelData(0x1000, 1); b.DataLabel(0x1008, "end") },
+	}
+	for name, write := range cases {
+		b := NewBuilder()
+		write(b)
+		b.Label("end")
+		b.Halt()
+		if _, err := b.Build(); err == nil {
+			t.Errorf("%s: Build accepted it", name)
+		}
 	}
 }
 

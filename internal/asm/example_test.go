@@ -38,6 +38,7 @@ func ExampleBuilder_DataLabel() {
 	b.Label("handler")
 	b.Halt()
 	prog := b.MustBuild()
-	fmt.Println(prog.Data[0x1000]) // the instruction index of "handler"
+	v, _ := prog.Word(0x1000)
+	fmt.Println(v) // the instruction index of "handler"
 	// Output: 3
 }

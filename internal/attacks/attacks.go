@@ -22,13 +22,13 @@ package attacks
 
 import (
 	"fmt"
-	"sync"
 
 	"safespec/internal/asm"
 	"safespec/internal/core"
 	"safespec/internal/isa"
 	"safespec/internal/mem"
 	"safespec/internal/pipeline"
+	"safespec/internal/workloads"
 )
 
 // Memory layout shared by the attack programs (virtual addresses; each
@@ -153,34 +153,13 @@ func readResults(sim *core.Simulator, n int) ([]uint64, error) {
 	return times, nil
 }
 
-// progMemo memoizes one builder's programs per key. A program is immutable
-// after Build (the simulator loads its image into its own memory and never
-// writes back), so every caller may share it, and the stable pointer keys
-// the memory image every pooled simulator shares instead of loading it
-// again.
-// Failed builds are not cached.
-type progMemo[K comparable] struct{ progs sync.Map }
-
-func (m *progMemo[K]) get(key K, build func(K) (*isa.Program, error)) (*isa.Program, error) {
-	if p, ok := m.progs.Load(key); ok {
-		return p.(*isa.Program), nil
-	}
-	p, err := build(key)
-	if err != nil {
-		return nil, err
-	}
-	// Concurrent builders may race; LoadOrStore keeps the first, so every
-	// caller agrees on one program per key.
-	got, _ := m.progs.LoadOrStore(key, p)
-	return got.(*isa.Program), nil
-}
-
-// memoized wraps a per-secret builder in its own progMemo. Each built-in
-// attack's Build is one of these, so a caller-supplied Build — even under a
-// reused attack name — never aliases a built-in program.
+// memoized wraps a per-secret builder in its own workloads.Memo. Each
+// built-in attack's Build is one of these, so a caller-supplied Build —
+// even under a reused attack name — never aliases a built-in program, and
+// the stable pointer keys the memory image every pooled simulator shares.
 func memoized(build func(secret int64) (*isa.Program, error)) func(secret int64) (*isa.Program, error) {
-	m := new(progMemo[int64])
-	return func(secret int64) (*isa.Program, error) { return m.get(secret, build) }
+	m := new(workloads.Memo[int64])
+	return func(secret int64) (*isa.Program, error) { return m.Get(secret, build) }
 }
 
 // decide picks the uniquely fastest (or slowest) slot among candidates

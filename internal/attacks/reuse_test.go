@@ -62,7 +62,7 @@ func tsaFresh(t *testing.T, secret int64, cfg core.Config) TSAOutcome {
 	t.Helper()
 	out := TSAOutcome{Secret: secret}
 	for bit := 0; bit < 4; bit++ {
-		prog, err := tsaPrograms.get(tsaKey{secret, bit}, buildTSABit)
+		prog, err := tsaPrograms.Get(tsaKey{secret, bit}, buildTSABit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +180,10 @@ func identity(n int) []int {
 func cloneProgram(p *isa.Program) *isa.Program {
 	c := *p
 	c.Code = slices.Clone(p.Code)
-	c.Data = maps.Clone(p.Data)
-	c.KernelData = maps.Clone(p.KernelData)
+	c.Pages = slices.Clone(p.Pages)
+	for i := range c.Pages {
+		c.Pages[i].Words = slices.Clone(p.Pages[i].Words)
+	}
 	c.Regions = slices.Clone(p.Regions)
 	c.Symbols = maps.Clone(p.Symbols)
 	c.ThreadEntries = slices.Clone(p.ThreadEntries)
@@ -214,11 +216,11 @@ func TestMemoizedProgramsImmutable(t *testing.T) {
 	}
 	for bit := 0; bit < 4; bit++ {
 		k := tsaKey{DefaultSecret, bit}
-		p1, err := tsaPrograms.get(k, buildTSABit)
+		p1, err := tsaPrograms.Get(k, buildTSABit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p2, _ := tsaPrograms.get(k, buildTSABit); p2 != p1 {
+		if p2, _ := tsaPrograms.Get(k, buildTSABit); p2 != p1 {
 			t.Errorf("tsa bit %d: repeated build returned a new program", bit)
 		}
 		check(fmt.Sprintf("tsa bit %d", bit), p1, func(cfg core.Config) { core.New(cfg, p1).Run() })

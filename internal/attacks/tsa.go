@@ -7,6 +7,7 @@ import (
 	"safespec/internal/core"
 	"safespec/internal/isa"
 	"safespec/internal/shadow"
+	"safespec/internal/workloads"
 )
 
 // TSA implements the Transient Speculation Attack of Section V (Figure 10):
@@ -71,7 +72,7 @@ func (t TSA) Run(cfg core.Config) (TSAOutcome, error) {
 	}
 	out := TSAOutcome{Secret: secret}
 	for bit := 0; bit < 4; bit++ {
-		prog, err := tsaPrograms.get(tsaKey{secret, bit}, buildTSABit)
+		prog, err := tsaPrograms.Get(tsaKey{secret, bit}, buildTSABit)
 		if err != nil {
 			return out, fmt.Errorf("attacks: building tsa bit %d: %w", bit, err)
 		}
@@ -106,7 +107,7 @@ type tsaKey struct {
 	bit    int
 }
 
-var tsaPrograms progMemo[tsaKey]
+var tsaPrograms workloads.Memo[tsaKey]
 
 // buildTSABit assembles the program leaking bit k.bit of k.secret.
 func buildTSABit(k tsaKey) (*isa.Program, error) {

@@ -362,7 +362,7 @@ func (in Instr) SrcRegs(dst []Reg) []Reg {
 	return dst
 }
 
-// Program is a sequence of instructions plus initial data segments.
+// Program is a sequence of instructions plus initial data pages.
 type Program struct {
 	// Code is the instruction stream. The entry point is index 0.
 	Code []Instr
@@ -372,15 +372,10 @@ type Program struct {
 	// when a committed instruction raises a fault (e.g. a permission
 	// violation). If < 0, a fault halts the program.
 	TrapHandler int
-	// Data maps virtual byte addresses to initial 64-bit values, installed
-	// into memory before the program runs.
-	Data map[uint64]int64
-	// KernelData is like Data but the containing pages are mapped with
-	// kernel-only permission (user loads fault at commit; under Meltdown
-	// semantics they still forward data speculatively).
-	KernelData map[uint64]int64
-	// Regions lists address ranges to map before execution, in addition to
-	// the pages implied by Data and KernelData.
+	// Pages holds the initial data, installed before the program runs: one
+	// page, sorted by VA, for each page the program set a word on.
+	Pages []DataPage
+	// Regions lists further address ranges to map before execution.
 	Regions []MemRegion
 	// Symbols maps label names to instruction indices (for debugging and
 	// for indirect-jump target computation in attack code).
@@ -390,6 +385,27 @@ type Program struct {
 	// it, and at Entry otherwise (so a single-threaded program runs as
 	// duplicate contexts on every extra thread).
 	ThreadEntries []int
+}
+
+// PageWords is the number of 64-bit words on a 4 KiB data page.
+const PageWords = 512
+
+// DataPage is one 4 KiB page of a program's initial data.
+type DataPage struct {
+	VA     uint64  // page-aligned virtual base address
+	Kernel bool    // mapped kernel-only: user loads fault at commit
+	Words  []int64 // PageWords words: Words[i] is the word at VA+8*i
+}
+
+// Word returns the initial value of the word at va, and whether va lies on
+// one of p's data pages.
+func (p *Program) Word(va uint64) (int64, bool) {
+	for _, d := range p.Pages {
+		if d.VA == va&^(PageWords*8-1) {
+			return d.Words[va%(PageWords*8)/8], true
+		}
+	}
+	return 0, false
 }
 
 // CodeBase is the virtual address where the instruction stream is mapped.

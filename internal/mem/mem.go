@@ -111,7 +111,7 @@ const regionBytes = entriesPerL * 8
 
 // Memory is the simulated physical memory plus the page-table machinery.
 //
-// A memory either owns all its frames (New, then Map and LoadImage) or
+// A memory either owns all its frames (New, then Map and FillPage) or
 // reads through an immutable Image (FromImage, Load) and copies a frame the
 // first time it writes to it. Pooled simulators share one Image per program
 // that way: binding a memory to an image copies frame headers, not words.
@@ -480,8 +480,8 @@ func (m *Memory) Write(va uint64, v int64, kernelMode bool) Fault {
 	return FaultNone
 }
 
-// EnsureMapped maps the page containing va as user-accessible if it is not
-// already mapped. It is a convenience used by program loaders.
+// EnsureMapped maps the page containing va with perm if it is not already
+// mapped. It is a convenience used by program loaders.
 func (m *Memory) EnsureMapped(va uint64, perm Perm) {
 	tr := m.Walk(va)
 	if tr.Fault != FaultNone {
@@ -489,41 +489,15 @@ func (m *Memory) EnsureMapped(va uint64, perm Perm) {
 	}
 }
 
-// LoadImage installs the program's data segments: Data words into user pages
-// and KernelData words into kernel-only pages. Pages that need a new frame
-// are mapped in ascending VA order before any word is written, so the
-// physical layout does not depend on map iteration order.
-func (m *Memory) LoadImage(data, kernelData map[uint64]int64) {
-	var missing []uint64
-	for va := range data {
-		if m.Walk(va).Fault != FaultNone {
-			missing = append(missing, va&^uint64(PageMask))
-		}
+// FillPage copies words into the frame of the mapped page containing va,
+// whatever its permissions. Program loaders install data this way.
+func (m *Memory) FillPage(va uint64, words []int64) {
+	slot, ok := m.slotOf(m.Walk(va).Frame)
+	if !ok {
+		panic(fmt.Sprintf("mem: filling unmapped page %#x", va))
 	}
-	for _, page := range sortedPages(missing) {
-		m.Map(page, PermUser|PermKernel)
+	if !m.owned[slot] {
+		m.own(slot)
 	}
-	for va, v := range data {
-		if f := m.Write(va, v, true); f != FaultNone {
-			panic(fmt.Sprintf("mem: loading user data at %#x: %v", va, f))
-		}
-	}
-	kernelPages := make([]uint64, 0, len(kernelData))
-	for va := range kernelData {
-		kernelPages = append(kernelPages, va&^uint64(PageMask))
-	}
-	for _, page := range sortedPages(kernelPages) {
-		m.Map(page, PermKernel)
-	}
-	for va, v := range kernelData {
-		if f := m.Write(va, v, true); f != FaultNone {
-			panic(fmt.Sprintf("mem: loading kernel data at %#x: %v", va, f))
-		}
-	}
-}
-
-// sortedPages sorts pages and drops duplicates in place.
-func sortedPages(pages []uint64) []uint64 {
-	slices.Sort(pages)
-	return slices.Compact(pages)
+	copy(m.frames[slot], words)
 }

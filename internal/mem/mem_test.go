@@ -149,24 +149,45 @@ func TestCheckAccess(t *testing.T) {
 	}
 }
 
-func TestLoadImage(t *testing.T) {
+// TestFillPage: a loader fills a page with one copy, kernel pages
+// included, and a page read through an image is copied before it is
+// filled.
+func TestFillPage(t *testing.T) {
+	words := make([]int64, PageSize/8)
+	words[0], words[0x108/8] = 1, 2
 	m := New()
-	m.LoadImage(
-		map[uint64]int64{0x100: 1, 0x2108: 2},
-		map[uint64]int64{0x9000: 3},
-	)
-	if v, f := m.Read(0x100, false); v != 1 || f != FaultNone {
+	m.Map(0x2000, PermUser|PermKernel)
+	m.Map(0x9000, PermKernel)
+	m.FillPage(0x2000, words)
+	m.FillPage(0x9000, words[1:])
+	if v, f := m.Read(0x2000, false); v != 1 || f != FaultNone {
 		t.Errorf("user data: %d %v", v, f)
 	}
 	if v, f := m.Read(0x2108, false); v != 2 || f != FaultNone {
 		t.Errorf("user data 2: %d %v", v, f)
 	}
-	if _, f := m.Read(0x9000, false); f != FaultPerm {
+	if _, f := m.Read(0x9100, false); f != FaultPerm {
 		t.Errorf("kernel data readable from user mode: %v", f)
 	}
-	if v, _ := m.Read(0x9000, true); v != 3 {
+	if v, _ := m.Read(0x9100, true); v != 2 {
 		t.Error("kernel data wrong")
 	}
+
+	img := m.Freeze()
+	m.FillPage(0x2000, make([]int64, PageSize/8))
+	if v, _ := m.Read(0x2108, false); v != 0 {
+		t.Errorf("refilled page reads %d", v)
+	}
+	if v, _ := FromImage(img).Read(0x2108, false); v != 2 {
+		t.Errorf("filling a page wrote through to its image: %d", v)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("filling an unmapped page did not panic")
+		}
+	}()
+	m.FillPage(0x5000, words)
 }
 
 func TestEnsureMapped(t *testing.T) {

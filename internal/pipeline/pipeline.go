@@ -371,13 +371,13 @@ type CPU struct {
 }
 
 // New builds a CPU for prog with the given configuration, loading the
-// program image (code pages, data segments, declared regions) into a fresh
+// program image (code pages, data pages, declared regions) into a fresh
 // memory.
 func New(cfg Config, prog *isa.Program) *CPU {
 	return NewWith(cfg, prog, BuildMemory(prog))
 }
 
-// BuildMemory loads prog's image (code pages, data segments, declared
+// BuildMemory loads prog's image (code pages, data pages, declared
 // regions) into a fresh architectural memory that owns all its frames.
 // Callers that run a program many times build it once, Freeze it into a
 // mem.Image and load that image into each run's memory instead.
@@ -397,7 +397,22 @@ func BuildMemory(prog *isa.Program) *mem.Memory {
 			m.EnsureMapped(va, perm)
 		}
 	}
-	m.LoadImage(prog.Data, prog.KernelData)
+	// Map the user data pages no region covers, then the kernel pages
+	// (remapping a region's page kernel-only), each in ascending VA order,
+	// so the frame layout is fixed; then fill each page with one copy.
+	for _, p := range prog.Pages {
+		if !p.Kernel {
+			m.EnsureMapped(p.VA, mem.PermUser|mem.PermKernel)
+		}
+	}
+	for _, p := range prog.Pages {
+		if p.Kernel {
+			m.Map(p.VA, mem.PermKernel)
+		}
+	}
+	for _, p := range prog.Pages {
+		m.FillPage(p.VA, p.Words)
+	}
 	return m
 }
 

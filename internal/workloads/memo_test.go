@@ -1,9 +1,16 @@
 package workloads
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"safespec/internal/asm"
 	"safespec/internal/isa"
 )
 
@@ -106,6 +113,100 @@ func TestRegisterExtraBench(t *testing.T) {
 	}
 	if _, err := ByName(name); err == nil {
 		t.Error("registered bench leaked into the SPEC-like registry")
+	}
+}
+
+var singleFlightRuns atomic.Int32
+
+// TestProgramSingleFlight: concurrent first requests for one key build
+// the program once and all receive that build; a failed build is not
+// cached, so the next request builds again.
+func TestProgramSingleFlight(t *testing.T) {
+	// Fresh names on every run: the memo outlives a test run under -count.
+	run := singleFlightRuns.Add(1)
+	name := fmt.Sprintf("memo-test-single-flight-%d", run)
+	var builds atomic.Int32
+	Register(name, func(threads int) (*isa.Program, error) {
+		if builds.Add(1) == 1 {
+			time.Sleep(20 * time.Millisecond) // let every caller arrive
+		}
+		b := asm.NewBuilder()
+		b.Halt()
+		return b.Build()
+	})
+	const callers = 8
+	got := make([]*isa.Program, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			p, err := Program(name, 0, 1)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = p
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d concurrent callers built the program %d times, want once", callers, n)
+	}
+	for i, p := range got {
+		if p == nil || p != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", i, p, got[0])
+		}
+	}
+
+	failing := fmt.Sprintf("memo-test-failing-%d", run)
+	fail := true
+	Register(failing, func(threads int) (*isa.Program, error) {
+		if fail {
+			return nil, errors.New("transient")
+		}
+		return got[0], nil
+	})
+	if _, err := Program(failing, 0, 1); err == nil {
+		t.Fatal("failing build did not error")
+	}
+	fail = false
+	if p, err := Program(failing, 0, 1); err != nil || p != got[0] {
+		t.Errorf("build after a failure = %p, %v: the error was cached", p, err)
+	}
+}
+
+// TestProgramBuildFootprint guards the cost of building the largest
+// kernel: mcf's 4 MiB pointer-chase table goes straight into dense data
+// pages, so a build allocates about three copies of it, not a hash map
+// entry per word.
+func TestProgramBuildFootprint(t *testing.T) {
+	s := ByNameMust(t, "mcf").Spec
+	s.Seed = 424242 // a seed no other test builds
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	prog := s.Build()
+	runtime.ReadMemStats(&after)
+	if len(prog.Pages) == 0 {
+		t.Fatal("mcf has no data pages")
+	}
+	const limit = 16 << 20
+	if d := after.TotalAlloc - before.TotalAlloc; d > limit {
+		t.Errorf("building mcf allocated %.1f MB, want <= %d MB", float64(d)/(1<<20), limit>>20)
+	}
+}
+
+// BenchmarkBuildMCF times one build of the largest kernel.
+func BenchmarkBuildMCF(b *testing.B) {
+	s, err := ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		s.Build()
 	}
 }
 

@@ -132,16 +132,15 @@ type progKey struct {
 	threads int
 }
 
-// progCache memoizes assembled programs per (benchmark, seed): generation
-// and assembly of the larger kernels costs more than a short simulation, and
+// progCache memoizes assembled programs per (benchmark, seed, threads):
 // sweep matrices run the same kernel under several modes and instruction
-// budgets. Programs are immutable after Build (the simulator loads their
-// image into its own memory and never writes back), so sharing one
-// *isa.Program across concurrent jobs is safe — and the stable pointer is
-// what keys the simulator's per-program memory image, so the image is
-// built once and shared instead of rebuilt per job. The cache holds one entry per (benchmark, seed)
-// ever requested; seed fans are small in practice.
-var progCache sync.Map
+// budgets, and building the larger kernels (mcf's 4 MiB chase table) costs
+// tens of milliseconds. The stable pointer is also what keys the
+// simulator's per-program memory image, so the image is built once and
+// shared instead of rebuilt per job. The cache holds one entry per
+// (benchmark, seed, threads) ever requested; seed fans are small in
+// practice.
+var progCache Memo[progKey]
 
 // Program returns the memoized kernel for the named benchmark under the
 // given generator seed (0 selects the workload's per-name default) and
@@ -152,16 +151,13 @@ func Program(name string, seed int64, threads int) (*isa.Program, error) {
 		threads = 1
 	}
 	if b, ok := extraBenches.Load(name); ok {
-		key := progKey{name: name, seed: seed, threads: threads}
-		if p, ok := progCache.Load(key); ok {
-			return p.(*isa.Program), nil
-		}
-		p, err := b.(func(int) (*isa.Program, error))(threads)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: building %s: %w", name, err)
-		}
-		got, _ := progCache.LoadOrStore(key, p)
-		return got.(*isa.Program), nil
+		return progCache.Get(progKey{name: name, seed: seed, threads: threads}, func(progKey) (*isa.Program, error) {
+			p, err := b.(func(int) (*isa.Program, error))(threads)
+			if err != nil {
+				return nil, fmt.Errorf("workloads: building %s: %w", name, err)
+			}
+			return p, nil
+		})
 	}
 	w, err := ByName(name)
 	if err != nil {
@@ -170,14 +166,42 @@ func Program(name string, seed int64, threads int) (*isa.Program, error) {
 	if seed != 0 {
 		w.Spec.Seed = seed
 	}
-	key := progKey{name: name, seed: w.Spec.Seed, threads: threads}
-	if p, ok := progCache.Load(key); ok {
-		return p.(*isa.Program), nil
+	return progCache.Get(progKey{name: name, seed: w.Spec.Seed, threads: threads}, func(progKey) (*isa.Program, error) {
+		return w.Build(), nil
+	})
+}
+
+// Memo memoizes one program per key and builds each key once, however
+// many callers ask for it at the same time. A program is immutable after
+// Build (the simulator loads its image into its own memory and never
+// writes back), so every caller may share it. Failed builds are not
+// cached: the next request builds again.
+type Memo[K comparable] struct{ entries sync.Map }
+
+// memoEntry is one key's single-flight build.
+type memoEntry struct {
+	once sync.Once
+	prog *isa.Program
+	err  error
+}
+
+// Get returns the program for key, calling build on the first request.
+func (m *Memo[K]) Get(key K, build func(K) (*isa.Program, error)) (*isa.Program, error) {
+	v, ok := m.entries.Load(key)
+	if !ok {
+		v, _ = m.entries.LoadOrStore(key, new(memoEntry))
 	}
-	// Concurrent builders may race; LoadOrStore keeps the first, so every
-	// caller still agrees on one canonical program per key.
-	p, _ := progCache.LoadOrStore(key, w.Build())
-	return p.(*isa.Program), nil
+	e := v.(*memoEntry)
+	e.once.Do(func() { e.prog, e.err = build(key) })
+	if e.prog != nil {
+		return e.prog, nil
+	}
+	m.entries.CompareAndDelete(key, e)
+	if e.err == nil {
+		// The first build panicked; fail the same way.
+		return build(key)
+	}
+	return nil, e.err
 }
 
 // Names returns the benchmark names in figure order.

@@ -107,8 +107,10 @@ func TestChasePermutationIsSingleCycle(t *testing.T) {
 	prog := s.Build()
 	words := 4096 / 8
 	next := make(map[uint64]uint64, words)
-	for addr, v := range prog.Data {
-		next[addr] = uint64(v)
+	for _, p := range prog.Pages {
+		for i, v := range p.Words {
+			next[p.VA+uint64(i)*8] = uint64(v)
+		}
 	}
 	if len(next) != words {
 		t.Fatalf("chase table has %d entries, want %d", len(next), words)
