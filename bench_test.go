@@ -1,9 +1,10 @@
 // Package safespec_test holds the benchmark harness that regenerates every
 // table and figure of the paper's evaluation (run with
-// `go test -bench=. -benchmem`). One Benchmark per table/figure; the
-// figure's headline numbers are emitted as custom metrics so the series can
-// be compared against EXPERIMENTS.md. For the full 21-benchmark sweep at
-// paper-scale instruction counts, use cmd/safespec-bench instead.
+// `go test -bench=. -benchmem`) on a reduced matrix. One Benchmark per
+// table/figure; the figure's headline numbers are emitted as custom metrics.
+// The full-scale figures come from the safespec-bench commands in the
+// README ("safespec-bench"); simulator speed is measured with
+// `bash benchmark/run.sh` (README, "Measuring speed").
 package safespec_test
 
 import (

@@ -22,8 +22,6 @@
 //	                                    # submit the sweep to a persistent safespec-coordinator
 //	safespec-bench -remote https://host:9443 -token SECRET -tls-ca cert.pem
 //	                                    # ... over TLS, trusting a self-signed coordinator cert
-//	safespec-bench -perf                # throughput report on the pinned Quick matrix
-//	safespec-bench -perf -preset full   # ... on the pinned all-benchmark matrix
 //
 // The per-job rows emitted by -json are deterministic and arrive in job
 // order for any -workers value, so outputs are byte-identical across worker
@@ -47,7 +45,6 @@ import (
 	"safespec/internal/figures"
 	"safespec/internal/grid"
 	"safespec/internal/obs"
-	"safespec/internal/perf"
 	"safespec/internal/resultcache"
 	"safespec/internal/sweep"
 )
@@ -76,15 +73,6 @@ type options struct {
 	logLevel  string
 	logFormat string
 
-	perf            bool
-	perfPreset      string
-	perfLabel       string
-	perfOut         string
-	perfRepeats     int
-	perfBaseline    string
-	perfMaxRegress  float64
-	perfMaxAllocReg float64
-
 	out  io.Writer // table / JSON output (stdout in main)
 	info io.Writer // progress + accounting (stderr in main)
 }
@@ -108,14 +96,6 @@ func main() {
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 0, "grid lease duration for -serve; size it above the slowest single job (default 2m)")
 	flag.IntVar(&o.retries, "lease-retries", 0, "grid lease grants per job before it fails as lost, for -serve (default 5)")
 	flag.StringVar(&o.cacheGC, "cache-gc", "", "prune the -cache-dir result cache to at most this many bytes, oldest entries first (accepts K/M/G suffixes; runs standalone when no sweep is requested)")
-	flag.BoolVar(&o.perf, "perf", false, "measure simulator throughput on the pinned workload matrix and emit a BENCH_<label>.json report instead of figures")
-	flag.StringVar(&o.perfPreset, "preset", "", "pinned matrix for -perf: quick (6-bench CI smoke) or full (all 21 benchmarks); default quick. Incompatible with -bench/-instrs/-seeds, which define a custom matrix")
-	flag.StringVar(&o.perfLabel, "perf-label", "local", "label of the perf report (file becomes BENCH_<label>.json)")
-	flag.StringVar(&o.perfOut, "perf-out", ".", "directory receiving the BENCH_<label>.json report")
-	flag.IntVar(&o.perfRepeats, "perf-repeats", 3, "timed repeats of the matrix; the headline is the best repeat")
-	flag.StringVar(&o.perfBaseline, "perf-baseline", "", "compare against this BENCH_*.json and fail on regression (the CI gate)")
-	flag.Float64Var(&o.perfMaxRegress, "perf-max-regress", 0.15, "tolerated cells/sec regression vs -perf-baseline, as a fraction (aggregate, and per benchmark when both reports carry rows)")
-	flag.Float64Var(&o.perfMaxAllocReg, "perf-max-alloc-regress", 0.01, "tolerated allocs-per-sim-cycle increase vs -perf-baseline, absolute (negative disables the allocation gate)")
 	flag.StringVar(&o.logLevel, "log-level", "info", "log level for progress records on stderr: debug|info|warn|error")
 	flag.StringVar(&o.logFormat, "log-format", "text", "log format for progress records: text|json")
 	flag.Parse()
@@ -128,12 +108,6 @@ func main() {
 }
 
 func run(o options) error {
-	if o.perf {
-		return runPerf(o)
-	}
-	if o.perfPreset != "" {
-		return fmt.Errorf("-preset selects a -perf matrix; figure sweeps are shaped by -quick/-bench/-instrs/-seeds")
-	}
 	want := func(k string) bool { return o.figs == "all" || o.figs == k }
 	sweeps := want("sizing") || want("perf") || want("overhead")
 	if o.cacheGC != "" {
@@ -358,95 +332,6 @@ func buildExecutor(o options, log *slog.Logger) (exec sweep.Executor, finish fun
 		}
 	}
 	return exec, finish, nil
-}
-
-// runPerf measures simulator throughput on the pinned matrix and emits a
-// BENCH_<label>.json report, optionally gating against a baseline report.
-func runPerf(o options) error {
-	if o.remote != "" || o.serve != "" || o.cacheDir != "" {
-		return fmt.Errorf("-perf measures the in-process simulator; -remote/-serve/-cache-dir would measure the distribution machinery instead")
-	}
-	if o.cacheGC != "" {
-		return fmt.Errorf("-perf runs no sweep and touches no result cache; run -cache-gc separately (with -figs none)")
-	}
-	if o.json {
-		return fmt.Errorf("-perf writes a BENCH_*.json report; it has no JSONL row form")
-	}
-
-	custom := o.instrs > 0 || o.bench != "" || o.seeds != ""
-	spec := sweep.Quick()
-	preset := "quick"
-	switch o.perfPreset {
-	case "":
-	case "quick", "full":
-		if custom {
-			return fmt.Errorf("-preset %s names a pinned matrix; -bench/-instrs/-seeds define a custom one — pick one", o.perfPreset)
-		}
-		if o.perfPreset == "full" {
-			spec = sweep.Full()
-			preset = "full"
-		}
-	default:
-		return fmt.Errorf("-preset %q: want quick or full", o.perfPreset)
-	}
-	if o.instrs > 0 {
-		// Keep the safety cycle bound proportionate to the preset's
-		// cycles-per-instruction ratio, as the sweep path does: a raised
-		// -instrs must never be silently truncated by the preset's bound
-		// (the report would claim a matrix it did not measure).
-		q := sweep.Quick()
-		spec.Instructions = o.instrs
-		spec.MaxCycles = max(spec.MaxCycles, o.instrs*(q.MaxCycles/q.Instructions))
-		preset = "custom"
-	}
-	if o.bench != "" {
-		spec.Benchmarks = strings.Split(o.bench, ",")
-		preset = "custom"
-	}
-	if o.seeds != "" {
-		seeds, err := parseSeeds(o.seeds)
-		if err != nil {
-			return err
-		}
-		spec.Seeds = seeds
-		preset = "custom"
-	}
-	workers := o.workers
-	if o.serial {
-		workers = 1
-	}
-
-	fmt.Fprintf(o.info, "perf: measuring %s matrix, %d repeats...\n", preset, o.perfRepeats)
-	rep, err := perf.Run(context.Background(), perf.Options{
-		Label:   o.perfLabel,
-		Spec:    spec,
-		Preset:  preset,
-		Repeats: o.perfRepeats,
-		Workers: workers,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(o.out, rep.Summary())
-	path, err := rep.Write(o.perfOut)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(o.info, "perf: wrote %s\n", path)
-
-	if o.perfBaseline != "" {
-		base, err := perf.Load(o.perfBaseline)
-		if err != nil {
-			return err
-		}
-		if err := perf.Compare(base, rep, o.perfMaxRegress, o.perfMaxAllocReg); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.info, "perf: within %.0f%% of baseline %s (%.1f vs %.1f cells/sec, %.4f vs %.4f allocs/cycle)\n",
-			100*o.perfMaxRegress, base.Label, rep.CellsPerSec, base.CellsPerSec,
-			rep.AllocsPerCycle, base.AllocsPerCycle)
-	}
-	return nil
 }
 
 // runCacheGC prunes the result cache to the -cache-gc byte budget.

@@ -6,6 +6,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -238,5 +240,66 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	if buf.String() != localRows {
 		t.Errorf("-serve rows differ from local:\n%s\nvs\n%s", buf.String(), localRows)
+	}
+}
+
+func TestCacheGCFlagValidation(t *testing.T) {
+	o := testOpts(io.Discard)
+	o.cacheGC = "10M"
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "-cache-dir") {
+		t.Errorf("-cache-gc without -cache-dir accepted (err=%v)", err)
+	}
+
+	o = testOpts(io.Discard)
+	o.figs = "none"
+	o.cacheDir = t.TempDir()
+	o.cacheGC = "not-a-size"
+	if err := run(o); err == nil {
+		t.Error("malformed -cache-gc size accepted")
+	}
+}
+
+func TestCacheGCStandalonePrunes(t *testing.T) {
+	dir := t.TempDir()
+	// Warm a tiny cache.
+	o := testOpts(io.Discard)
+	o.figs, o.instrs, o.bench, o.serial = "perf", 1000, "exchange2", true
+	o.cacheDir = dir
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	// Standalone GC to zero evicts everything but keeps the cache usable.
+	o = testOpts(io.Discard)
+	o.figs = "none"
+	o.cacheDir, o.cacheGC = dir, "0"
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("%d cache entries survived a zero-budget GC", len(entries))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "VERSION")); err != nil {
+		t.Errorf("VERSION marker lost: %v", err)
+	}
+}
+
+func TestParseBytes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		err  bool
+	}{
+		{"0", 0, false}, {"123", 123, false}, {"4K", 4096, false},
+		{"2M", 2 << 20, false}, {"1G", 1 << 30, false}, {"1g", 1 << 30, false},
+		{"", 0, true}, {"-5", 0, true}, {"x", 0, true}, {"5T", 0, true},
+	} {
+		got, err := parseBytes(tc.in)
+		if (err != nil) != tc.err || got != tc.want {
+			t.Errorf("parseBytes(%q) = %d, %v; want %d, err=%v", tc.in, got, err, tc.want, tc.err)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 		threads    = flag.Int("threads", 1, "hardware threads (SMT contexts); 1 = single-thread core")
 		list       = flag.Bool("list", false, "list available benchmarks and exit")
 		occupancy  = flag.Bool("occupancy", false, "report shadow occupancy percentiles")
-		introspect = flag.Bool("introspect", false, "dump deep pipeline counters as JSON (schema safespec/introspect/v1) instead of the stats table")
+		introspect = flag.Bool("introspect", false, "dump deep pipeline counters as JSON (schema safespec/introspect/v2) instead of the stats table")
 		logLevel   = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat  = flag.String("log-format", "text", "log format: text|json")
 	)
@@ -103,9 +103,8 @@ type introspectDump struct {
 	Bench  string `json:"bench"`
 	Mode   string `json:"mode"`
 	Seed   int64  `json:"seed"`
-	// Threads is the SMT context count; omitted under schema v1, which is
-	// only emitted for single-thread runs.
-	Threads   int    `json:"threads,omitempty"`
+	// Threads is the SMT context count (1 for a single-thread core).
+	Threads   int    `json:"threads"`
 	Cycles    uint64 `json:"cycles"`
 	Committed uint64 `json:"committed"`
 	Squashes  struct {
@@ -117,14 +116,15 @@ type introspectDump struct {
 	// Occupancy keys: rob, issue_queue, completion_wheel. Under SMT these
 	// are the summed occupancies across threads.
 	Occupancy map[string]histSummary `json:"occupancy"`
-	// PerThread (schema v2 only) breaks ROB and issue-queue occupancy down
-	// by hardware thread, each over that thread's static partition.
-	PerThread []threadOccupancy `json:"per_thread,omitempty"`
+	// PerThread breaks ROB and issue-queue occupancy down by hardware
+	// thread, each over that thread's static partition; a single-thread run
+	// has one row equal to the aggregate.
+	PerThread []threadOccupancy `json:"per_thread"`
 	// Shadow keys (SafeSpec modes only): dcache, icache, dtlb, itlb.
 	Shadow map[string]shadowSummary `json:"shadow,omitempty"`
 }
 
-// threadOccupancy is one hardware thread's occupancy block in schema v2.
+// threadOccupancy is one hardware thread's occupancy block.
 type threadOccupancy struct {
 	Thread     int         `json:"thread"`
 	ROB        histSummary `json:"rob"`
@@ -185,17 +185,12 @@ func runIntrospect(w io.Writer, benchName, mode string, instrs uint64, seed int6
 	in := sim.CPU().EnableIntrospection()
 	res := sim.Run()
 
-	// Schema v1 is pinned for single-thread runs (downstream tooling parses
-	// it); SMT runs get v2, which adds threads and per_thread occupancy.
-	schema := "safespec/introspect/v1"
-	if n > 1 {
-		schema = "safespec/introspect/v2"
-	}
 	dump := introspectDump{
-		Schema:    schema,
+		Schema:    "safespec/introspect/v2",
 		Bench:     benchName,
 		Mode:      mode,
 		Seed:      seed,
+		Threads:   n,
 		Cycles:    res.Cycles,
 		Committed: res.Committed,
 		Occupancy: map[string]histSummary{
@@ -204,15 +199,18 @@ func runIntrospect(w io.Writer, benchName, mode string, instrs uint64, seed int6
 			"completion_wheel": summarize(in.WheelOccupancy),
 		},
 	}
-	if n > 1 {
-		dump.Threads = n
-		for tid := range in.ThreadROB {
-			dump.PerThread = append(dump.PerThread, threadOccupancy{
-				Thread:     tid,
-				ROB:        summarize(in.ThreadROB[tid]),
-				IssueQueue: summarize(in.ThreadIQ[tid]),
-			})
-		}
+	// A single-thread core samples no per-thread histograms: its one
+	// thread's occupancy is the aggregate.
+	rob, iq := in.ThreadROB, in.ThreadIQ
+	if n == 1 {
+		rob, iq = []*stats.Histogram{in.ROBOccupancy}, []*stats.Histogram{in.IQOccupancy}
+	}
+	for tid := range rob {
+		dump.PerThread = append(dump.PerThread, threadOccupancy{
+			Thread:     tid,
+			ROB:        summarize(rob[tid]),
+			IssueQueue: summarize(iq[tid]),
+		})
 	}
 	dump.Squashes.MispredictEvents = in.MispredictSquashes
 	dump.Squashes.TrapEvents = in.TrapSquashes

@@ -731,25 +731,20 @@ func (c *CPU) Step() {
 		c.fetch(ft)
 	}
 
-	if c.sampleOcc {
-		for i := range c.ths {
-			c.ths[i].ms.SampleOccupancy()
-		}
-	}
 	if c.intro != nil {
 		c.sampleIntrospection()
 	}
 	for i := range c.ths {
 		t := &c.ths[i]
+		if c.sampleOcc {
+			t.ms.SampleOccupancy()
+		}
 		if t.detD != nil {
 			t.detD.Observe(t.ms.ShD.Len())
 			t.detDTLB.Observe(t.ms.ShDTLB.Len())
 		}
-	}
-	// Deadlock backstop: an empty per-thread pipeline with nowhere to fetch
-	// from means that thread ran off the end of its code.
-	for i := range c.ths {
-		t := &c.ths[i]
+		// Deadlock backstop: an empty per-thread pipeline with nowhere to
+		// fetch from means that thread ran off the end of its code.
 		if !t.halted && t.count == 0 && t.fbLen == 0 && !t.fetchValid {
 			t.halted = true
 		}
