@@ -59,7 +59,6 @@ type config struct {
 	logFormat   string
 	pprofAddr   string
 	memLimitMB  int
-	heartbeat   time.Duration
 }
 
 func main() {
@@ -77,7 +76,6 @@ func main() {
 	flag.StringVar(&c.logFormat, "log-format", "text", "log format: text|json")
 	flag.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof, Prometheus /metrics and the /healthz and /readyz probes on this address (e.g. 127.0.0.1:6061)")
 	flag.IntVar(&c.memLimitMB, "mem-limit-mb", 0, "soft heap limit in MiB: a job running while the process heap exceeds it is contained as a memory incident (0 = off)")
-	flag.DurationVar(&c.heartbeat, "heartbeat", 15*time.Second, "interval for /v1/heartbeat liveness beacons to the coordinator (0 = lease polls only)")
 	flag.Parse()
 
 	if c.quiet && c.logLevel == "info" {
@@ -143,7 +141,6 @@ func run(ctx context.Context, c config, log *slog.Logger) error {
 		Poll:        c.poll,
 		MaxIdle:     c.maxIdle,
 		MemLimit:    int64(c.memLimitMB) << 20,
-		Heartbeat:   c.heartbeat,
 		Client:      client,
 		Log:         log,
 		Metrics:     metrics,

@@ -197,7 +197,6 @@ func TestSweepOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreign := []struct{ method, path string }{
-		{http.MethodGet, "/v1/sweeps/" + resp.SweepID},
 		{http.MethodGet, "/v1/sweeps/" + resp.SweepID + "/results"},
 		{http.MethodPost, "/v1/sweeps/" + resp.SweepID + "/jobs"},
 		{http.MethodDelete, "/v1/sweeps/" + resp.SweepID},
@@ -216,9 +215,15 @@ func TestSweepOwnership(t *testing.T) {
 		}
 	}
 	// The owner still resolves it.
-	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID, "ta", nil, nil)
+	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID+"/results", "ta", nil, nil)
 	if err != nil || status != http.StatusOK {
 		t.Errorf("owner poll: status %d err %v, want 200", status, err)
+	}
+	// Results come only from the batch stream: the sweep id itself serves
+	// DELETE and nothing else.
+	status, err = doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID, "ta", nil, nil)
+	if err != nil || status != http.StatusMethodNotAllowed {
+		t.Errorf("owner GET of the sweep id: status %d err %v, want 405", status, err)
 	}
 }
 

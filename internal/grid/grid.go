@@ -1,8 +1,8 @@
 // Package grid shards a sweep.Job matrix across worker processes over
-// HTTP. The Coordinator implements sweep.Executor: sweep.Run's worker pool
-// hands it jobs, it leases each job to the next polling worker, and the
-// result flows back through Run's deterministic in-order sink delivery —
-// so JSONL/CSV output of a distributed sweep is byte-identical to a local
+// HTTP. A Server owns the Coordinator, which queues every submitted job and
+// leases it to the next polling Worker; a RemoteExecutor hands sweep.Run
+// the streamed results, so the run's deterministic in-order sink delivery
+// keeps JSONL/CSV output of a distributed sweep byte-identical to a local
 // run. A lease that is not completed before its TTL (worker crash, network
 // partition) is re-queued and handed to another worker — but a slow
 // worker's late result is still accepted while the job remains incomplete,
@@ -10,21 +10,18 @@
 // completion. A job whose leases are lost too many times fails with an
 // error Result instead of stalling the sweep forever.
 //
-// Wire protocol (JSON over HTTP, versioned under /v1/). The worker-facing
-// endpoints are served by Coordinator.Handler; Server adds the
-// sweep-submission surface on top and guards every /v1/* endpoint with a
-// shared bearer token:
+// Wire protocol (JSON over HTTP, versioned under /v1/), served by
+// Server.Handler behind per-tenant bearer auth. Workers use the first
+// three endpoints, clients the sweep endpoints:
 //
-//	POST   /v1/lease             LeaseRequest  -> 200 LeaseResponse | 204 (no work)
-//	POST   /v1/result            ResultRequest -> 200 | 409 (lease unknown or expired)
-//	POST   /v1/incident          IncidentRequest -> 200 | 409 (lease unknown)
-//	POST   /v1/heartbeat         HeartbeatRequest -> 200
-//	GET    /v1/stats                           -> 200 Snapshot (ServerSnapshot on a Server)
-//	POST   /v1/sweeps            SubmitRequest -> 200 SubmitResponse
-//	POST   /v1/sweeps/{id}/jobs  JobRequest    -> 200 (idempotent per index)
-//	GET    /v1/sweeps/{id}                     -> 200 SweepStatus
-//	GET    /v1/sweeps/{id}?index=N&wait=30s    -> 200 sweep.Result | 204 (pending)
-//	DELETE /v1/sweeps/{id}                     -> 200 (sweep state released)
+//	POST   /v1/lease                   LeaseRequest    -> 200 LeaseResponse | 204 (no work)
+//	POST   /v1/result                  ResultRequest   -> 200 | 409 (lease unknown or expired)
+//	POST   /v1/incident                IncidentRequest -> 200 | 409 (lease unknown)
+//	GET    /v1/stats                                   -> 200 ServerSnapshot
+//	POST   /v1/sweeps                  SubmitRequest   -> 200 SubmitResponse
+//	POST   /v1/sweeps/{id}/jobs        JobRequest      -> 200 (idempotent per index)
+//	GET    /v1/sweeps/{id}/results?after=N&wait=30s    -> 200 ResultBatch
+//	DELETE /v1/sweeps/{id}                             -> 200 (sweep state released)
 //
 // Job execution errors are final results (exactly as in a local run) and
 // travel as strings in the Result encoding; only lost leases retry.
@@ -32,7 +29,6 @@ package grid
 
 import (
 	"container/list"
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -62,9 +58,9 @@ type LeaseResponse struct {
 	// TTLMS is the lease duration; the worker must report the result within
 	// it or the job is re-queued to another worker.
 	TTLMS int64 `json:"ttl_ms"`
-	// SweepID names the submitted sweep the job belongs to ("" for jobs
-	// queued by a direct Execute call). It exists so worker logs carry the
-	// sweep end to end; older workers ignore the field.
+	// SweepID names the submitted sweep the job belongs to. It exists so
+	// worker logs carry the sweep end to end; older workers ignore the
+	// field.
 	SweepID string `json:"sweep_id,omitempty"`
 }
 
@@ -94,9 +90,6 @@ type Snapshot struct {
 	Incidents   uint64 `json:"incidents"`
 	Quarantined uint64 `json:"quarantined"`
 	Hedged      uint64 `json:"hedged"`
-	// Workers is the health registry, sorted by worker id (omitted before
-	// any worker has made contact).
-	Workers []WorkerHealthSnapshot `json:"workers,omitempty"`
 }
 
 // Options configures a Coordinator.
@@ -112,15 +105,9 @@ type Options struct {
 	// worker's local trouble never condemns a job; 1 quarantines on the
 	// first incident).
 	QuarantineAfter int
-	// UnhealthyAfter is the decayed penalty score at or above which a
-	// worker is refused leases while a healthy worker is live (default 4:
-	// two lease expiries or two incidents inside one half-life).
-	UnhealthyAfter float64
-	// HealthHalfLife is the penalty decay half-life (default 5 minutes).
-	HealthHalfLife time.Duration
 	// HedgeAfter tunes tail-lease hedging: once the queue is empty and a
 	// remaining lease is older than this, a duplicate hedge lease is issued
-	// to the next healthy poller. 0 (the default) adapts the threshold to
+	// to the next poller. 0 (the default) adapts the threshold to
 	// the fleet — twice the p95 of observed lease durations, at least
 	// 500ms, once 8 completions have been sampled; negative disables
 	// hedging entirely.
@@ -133,18 +120,17 @@ type Options struct {
 type task struct {
 	index     int
 	job       sweep.Job
-	sweepID   string // owning submitted sweep ("" for direct Execute jobs)
+	sweepID   string // owning submitted sweep
 	attempts  int
 	leaseID   string        // non-empty while leased
 	deadline  time.Time     // lease expiry while leased
 	enqueued  time.Time     // when the job entered the queue (queue-wait span)
 	granted   time.Time     // most recent lease grant (report-overhead span)
-	done      chan outcome  // terminal outcome for Execute callers (nil when deliver is set)
-	deliver   func(outcome) // terminal outcome for submitted sweeps (nil for Execute tasks)
+	deliver   func(outcome) // receives the terminal outcome, exactly once
 	elem      *list.Element // position in pending while queued
 	expired   []string      // this task's entries in Coordinator.expired
 	completed bool          // outcome delivered (exactly once)
-	cancelled bool          // Execute abandoned the job (ctx cancellation)
+	cancelled bool          // the owning sweep was closed or abandoned
 
 	worker    string         // base worker id of the most recent grant
 	incidents []taskIncident // contained failures reported against this job
@@ -157,19 +143,10 @@ type outcome struct {
 	timing *sweep.Timing // span breakdown (nil when the worker sent none)
 }
 
-// finish hands the task its terminal outcome, exactly once. Callers must
-// not hold Coordinator.mu: deliver may take sweep-level locks.
-func (t *task) finish(out outcome) {
-	if t.deliver != nil {
-		t.deliver(out)
-		return
-	}
-	t.done <- out
-}
-
-// Coordinator queues jobs from Execute calls and leases them to polling
-// workers. It is safe for concurrent use: sweep.Run calls Execute from its
-// worker pool while the HTTP handlers serve workers.
+// Coordinator queues the jobs of submitted sweeps and leases them to
+// polling workers. It is safe for concurrent use: the Server's sweep
+// handlers enqueue and abandon jobs while its worker handlers lease and
+// complete them.
 type Coordinator struct {
 	opts Options
 
@@ -200,9 +177,9 @@ type Coordinator struct {
 	granted, completed, requeued, failed uint64
 	incidents, quarantined, hedged       uint64
 
-	// workers is the health registry (see health.go); lastPrune rate-limits
-	// its idle-entry sweep.
-	workers   map[string]*workerHealth
+	// seen is each worker's last contact (see selfheal.go); lastPrune
+	// rate-limits its idle-entry sweep.
+	seen      map[string]time.Time
 	lastPrune time.Time
 
 	// durs is a ring of recent lease durations (grant to accepted result)
@@ -226,12 +203,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.QuarantineAfter <= 0 {
 		opts.QuarantineAfter = 2
 	}
-	if opts.UnhealthyAfter <= 0 {
-		opts.UnhealthyAfter = 4
-	}
-	if opts.HealthHalfLife <= 0 {
-		opts.HealthHalfLife = 5 * time.Minute
-	}
 	if opts.now == nil {
 		opts.now = time.Now
 	}
@@ -240,57 +211,22 @@ func NewCoordinator(opts Options) *Coordinator {
 		pending: list.New(),
 		leases:  make(map[string]*task),
 		expired: make(map[string]*task),
-		workers: make(map[string]*workerHealth),
+		seen:    make(map[string]time.Time),
 	}
 }
 
-// Execute implements sweep.Executor: it queues the job for the worker
-// fleet and blocks until a worker reports its result, the job exhausts its
-// lease attempts, or ctx is cancelled. The bound on concurrently queued
-// jobs is sweep.Options.Workers — size it to the fleet's total capacity.
-func (c *Coordinator) Execute(ctx context.Context, index int, j sweep.Job) (*core.Results, error) {
-	res, _, err := c.ExecuteTimed(ctx, index, j)
-	return res, err
-}
-
-// ExecuteTimed is Execute returning the coordinator-stamped span breakdown
-// (nil when the reporting worker sent none), so sweep.Run records Timing
-// for `-serve` sweeps too.
-func (c *Coordinator) ExecuteTimed(ctx context.Context, index int, j sweep.Job) (*core.Results, *sweep.Timing, error) {
-	t := c.enqueue(index, j, "", nil)
-
-	select {
-	case out := <-t.done:
-		return out.res, out.timing, out.err
-	case <-ctx.Done():
-		c.abandon(t)
-		// A result may have raced the cancellation; prefer it.
-		select {
-		case out := <-t.done:
-			return out.res, out.timing, out.err
-		default:
-			return nil, nil, ctx.Err()
-		}
-	}
-}
-
-// enqueue queues one job for the worker fleet and returns its task. When
-// deliver is non-nil the terminal outcome goes to it (called without c.mu
-// held); otherwise the task carries a buffered channel for Execute.
-// sweepID labels the owning submitted sweep in lease responses ("" for
-// direct Execute jobs).
+// enqueue queues one job for the worker fleet and returns its task. The
+// terminal outcome goes to deliver, called exactly once and without c.mu
+// held. sweepID labels the owning submitted sweep in lease responses.
 func (c *Coordinator) enqueue(index int, j sweep.Job, sweepID string, deliver func(outcome)) *task {
 	t := &task{index: index, job: j, sweepID: sweepID, deliver: deliver, enqueued: c.opts.now()}
-	if deliver == nil {
-		t.done = make(chan outcome, 1)
-	}
 	c.mu.Lock()
 	t.elem = c.pending.PushBack(t)
 	c.mu.Unlock()
 	return t
 }
 
-// abandon withdraws a cancelled task from the queue, the lease table and
+// abandon withdraws a closed sweep's task from the queue, the lease table and
 // the expired-lease index; a late worker report for it gets 409 and is
 // discarded.
 func (c *Coordinator) abandon(t *task) {
@@ -331,12 +267,6 @@ func (c *Coordinator) requeueExpiredLocked(now time.Time) (exhausted []*task) {
 		}
 		delete(c.leases, id)
 		t.leaseID = ""
-		// An expired lease is a crash, wedge or partition on the holder:
-		// charge its health score so repeat offenders rotate out of grants.
-		if wh := c.workers[t.worker]; wh != nil {
-			wh.expiries++
-			c.penalizeLocked(wh, expiryPenalty, now)
-		}
 		if t.attempts >= c.opts.MaxAttempts {
 			c.failed++
 			t.completed = true
@@ -358,11 +288,10 @@ func (c *Coordinator) drain() { c.draining.Store(true) }
 
 // lease hands the oldest pending job to a worker (none while draining).
 // worker labels the lease id (free-form, typically "id/loop"); base is the
-// worker's registry identity for health scoring. An unhealthy worker is
-// answered as if the queue were empty — but only while a healthy worker
-// has been heard from recently, so a degraded fleet degrades to the old
-// grant-to-anyone behavior instead of stalling. When the queue is empty
-// but leases remain, the poll may hedge a stalled tail lease (see
+// worker's identity for the holder rule: a retried job — requeued after an
+// incident or an expired lease, or hedged — is not granted back to the
+// worker that last held it while another worker is live. When the queue is
+// empty but leases remain, the poll may hedge a stalled tail lease (see
 // maybeHedgeLocked) and immediately grant the duplicate.
 func (c *Coordinator) lease(worker, base string) (LeaseResponse, bool) {
 	if c.draining.Load() {
@@ -370,48 +299,46 @@ func (c *Coordinator) lease(worker, base string) (LeaseResponse, bool) {
 	}
 	c.mu.Lock()
 	now := c.opts.now()
-	wh := c.touchWorkerLocked(base, now)
+	c.touchLocked(base, now)
 	exhausted := c.requeueExpiredLocked(now)
 	var resp LeaseResponse
 	var ok bool
-	if c.healthyLocked(wh, now) || !c.anyOtherHealthyLocked(base, now) {
-		if c.pending.Len() == 0 {
-			c.maybeHedgeLocked(now)
+	if c.pending.Len() == 0 {
+		c.maybeHedgeLocked(now)
+	}
+	for e := c.pending.Front(); e != nil; e = e.Next() {
+		t := e.Value.(*task)
+		if t.attempts > 0 && t.worker == base && c.anyOtherLiveLocked(base, now) {
+			// A retry exists to get away from the worker that failed, lost
+			// or stalled on the job, and a poison job needs a second worker
+			// to be quarantined; hand it to someone else while someone else
+			// is live. A one-worker fleet still gets it back, or the job
+			// would stall.
+			continue
 		}
-		for e := c.pending.Front(); e != nil; e = e.Next() {
-			t := e.Value.(*task)
-			if t.hedged && t.worker == base && c.anyOtherHealthyLocked(base, now) {
-				// A hedge exists to escape the worker already stuck on the
-				// job; hand it to someone else while someone else is live.
-				continue
-			}
-			c.pending.Remove(e)
-			t.elem = nil
-			c.seq++
-			t.leaseID = fmt.Sprintf("%s-%d", worker, c.seq)
-			t.deadline = now.Add(c.opts.LeaseTTL)
-			t.granted = now
-			t.worker = base
-			t.attempts++
-			c.granted++
-			if wh != nil {
-				wh.leased++
-			}
-			c.leases[t.leaseID] = t
-			resp = LeaseResponse{
-				LeaseID: t.leaseID,
-				Index:   t.index,
-				Job:     t.job,
-				TTLMS:   c.opts.LeaseTTL.Milliseconds(),
-				SweepID: t.sweepID,
-			}
-			ok = true
-			break
+		c.pending.Remove(e)
+		t.elem = nil
+		c.seq++
+		t.leaseID = fmt.Sprintf("%s-%d", worker, c.seq)
+		t.deadline = now.Add(c.opts.LeaseTTL)
+		t.granted = now
+		t.worker = base
+		t.attempts++
+		c.granted++
+		c.leases[t.leaseID] = t
+		resp = LeaseResponse{
+			LeaseID: t.leaseID,
+			Index:   t.index,
+			Job:     t.job,
+			TTLMS:   c.opts.LeaseTTL.Milliseconds(),
+			SweepID: t.sweepID,
 		}
+		ok = true
+		break
 	}
 	c.mu.Unlock()
 	for _, t := range exhausted {
-		t.finish(outcome{err: fmt.Errorf("grid: %s: lease lost %d times (worker crash or partition); giving up",
+		t.deliver(outcome{err: fmt.Errorf("grid: %s: lease lost %d times (worker crash or partition); giving up",
 			t.job, t.attempts)})
 	}
 	return resp, ok
@@ -500,14 +427,12 @@ func (c *Coordinator) recordDurationLocked(d time.Duration) {
 // deterministic, so a slow worker's late result is the same result); the
 // re-queued or re-leased copy is withdrawn. It returns false for an unknown
 // lease, a cancelled job, or a job already completed; the worker discards
-// the result. base, when non-empty, credits the reporting worker's health
-// record and refreshes its liveness clock.
+// the result. base, when non-empty, refreshes the reporting worker's
+// last-contact time.
 func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool {
 	c.mu.Lock()
 	now := c.opts.now()
-	if wh := c.touchWorkerLocked(base, now); wh != nil {
-		wh.completed++
-	}
+	c.touchLocked(base, now)
 	t, ok := c.leases[leaseID]
 	if ok {
 		delete(c.leases, leaseID)
@@ -549,7 +474,7 @@ func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool
 	if !ok {
 		return false
 	}
-	t.finish(outcome{res: r.Res, err: r.Err, timing: r.Timing})
+	t.deliver(outcome{res: r.Res, err: r.Err, timing: r.Timing})
 	if c.observe != nil {
 		c.observe(r)
 	}
@@ -561,19 +486,14 @@ func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool
 // stalled goroutine may still finish, and its result is the result) and the
 // job either requeues, quarantines (incidents from QuarantineAfter distinct
 // workers), or fails (attempt bound reached). It returns false only for a
-// lease id the coordinator has never heard of; an incident against a job
-// that already completed is accepted as worker-ledger bookkeeping.
+// lease id the coordinator has never heard of, which is not counted; an
+// incident against a job that already completed is counted but changes
+// nothing.
 func (c *Coordinator) incident(leaseID string, inc taskIncident) bool {
 	var finish *task
 	var finishErr error
 	c.mu.Lock()
-	now := c.opts.now()
-	wh := c.touchWorkerLocked(inc.Worker, now)
-	if wh != nil {
-		wh.incidents++
-	}
-	c.penalizeLocked(wh, incidentPenalty, now)
-	c.incidents++
+	c.touchLocked(inc.Worker, c.opts.now())
 	t, live := c.leases[leaseID]
 	if live {
 		delete(c.leases, leaseID)
@@ -584,9 +504,10 @@ func (c *Coordinator) incident(leaseID string, inc taskIncident) bool {
 		c.mu.Unlock()
 		return false
 	}
+	c.incidents++
 	if !t.completed && !t.cancelled {
 		t.incidents = append(t.incidents, inc)
-		if c.onIncident != nil && t.sweepID != "" {
+		if c.onIncident != nil {
 			c.onIncident(t.sweepID, t.index, inc)
 		}
 		switch distinct := distinctIncidentWorkersLocked(t); {
@@ -613,14 +534,14 @@ func (c *Coordinator) incident(leaseID string, inc taskIncident) bool {
 	}
 	c.mu.Unlock()
 	if finish != nil {
-		finish.finish(outcome{err: finishErr})
+		finish.deliver(outcome{err: finishErr})
 	}
 	return true
 }
 
 // quarantineLocked completes a task as poison: it is withdrawn from the
 // queue, the lease table and the expired index, and counted. Caller holds
-// c.mu and must call finish (with quarantineError) after releasing it.
+// c.mu and must deliver quarantineError after releasing it.
 func (c *Coordinator) quarantineLocked(t *task) {
 	if t.elem != nil {
 		c.pending.Remove(t.elem)
@@ -657,7 +578,7 @@ func (c *Coordinator) seedIncidents(t *task, hist []taskIncident) bool {
 // task seedIncidents withdrew. Callers must not hold Coordinator.mu or the
 // owning sweep's mutex.
 func (c *Coordinator) quarantineFinish(t *task) {
-	t.finish(outcome{err: quarantineError(t, distinctIncidentWorkersLocked(t))})
+	t.deliver(outcome{err: quarantineError(t, distinctIncidentWorkersLocked(t))})
 }
 
 // incidentHistory returns a copy of the incidents recorded against a task,
@@ -668,24 +589,10 @@ func (c *Coordinator) incidentHistory(t *task) []taskIncident {
 	return append([]taskIncident(nil), t.incidents...)
 }
 
-// heartbeat refreshes a worker's registry entry outside the lease path: a
-// worker saturated with long jobs stops polling but keeps beating.
-func (c *Coordinator) heartbeat(hb HeartbeatRequest) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.opts.now()
-	if wh := c.touchWorkerLocked(hb.Worker, now); wh != nil {
-		wh.lastBeat = now
-		wh.busy = hb.Busy
-		wh.heap = hb.HeapBytes
-	}
-}
-
 // Stats snapshots the coordinator accounting.
 func (c *Coordinator) Stats() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.opts.now()
 	return Snapshot{
 		Pending:     c.pending.Len(),
 		Leased:      len(c.leases),
@@ -697,7 +604,6 @@ func (c *Coordinator) Stats() Snapshot {
 		Incidents:   c.incidents,
 		Quarantined: c.quarantined,
 		Hedged:      c.hedged,
-		Workers:     c.workerSnapshotsLocked(now),
 	}
 }
 
@@ -705,34 +611,7 @@ func (c *Coordinator) Stats() Snapshot {
 // included) is well under 1 MiB.
 const maxBody = 32 << 20
 
-// Handler returns the coordinator's worker-facing HTTP surface, without
-// authentication — the in-process `safespec-bench -serve` degenerate case
-// wraps these same handlers in a Server, which adds the sweep-submission
-// API and bearer-token auth.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/lease", c.handleLease)
-	mux.HandleFunc("POST /v1/result", c.handleResult)
-	mux.HandleFunc("POST /v1/incident", c.handleIncident)
-	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, c.Stats())
-	})
-	return mux
-}
-
-// decodeWorkerJSON is decodeJSON for worker-facing endpoints: a checksum
-// mismatch is additionally attributed to the worker named in the request
-// header (the body itself is unreadable by definition).
-func (c *Coordinator) decodeWorkerJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	ok, sumFail := decodeJSONSum(w, req, v)
-	if sumFail {
-		c.noteChecksumFailure(req.Header.Get(workerHeader))
-	}
-	return ok
-}
-
-// reqWorker resolves the worker's registry identity for a request: the
+// reqWorker resolves the worker's identity for a request: the
 // worker header when present, fallback otherwise (older workers send only
 // their per-loop lease label).
 func reqWorker(req *http.Request, fallback string) string {
@@ -744,7 +623,7 @@ func reqWorker(req *http.Request, fallback string) string {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	var lr LeaseRequest
-	if !c.decodeWorkerJSON(w, req, &lr) {
+	if !decodeJSON(w, req, &lr) {
 		return
 	}
 	resp, ok := c.lease(lr.Worker, reqWorker(req, lr.Worker))
@@ -757,7 +636,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	var rr ResultRequest
-	if !c.decodeWorkerJSON(w, req, &rr) {
+	if !decodeJSON(w, req, &rr) {
 		return
 	}
 	if rr.Result.Res == nil && rr.Result.Err == nil {
@@ -775,7 +654,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 
 func (c *Coordinator) handleIncident(w http.ResponseWriter, req *http.Request) {
 	var ir IncidentRequest
-	if !c.decodeWorkerJSON(w, req, &ir) {
+	if !decodeJSON(w, req, &ir) {
 		return
 	}
 	if !validIncidentKind(ir.Kind) {
@@ -794,20 +673,6 @@ func (c *Coordinator) handleIncident(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
-	var hb HeartbeatRequest
-	if !c.decodeWorkerJSON(w, req, &hb) {
-		return
-	}
-	hb.Worker = reqWorker(req, hb.Worker)
-	if hb.Worker == "" {
-		http.Error(w, "heartbeat names no worker", http.StatusBadRequest)
-		return
-	}
-	c.heartbeat(hb)
-	w.WriteHeader(http.StatusOK)
-}
-
 // sumHeader carries a CRC32-IEEE checksum (lowercase hex) of the JSON
 // body, on requests and responses alike. TCP checksums are weak and a
 // fault-injecting proxy (or chaos test) can flip a byte that still parses
@@ -819,32 +684,26 @@ func bodySum(b []byte) string {
 	return strconv.FormatUint(uint64(crc32.ChecksumIEEE(b)), 16)
 }
 
+// decodeJSON reads a request body into v, writing the error response and
+// returning false when the body is unreadable, damaged or malformed.
 func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	ok, _ := decodeJSONSum(w, req, v)
-	return ok
-}
-
-// decodeJSONSum is decodeJSON additionally reporting whether the failure
-// was a body-checksum mismatch, so worker-facing handlers can attribute
-// transit damage to the sending worker's health record.
-func decodeJSONSum(w http.ResponseWriter, req *http.Request, v any) (ok, sumFail bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody))
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false, false
+		return false
 	}
 	if sum := req.Header.Get(sumHeader); sum != "" && sum != bodySum(body) {
 		// 503, not 400: the sender's copy is intact and a retry with fresh
 		// bytes will succeed — a 4xx would make a worker discard a finished
 		// result over a transit fault.
 		http.Error(w, "body checksum mismatch (damaged in transit)", http.StatusServiceUnavailable)
-		return false, true
+		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false, false
+		return false
 	}
-	return true, false
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

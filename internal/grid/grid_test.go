@@ -16,6 +16,55 @@ import (
 	"safespec/internal/sweep"
 )
 
+// startServer serves a fresh Server with the given lease options over
+// loopback HTTP, closed when the test ends.
+func startServer(t testing.TB, lease Options) (*Server, string) {
+	t.Helper()
+	server := NewServer(ServerOptions{Lease: lease})
+	srv := httptest.NewServer(server.Handler())
+	t.Cleanup(srv.Close)
+	return server, srv.URL
+}
+
+// remoteExec is a RemoteExecutor for url whose sweep is released when the
+// test ends.
+func remoteExec(t testing.TB, url string) *RemoteExecutor {
+	t.Helper()
+	re := &RemoteExecutor{URL: url, PollWait: 100 * time.Millisecond}
+	t.Cleanup(func() { re.Close() })
+	return re
+}
+
+// runAsync runs jobs through a RemoteExecutor on url in the background and
+// returns once the coordinator has queued the matrix, so a test can act
+// as a worker straight away.
+func runAsync(t *testing.T, server *Server, url string, jobs []sweep.Job) <-chan []sweep.Result {
+	t.Helper()
+	done := make(chan []sweep.Result, 1)
+	re := remoteExec(t, url)
+	go func() {
+		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Workers: len(jobs), Executor: re})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- results
+	}()
+	waitQueued(t, server)
+	return done
+}
+
+// waitQueued waits until the coordinator has at least one pending job.
+func waitQueued(t *testing.T, server *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for server.Stats().Pending == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func smallJobs(t testing.TB, benches ...string) []sweep.Job {
 	t.Helper()
 	if len(benches) == 0 {
@@ -80,13 +129,11 @@ func TestGridEndToEnd(t *testing.T) {
 
 	local, localAgg := runWith(nil, 0)
 
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	stop := startWorkers(t, srv.URL, 2)
+	server, url := startServer(t, Options{})
+	stop := startWorkers(t, url, 2)
 	defer stop()
 
-	remote, remoteAgg := runWith(coord, len(jobs))
+	remote, remoteAgg := runWith(remoteExec(t, url), len(jobs))
 
 	if local != remote {
 		t.Errorf("distributed sink output differs from local:\n%s\nvs\n%s", local, remote)
@@ -95,7 +142,7 @@ func TestGridEndToEnd(t *testing.T) {
 		localAgg.Committed != remoteAgg.Committed || localAgg.Cycles != remoteAgg.Cycles {
 		t.Errorf("aggregate accounting differs: local %+v vs remote %+v", localAgg, remoteAgg)
 	}
-	s := coord.Stats()
+	s := server.Stats()
 	if s.Completed != uint64(len(jobs)) || s.Pending != 0 || s.Leased != 0 {
 		t.Errorf("coordinator accounting off: %+v", s)
 	}
@@ -108,10 +155,8 @@ func TestGridJobErrorTravels(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")
 	jobs = append(jobs, sweep.Job{Bench: "no-such-bench", Mode: "baseline"})
 
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	stop := startWorkers(t, srv.URL, 1)
+	_, url := startServer(t, Options{})
+	stop := startWorkers(t, url, 1)
 	defer stop()
 
 	var local, remote bytes.Buffer
@@ -120,7 +165,7 @@ func TestGridJobErrorTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	results, err := sweep.Run(context.Background(), jobs, sweep.Options{
-		Workers: len(jobs), Executor: coord,
+		Workers: len(jobs), Executor: remoteExec(t, url),
 		Sinks: []sweep.Sink{sweep.NewJSONL(&remote)},
 	})
 	if err != nil {
@@ -161,26 +206,16 @@ func leaseOne(t *testing.T, url string) LeaseResponse {
 func TestLeaseLostRequeues(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
 
-	coord := NewCoordinator(Options{LeaseTTL: 50 * time.Millisecond})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	done := make(chan []sweep.Result, 1)
-	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- results
-	}()
+	server, url := startServer(t, Options{LeaseTTL: 50 * time.Millisecond})
+	done := runAsync(t, server, url, jobs)
 
 	// The crasher steals the job, then a healthy worker joins: it must get
 	// the job after the TTL and finish the sweep.
-	lease := leaseOne(t, srv.URL)
+	lease := leaseOne(t, url)
 	if lease.Job.Bench != "exchange2" {
 		t.Fatalf("unexpected job %v", lease.Job)
 	}
-	stop := startWorkers(t, srv.URL, 1)
+	stop := startWorkers(t, url, 1)
 	defer stop()
 
 	select {
@@ -194,14 +229,14 @@ func TestLeaseLostRequeues(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("requeued job never completed")
 	}
-	if s := coord.Stats(); s.Requeued == 0 {
+	if s := server.Stats(); s.Requeued == 0 {
 		t.Errorf("lease loss not accounted: %+v", s)
 	}
 	// The crasher's stale lease must be rejected if it reports now (with a
 	// well-formed payload, so the lease check — not validation — rejects it).
 	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID,
 		Result: sweep.Result{Index: 0, Job: lease.Job, Err: errors.New("late crasher")}})
-	resp, err := http.Post(srv.URL+"/v1/result", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/result", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,18 +251,8 @@ func TestLeaseLostRequeues(t *testing.T) {
 // forever.
 func TestLeaseExhaustionFailsJob(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	coord := NewCoordinator(Options{LeaseTTL: time.Millisecond, MaxAttempts: 2})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	done := make(chan []sweep.Result, 1)
-	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- results
-	}()
+	server, url := startServer(t, Options{LeaseTTL: time.Millisecond, MaxAttempts: 2})
+	done := runAsync(t, server, url, jobs)
 
 	// Keep stealing leases without ever reporting until the coordinator
 	// gives up on the job.
@@ -238,7 +263,7 @@ func TestLeaseExhaustionFailsJob(t *testing.T) {
 			if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "lease lost") {
 				t.Fatalf("want lease-exhaustion error, got %v", results[0].Err)
 			}
-			if s := coord.Stats(); s.Failed != 1 {
+			if s := server.Stats(); s.Failed != 1 {
 				t.Errorf("failure not accounted: %+v", s)
 			}
 			return
@@ -247,7 +272,7 @@ func TestLeaseExhaustionFailsJob(t *testing.T) {
 		default:
 		}
 		body, _ := json.Marshal(LeaseRequest{Worker: "thief"})
-		resp, err := http.Post(srv.URL+"/v1/lease", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/v1/lease", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,25 +282,39 @@ func TestLeaseExhaustionFailsJob(t *testing.T) {
 }
 
 // TestExecuteCancellation checks that a cancelled sweep abandons its queued
-// jobs: Execute returns the context error and a worker reporting the
-// abandoned lease is turned away.
+// jobs: Execute returns the context error, closing the executor withdraws
+// the job from the coordinator, and a worker reporting the abandoned lease
+// is turned away.
 func TestExecuteCancellation(t *testing.T) {
-	coord := NewCoordinator(Options{})
+	server, url := startServer(t, Options{})
+	re := remoteExec(t, url)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := coord.Execute(ctx, 0, sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()})
+		_, err := re.Execute(ctx, 0, sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()})
 		errc <- err
 	}()
-	for coord.Stats().Pending == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, server)
+	lease := leaseOne(t, url)
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if s := coord.Stats(); s.Pending != 0 || s.Leased != 0 {
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := server.Stats(); s.Pending != 0 || s.Leased != 0 || s.Sweeps != 0 {
 		t.Errorf("abandoned job still tracked: %+v", s)
+	}
+	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID,
+		Result: sweep.Result{Index: 0, Job: lease.Job, Err: errors.New("too late")}})
+	resp, err := http.Post(url+"/v1/result", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("abandoned lease accepted with status %d", resp.StatusCode)
 	}
 }
 
@@ -284,21 +323,11 @@ func TestExecuteCancellation(t *testing.T) {
 // nil dereference in the sinks.
 func TestEmptyResultRejected(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	done := make(chan []sweep.Result, 1)
-	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- results
-	}()
-	lease := leaseOne(t, srv.URL)
+	server, url := startServer(t, Options{})
+	done := runAsync(t, server, url, jobs)
+	lease := leaseOne(t, url)
 	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{Index: lease.Index, Job: lease.Job}})
-	resp, err := http.Post(srv.URL+"/v1/result", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/result", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +336,9 @@ func TestEmptyResultRejected(t *testing.T) {
 		t.Errorf("empty result accepted with status %d", resp.StatusCode)
 	}
 	// The lease stays live; a healthy worker completes the job normally.
-	stop := startWorkers(t, srv.URL, 1)
+	stop := startWorkers(t, url, 1)
 	defer stop()
+	coord := server.coord
 	coord.mu.Lock()
 	if t2, ok := coord.leases[lease.LeaseID]; ok {
 		t2.deadline = time.Now() // hand it over immediately

@@ -29,8 +29,6 @@ func (s *Server) newRegistry() *obs.Registry {
 	incidents := reg.Counter("safespec_incidents_total", "Contained worker incidents (panic, timeout, memory) reported to the coordinator.")
 	quarantined := reg.Counter("safespec_jobs_quarantined_total", "Jobs quarantined as poison after incidents on distinct workers.")
 	hedged := reg.Counter("safespec_leases_hedged_total", "Duplicate hedge leases issued against slow tail leases.")
-	workersKnown := reg.Gauge("safespec_workers_known", "Workers seen by the health registry within the forget window.")
-	workersUnhealthy := reg.Gauge("safespec_workers_unhealthy", "Known workers currently scored unhealthy for lease grants.")
 
 	sweeps := reg.Gauge("safespec_sweeps_active", "Sweeps currently open on the server.")
 	submitted := reg.Counter("safespec_sweeps_submitted_total", "Sweeps opened over the server's lifetime.")
@@ -64,14 +62,6 @@ func (s *Server) newRegistry() *obs.Registry {
 		incidents.Set(snap.Incidents)
 		quarantined.Set(snap.Quarantined)
 		hedged.Set(snap.Hedged)
-		workersKnown.Set(int64(len(snap.Workers)))
-		var sick int64
-		for _, ws := range snap.Workers {
-			if !ws.Healthy {
-				sick++
-			}
-		}
-		workersUnhealthy.Set(sick)
 		sweeps.Set(int64(snap.Sweeps))
 		submitted.Set(snap.SweepsSubmitted)
 		abandoned.Set(snap.SweepsAbandoned)

@@ -622,8 +622,7 @@ func doJSONHdr(ctx context.Context, client *http.Client, method, url, token stri
 }
 
 // doJSONAs is doJSONHdr additionally stamping the worker identity header
-// (when worker is non-empty), so the coordinator's health registry can
-// attribute even requests whose body arrives damaged.
+// (when worker is non-empty).
 func doJSONAs(ctx context.Context, client *http.Client, method, url, token, worker string, in, out any) (int, http.Header, error) {
 	var body io.Reader
 	var sum string

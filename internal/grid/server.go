@@ -30,10 +30,9 @@ import (
 // Results are delivered as batches: GET /v1/sweeps/{id}/results?after=N
 // long-polls the completion log and returns every result that finished
 // since cursor N, so a client needs one in-flight request per sweep, not
-// one per cell. (The older per-index poll, GET /v1/sweeps/{id}?index=N,
-// remains for spot checks.) A sweep belongs to the tenant that submitted
-// it; other tenants' requests for its id get 404, indistinguishable from a
-// sweep that never existed. A sweep whose client stops polling (a crashed
+// one per cell. A sweep belongs to the tenant that submitted it; other
+// tenants' requests for its id get 404, indistinguishable from a sweep
+// that never existed. A sweep whose client stops polling (a crashed
 // bench process) is abandoned after SweepTTL: its unfinished jobs are
 // withdrawn from the queue and all of its state — including the
 // coordinator's expired-lease entries — is freed, so the server holds
@@ -145,17 +144,6 @@ type JobRequest struct {
 	Job   sweep.Job `json:"job"`
 }
 
-// SweepStatus is the index-less GET /v1/sweeps/{id} response.
-type SweepStatus struct {
-	SweepID   string `json:"sweep_id"`
-	Submitted int    `json:"submitted"`
-	Completed int    `json:"completed"`
-	// Done reports all submitted jobs completed; with incremental
-	// submission it can flicker true between batches, so it is meaningful
-	// only once the client has submitted its whole matrix.
-	Done bool `json:"done"`
-}
-
 // ResultBatch is the GET /v1/sweeps/{id}/results response: every result
 // whose completion-log position is >= the request's `after` cursor, in
 // completion order (NOT job-index order — the client reorders). Next is
@@ -165,7 +153,10 @@ type ResultBatch struct {
 	SweepID string         `json:"sweep_id"`
 	Next    int            `json:"next"`
 	Results []sweep.Result `json:"results"`
-	// Submitted/Completed/Done mirror SweepStatus at response time.
+	// Submitted and Completed count the sweep's jobs at response time. Done
+	// reports all submitted jobs completed; with incremental submission it
+	// can flicker true between batches, so it is meaningful only once the
+	// client has submitted its whole matrix.
 	Submitted int  `json:"submitted"`
 	Completed int  `json:"completed"`
 	Done      bool `json:"done"`
@@ -193,13 +184,11 @@ type sweepState struct {
 }
 
 // slot is one job of a sweep: its queued task while live, its result once
-// delivered (ready is closed at that point). job is retained for the
-// status page after the task is gone.
+// delivered. job is retained for the status page after the task is gone.
 type slot struct {
-	job   sweep.Job
-	task  *task
-	res   *sweep.Result
-	ready chan struct{}
+	job  sweep.Job
+	task *task
+	res  *sweep.Result
 }
 
 // maxPollWait caps the long-poll duration a client may request.
@@ -275,11 +264,10 @@ func (s *Server) OpenState(dir string) error {
 }
 
 // adoptLocked rebuilds one recovered sweep's live state: logged results
-// become completed slots (their ready channels already closed, the
-// completion log in its original order so client cursors keep indexing
-// correctly), and jobs without a result re-enter the coordinator queue —
-// their leases died with the previous process. Caller holds s.mu; returns
-// the number of requeued jobs.
+// become completed slots (the completion log in its original order so
+// client cursors keep indexing correctly), and jobs without a result
+// re-enter the coordinator queue — their leases died with the previous
+// process. Caller holds s.mu; returns the number of requeued jobs.
 func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	now := s.opts.now()
 	st := &sweepState{
@@ -294,9 +282,7 @@ func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	st.mu.Lock()
 	for i := range rs.Log {
 		res := rs.Log[i]
-		sl := &slot{job: res.Job, res: &res, ready: make(chan struct{})}
-		close(sl.ready)
-		st.slots[res.Index] = sl
+		st.slots[res.Index] = &slot{job: res.Job, res: &res}
 		st.log = append(st.log, res)
 		st.completed++
 		if res.Timing != nil {
@@ -439,13 +425,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/lease", s.coord.handleLease)
 	mux.HandleFunc("POST /v1/result", s.coord.handleResult)
 	mux.HandleFunc("POST /v1/incident", s.coord.handleIncident)
-	mux.HandleFunc("POST /v1/heartbeat", s.coord.handleHeartbeat)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, s.Stats())
 	})
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
 	mux.HandleFunc("POST /v1/sweeps/{id}/jobs", s.handleJob)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handlePoll)
 	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleResults)
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleClose)
 	inner := s.authTenants(mux)
@@ -543,61 +527,6 @@ func (s *Server) handleJob(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusOK)
-}
-
-func (s *Server) handlePoll(w http.ResponseWriter, req *http.Request) {
-	st := s.lookup(req.PathValue("id"), requestTenant(req))
-	if st == nil {
-		http.Error(w, "unknown sweep", http.StatusNotFound)
-		return
-	}
-	q := req.URL.Query()
-	if q.Get("index") == "" {
-		st.mu.Lock()
-		status := SweepStatus{
-			SweepID:   st.id,
-			Submitted: len(st.slots),
-			Completed: st.completed,
-			Done:      len(st.slots) > 0 && st.completed == len(st.slots),
-		}
-		st.mu.Unlock()
-		writeJSON(w, status)
-		return
-	}
-	idx, err := strconv.Atoi(q.Get("index"))
-	if err != nil {
-		http.Error(w, "bad index: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	wait, ok := parseWait(w, q.Get("wait"))
-	if !ok {
-		return
-	}
-	st.mu.Lock()
-	sl, found := st.slots[idx]
-	st.mu.Unlock()
-	if !found {
-		http.Error(w, "unknown job index", http.StatusNotFound)
-		return
-	}
-	if wait > 0 {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-sl.ready:
-		case <-timer.C:
-		case <-req.Context().Done():
-			return
-		}
-	}
-	st.mu.Lock()
-	res := sl.res
-	st.mu.Unlock()
-	if res == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, res)
 }
 
 // handleResults is the batched streaming endpoint: it returns every result
@@ -758,7 +687,7 @@ func (s *Server) addJob(st *sweepState, index int, job sweep.Job) bool {
 // and a cursor a client held before a crash indexes the recovered log
 // identically.
 func (s *Server) enqueueSlotLocked(st *sweepState, index int, job sweep.Job) {
-	sl := &slot{job: job, ready: make(chan struct{})}
+	sl := &slot{job: job}
 	st.slots[index] = sl
 	sl.task = s.coord.enqueue(index, job, st.id, func(out outcome) {
 		res := &sweep.Result{Index: index, Job: job, Res: out.res, Err: out.err, Timing: out.timing}
@@ -776,7 +705,6 @@ func (s *Server) enqueueSlotLocked(st *sweepState, index int, job sweep.Job) {
 			st.logGrew = make(chan struct{})
 		}
 		st.mu.Unlock()
-		close(sl.ready)
 	})
 }
 

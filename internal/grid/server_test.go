@@ -176,7 +176,7 @@ func TestSweepAbandonedAfterTTL(t *testing.T) {
 	if snap.Sweeps != 0 || snap.Pending != 0 || snap.SweepsAbandoned != 1 {
 		t.Errorf("orphan sweep not collected: %+v", snap)
 	}
-	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID, "", nil, nil)
+	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID+"/results", "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,24 +205,14 @@ func (b *blockUntilCancel) Execute(ctx context.Context, _ int, _ sweep.Job) (*co
 // job, so the sweep sees zero error rows.
 func TestCancelledWorkerJobRequeued(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	coord := NewCoordinator(Options{LeaseTTL: 100 * time.Millisecond})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	done := make(chan []sweep.Result, 1)
-	go func() {
-		results, err := sweep.Run(context.Background(), jobs, sweep.Options{Executor: coord})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- results
-	}()
+	server, url := startServer(t, Options{LeaseTTL: 100 * time.Millisecond})
+	done := runAsync(t, server, url, jobs)
 
 	// The doomed worker takes the job and is cancelled mid-execution.
 	blocker := &blockUntilCancel{started: make(chan struct{})}
 	doomedCtx, killDoomed := context.WithCancel(context.Background())
 	doomedDone := make(chan error, 1)
-	doomed := &Worker{Coordinator: srv.URL, ID: "doomed", Parallel: 1,
+	doomed := &Worker{Coordinator: url, ID: "doomed", Parallel: 1,
 		Poll: 5 * time.Millisecond, Exec: blocker}
 	go func() { doomedDone <- doomed.Run(doomedCtx) }()
 	select {
@@ -237,7 +227,7 @@ func TestCancelledWorkerJobRequeued(t *testing.T) {
 
 	// A healthy worker joins; it must receive the job after the lease TTL
 	// and complete it successfully.
-	stop := startWorkers(t, srv.URL, 1)
+	stop := startWorkers(t, url, 1)
 	defer stop()
 	select {
 	case results := <-done:
@@ -250,7 +240,7 @@ func TestCancelledWorkerJobRequeued(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("requeued job never completed")
 	}
-	if s := coord.Stats(); s.Requeued == 0 {
+	if s := server.Stats(); s.Requeued == 0 {
 		t.Errorf("lease loss not accounted: %+v", s)
 	}
 }
@@ -341,20 +331,20 @@ func TestExpiredLeasesPurgedOnFailure(t *testing.T) {
 	}
 }
 
-// TestExpiredLeasesPurgedOnAbandon: cancelling an Execute whose job has a
+// TestExpiredLeasesPurgedOnAbandon: closing a sweep whose job has a
 // timed-out lease must clear that lease from the expired index.
 func TestExpiredLeasesPurgedOnAbandon(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := NewCoordinator(Options{LeaseTTL: time.Minute, now: clk.Now})
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := coord.Execute(ctx, 0, sweep.Job{Bench: "exchange2", Mode: "baseline", Config: core.Baseline()})
-		errc <- err
-	}()
-	for coord.Stats().Pending == 0 {
-		time.Sleep(time.Millisecond)
+	server := NewServer(ServerOptions{Lease: Options{LeaseTTL: time.Minute, now: clk.Now}, now: clk.Now})
+	srv := httptest.NewServer(server.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	var resp SubmitResponse
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
+		t.Fatal(err)
 	}
+	coord := server.coord
 	if _, ok := coord.lease("crasher", "crasher"); !ok {
 		t.Fatal("no lease granted")
 	}
@@ -365,9 +355,8 @@ func TestExpiredLeasesPurgedOnAbandon(t *testing.T) {
 	if s := coord.Stats(); s.Expired != 1 {
 		t.Fatalf("expiry not indexed: %+v", s)
 	}
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Fatalf("want context.Canceled, got %v", err)
+	if status, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+resp.SweepID, "", nil, nil); err != nil || status != http.StatusOK {
+		t.Fatalf("close sweep: status %d err %v", status, err)
 	}
 	if s := coord.Stats(); s.Expired != 0 || s.Leased != 0 || s.Pending != 0 {
 		t.Errorf("abandoned job left coordinator state behind: %+v", s)

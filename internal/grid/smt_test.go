@@ -3,7 +3,6 @@ package grid
 import (
 	"bytes"
 	"context"
-	"net/http/httptest"
 	"testing"
 
 	"safespec/internal/sweep"
@@ -43,13 +42,11 @@ func TestGridSMTEndToEnd(t *testing.T) {
 
 	local := runWith(nil, 0)
 
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	stop := startWorkers(t, srv.URL, 2)
+	_, url := startServer(t, Options{})
+	stop := startWorkers(t, url, 2)
 	defer stop()
 
-	remote := runWith(coord, len(jobs))
+	remote := runWith(remoteExec(t, url), len(jobs))
 	if local != remote {
 		t.Errorf("distributed SMT output differs from local:\n%s\nvs\n%s", local, remote)
 	}

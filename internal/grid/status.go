@@ -28,27 +28,11 @@ type statusSweep struct {
 	Cells   [][]statusCell // [bench][mode]; zero value for absent cells
 }
 
-// statusWorker is one health-registry row for the /status page.
-type statusWorker struct {
-	ID        string
-	State     string // "healthy" | "unhealthy"
-	Unhealthy bool
-	Penalty   float64
-	Busy      int
-	Leased    uint64
-	Completed uint64
-	Expiries  uint64
-	Incidents uint64
-	Checksums uint64
-	LastSeen  string
-}
-
 // statusPage is the full render model.
 type statusPage struct {
-	Now     string
-	Snap    ServerSnapshot
-	Workers []statusWorker
-	Sweeps  []statusSweep
+	Now    string
+	Snap   ServerSnapshot
+	Sweeps []statusSweep
 }
 
 var statusTmpl = template.Must(template.New("status").Parse(`<!doctype html>
@@ -62,7 +46,6 @@ th, td { border: 1px solid #bbb; padding: 0.25em 0.7em; text-align: right; }
 th { background: #f0f0f0; }
 td.b { text-align: left; }
 td.full { background: #e4f3e4; }
-td.sick { background: #f6dede; }
 .muted { color: #777; }
 </style></head><body>
 <h1>safespec-coordinator</h1>
@@ -74,14 +57,6 @@ self-healing: incidents={{.Snap.Incidents}} quarantined={{.Snap.Quarantined}}
 hedged={{.Snap.Hedged}} &middot;
 sweeps: {{.Snap.Sweeps}} open / {{.Snap.SweepsSubmitted}} lifetime
 ({{.Snap.SweepsAbandoned}} abandoned)</p>
-{{if .Workers}}<table>
-<tr><th>worker</th><th>state</th><th>penalty</th><th>busy</th><th>leased</th>
-<th>completed</th><th>expiries</th><th>incidents</th><th>checksum fails</th><th>last seen</th></tr>
-{{range .Workers}}<tr><td class="b">{{.ID}}</td>
-<td{{if .Unhealthy}} class="sick"{{end}}>{{.State}}</td><td>{{printf "%.2f" .Penalty}}</td>
-<td>{{.Busy}}</td><td>{{.Leased}}</td><td>{{.Completed}}</td><td>{{.Expiries}}</td>
-<td>{{.Incidents}}</td><td>{{.Checksums}}</td><td>{{.LastSeen}}</td></tr>
-{{end}}</table>{{end}}
 {{if .Snap.Tenants}}<table>
 <tr><th>tenant</th><th>open sweeps</th><th>requests</th><th>429s</th><th>quota rejections</th></tr>
 {{range .Snap.Tenants}}<tr><td class="b">{{.Name}}</td><td>{{.ActiveSweeps}}</td>
@@ -112,19 +87,6 @@ type statusCell struct {
 func (s *Server) WriteStatus(w io.Writer) {
 	now := s.opts.now()
 	page := statusPage{Now: now.UTC().Format(time.RFC3339), Snap: s.Stats()}
-	for _, ws := range page.Snap.Workers {
-		sw := statusWorker{
-			ID: ws.ID, State: "healthy", Penalty: ws.Penalty, Busy: ws.Busy,
-			Leased: ws.Leased, Completed: ws.Completed, Expiries: ws.Expiries,
-			Incidents: ws.Incidents, Checksums: ws.ChecksumFails,
-			LastSeen: (time.Duration(ws.LastSeenMS) * time.Millisecond).Round(time.Second).String() + " ago",
-		}
-		if !ws.Healthy {
-			sw.State, sw.Unhealthy = "unhealthy", true
-		}
-		page.Workers = append(page.Workers, sw)
-	}
-
 	s.mu.Lock()
 	states := make([]*sweepState, 0, len(s.sweeps))
 	for _, st := range s.sweeps {

@@ -188,14 +188,12 @@ func TestNoTimingPeerByteIdenticalSweep(t *testing.T) {
 
 	local := runWith(nil)
 
-	coord := NewCoordinator(Options{})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	_, url := startServer(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go oldPeerWorker(t, ctx, srv.URL)
+	go oldPeerWorker(t, ctx, url)
 
-	if remote := runWith(coord); remote != local {
+	if remote := runWith(remoteExec(t, url)); remote != local {
 		t.Errorf("untimed peer changed sweep output:\n%s\nvs\n%s", remote, local)
 	}
 }

@@ -94,15 +94,7 @@ type Worker struct {
 	// cannot account one goroutine's allocations), so size it for the
 	// whole worker, not one job.
 	MemLimit int64
-	// Heartbeat, when positive, posts /v1/heartbeat liveness beacons at
-	// this interval, complementing the implicit heartbeat of lease polls
-	// (a worker saturated with long jobs stops polling but keeps beating).
-	// Zero disables the explicit beacon.
-	Heartbeat time.Duration
 
-	// busy counts lease slots currently executing a job (heartbeat and
-	// readiness reporting).
-	busy atomic.Int32
 	// ready tracks coordinator reachability for the ops /readyz probe:
 	// true after any answered request, false across an unreachable streak
 	// and after Run returns.
@@ -160,11 +152,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.log().Info("worker polling", "worker", w.ID, "coordinator", w.Coordinator, "loops", loops)
 	defer w.ready.Store(false)
-	if w.Heartbeat > 0 {
-		hbCtx, stopHB := context.WithCancel(ctx)
-		defer stopHB()
-		go w.heartbeatLoop(hbCtx, client, w.Heartbeat)
-	}
 	err := sweep.ForEach(ctx, loops, loops, func(ctx context.Context, loop int) error {
 		return w.loop(ctx, loop, client, exec, poll)
 	})
@@ -172,23 +159,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		return nil
 	}
 	return err
-}
-
-// heartbeatLoop posts periodic liveness beacons carrying the busy-slot
-// count and live heap size. Failures are silent: the lease loop's own
-// backoff already reports an unreachable coordinator.
-func (w *Worker) heartbeatLoop(ctx context.Context, client *http.Client, every time.Duration) {
-	for {
-		if !w.sleep(ctx, every) {
-			return
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		hb := HeartbeatRequest{Worker: w.ID, Busy: int(w.busy.Load()), HeapBytes: ms.HeapAlloc}
-		if _, _, err := w.post(ctx, client, "/v1/heartbeat", hb, nil); err != nil {
-			w.log().Debug("heartbeat failed", "worker", w.ID, "err", err.Error())
-		}
-	}
 }
 
 // loop is one lease loop: lease, execute, report, repeat.
@@ -372,8 +342,6 @@ func watchdogFor(lease LeaseResponse) time.Duration {
 // clocks, addresses or worker names, so a quarantined job's error row is
 // byte-stable whenever the underlying fault is deterministic.
 func (w *Worker) execContained(ctx context.Context, lease LeaseResponse, exec sweep.Executor) (contained, *IncidentRequest) {
-	w.busy.Add(1)
-	defer w.busy.Add(-1)
 	ch := make(chan contained, 1)
 	go func() {
 		defer func() {
@@ -555,9 +523,8 @@ func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string
 }
 
 // post sends one JSON request and decodes a JSON body into out (when non-nil
-// and the status is 200). Every request carries the worker identity header
-// so the coordinator's health registry can attribute it even when the body
-// arrives damaged.
+// and the status is 200). Every request carries the worker identity header,
+// which ties the worker's lease loops together for the holder rule.
 func (w *Worker) post(ctx context.Context, client *http.Client, path string, in, out any) (int, http.Header, error) {
 	return doJSONAs(ctx, client, http.MethodPost, w.Coordinator+path, w.Token, w.ID, in, out)
 }
