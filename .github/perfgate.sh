@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
 # Paired performance gate. Runs the eval-full benchmark in two checkouts,
-# alternating which goes first, and fails when HEAD is reliably slower:
+# alternating which goes first, and fails when HEAD is reliably slower or
+# reliably uses more memory:
 #
 #   bash .github/perfgate.sh BASE_DIR HEAD_DIR
 #
 # Each pair runs `bash benchmark/run.sh --workload eval-full --seed 1
 # --seconds RUN_SECONDS --trace 0` once in each checkout, back to back, so
-# host drift lands on both sides of a pair. The gate fires when HEAD loses
-# at least MIN_LOSSES of the PAIRS pairs AND the median of the per-pair
-# ratios HEAD/base is more than MAX_DROP below 1. Any run that exits
-# non-zero, reports correct:false or reports failed>0 fails the gate
-# outright.
+# host drift lands on both sides of a pair. The speed rule fires when HEAD
+# has lower cells_per_s in at least MIN_LOSSES of the PAIRS pairs AND the
+# median of the per-pair ratios HEAD/base is more than MAX_DROP below 1.
+# The memory rule reads peak_rss_mb from the same runs and fires when HEAD
+# has higher peak RSS in at least MIN_LOSSES pairs AND the median per-pair
+# ratio HEAD/base is above 1 + MAX_RSS_GROWTH (BENCHMARK.json's bound for
+# peak_rss_mb). Any run that exits non-zero, reports correct:false or
+# reports failed>0 fails the gate outright.
 #
 # The rule was set from null runs of one tree against a copy of itself on a
 # 2-vCPU host: over 50 pairs the per-pair ratio ranged 0.70-1.22 and no run
@@ -22,6 +26,7 @@ PAIRS=10
 RUN_SECONDS=10
 MIN_LOSSES=7
 MAX_DROP=0.08
+MAX_RSS_GROWTH=0.10
 
 if [ $# -ne 2 ]; then
   echo "usage: $0 BASE_DIR HEAD_DIR" >&2
@@ -52,30 +57,47 @@ for i in $(seq 1 "$PAIRS"); do
   fi
 done
 
-python3 - "$out" "$PAIRS" "$MIN_LOSSES" "$MAX_DROP" <<'PY'
+python3 - "$out" "$PAIRS" "$MIN_LOSSES" "$MAX_DROP" "$MAX_RSS_GROWTH" <<'PY'
 import json, statistics, sys
 
-out, pairs, min_losses, max_drop = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+out, pairs, min_losses = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+max_drop, max_rss_growth = float(sys.argv[4]), float(sys.argv[5])
 
-def cells_per_s(path):
+def metrics(path):
     res = json.loads(open(path).read().strip().splitlines()[-1])
     if not res.get('correct') or res.get('failed', 0) > 0:
         sys.exit(f'perfgate: {path}: correct={res.get("correct")} failed={res.get("failed")}')
-    return res['metrics']['cells_per_s']['value']
+    return res['metrics']
 
-base = [cells_per_s(f'{out}/base.{i}') for i in range(1, pairs + 1)]
-head = [cells_per_s(f'{out}/head.{i}') for i in range(1, pairs + 1)]
-ratios = [h / b for b, h in zip(base, head)]
-losses = sum(r < 1 for r in ratios)
-for i, (b, h, r) in enumerate(zip(base, head, ratios), 1):
-    print(f'pair {i:2d}: base {b:8.2f}  head {h:8.2f}  head/base {r:.3f}')
-q1, _, q3 = statistics.quantiles(base, n=4)
-ratio = statistics.median(ratios)
-print(f'base median {statistics.median(base):.2f} cells/s (IQR {q3 - q1:.2f}), '
-      f'head median {statistics.median(head):.2f} cells/s, '
-      f'median pair ratio {ratio:.3f}, head lost {losses}/{pairs} pairs')
+base = [metrics(f'{out}/base.{i}') for i in range(1, pairs + 1)]
+head = [metrics(f'{out}/head.{i}') for i in range(1, pairs + 1)]
+
+# compare prints the pairs of one metric and returns the median per-pair
+# ratio HEAD/base and the number of pairs HEAD is worse in.
+def compare(name, unit, worse):
+    b = [m[name]['value'] for m in base]
+    h = [m[name]['value'] for m in head]
+    ratios = [y / x for x, y in zip(b, h)]
+    for i, (x, y, r) in enumerate(zip(b, h, ratios), 1):
+        print(f'{name} pair {i:2d}: base {x:8.2f}  head {y:8.2f}  head/base {r:.3f}')
+    q1, _, q3 = statistics.quantiles(b, n=4)
+    ratio = statistics.median(ratios)
+    losses = sum(worse(r) for r in ratios)
+    print(f'{name}: base median {statistics.median(b):.2f} {unit} (IQR {q3 - q1:.2f}), '
+          f'head median {statistics.median(h):.2f} {unit}, '
+          f'median pair ratio {ratio:.3f}, head worse in {losses}/{pairs} pairs')
+    return ratio, losses
+
+fails = []
+ratio, losses = compare('cells_per_s', 'cells/s', lambda r: r < 1)
 if losses >= min_losses and ratio < 1 - max_drop:
-    sys.exit(f'perfgate: FAIL: head lost {losses}/{pairs} pairs (limit {min_losses - 1}) '
-             f'and is {100 * (1 - ratio):.1f}% slower in the median pair (limit {100 * max_drop:.0f}%)')
+    fails.append(f'head lost {losses}/{pairs} speed pairs (limit {min_losses - 1}) '
+                 f'and is {100 * (1 - ratio):.1f}% slower in the median pair (limit {100 * max_drop:.0f}%)')
+ratio, losses = compare('peak_rss_mb', 'MB', lambda r: r > 1)
+if losses >= min_losses and ratio > 1 + max_rss_growth:
+    fails.append(f'head used more memory in {losses}/{pairs} pairs (limit {min_losses - 1}) '
+                 f'and {100 * (ratio - 1):.1f}% more in the median pair (limit {100 * max_rss_growth:.0f}%)')
+if fails:
+    sys.exit('perfgate: FAIL: ' + '; '.join(fails))
 print('perfgate: pass')
 PY

@@ -63,18 +63,33 @@ func TinyShadowPolicy() (d, i, dtlb, itlb shadow.Policy) {
 // reads bit 0, a memory miss (the trojan replaced A's shadow entry) bit 1.
 const tsaThreshold = 60
 
+// secret returns the planted value, DefaultSecret when unset.
+func (t TSA) secret() int64 {
+	if t.Secret == 0 {
+		return DefaultSecret
+	}
+	return t.Secret
+}
+
+// Program returns the (memoized) program that leaks the given bit (0-3) of
+// the secret; Run executes one per bit.
+func (t TSA) Program(bit int) (*isa.Program, error) {
+	prog, err := tsaPrograms.Get(tsaKey{t.secret(), bit}, buildTSABit)
+	if err != nil {
+		return nil, fmt.Errorf("attacks: building tsa bit %d: %w", bit, err)
+	}
+	return prog, nil
+}
+
 // Run executes the attack under cfg, leaking the secret bit by bit (one
 // program run per bit, retraining each time).
 func (t TSA) Run(cfg core.Config) (TSAOutcome, error) {
-	secret := t.Secret
-	if secret == 0 {
-		secret = DefaultSecret
-	}
+	secret := t.secret()
 	out := TSAOutcome{Secret: secret}
 	for bit := 0; bit < 4; bit++ {
-		prog, err := tsaPrograms.Get(tsaKey{secret, bit}, buildTSABit)
+		prog, err := t.Program(bit)
 		if err != nil {
-			return out, fmt.Errorf("attacks: building tsa bit %d: %w", bit, err)
+			return out, err
 		}
 		sim := core.Acquire(cfg, prog)
 		sim.Run()

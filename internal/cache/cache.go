@@ -68,10 +68,12 @@ type Stats struct {
 // MissRate returns Misses / (Hits+Misses).
 func (s Stats) MissRate() float64 { return stats.Rate(s.Misses, s.Hits+s.Misses) }
 
+// way is one cache way, 16 bytes: tag holds the line number plus one, so
+// the zero way is invalid, and lru is the access stamp (higher = more
+// recently used).
 type way struct {
-	valid bool
-	tag   uint64
-	lru   uint64 // higher = more recently used
+	tag uint64
+	lru uint64
 }
 
 // Cache is one set-associative, LRU, tag-only cache level.
@@ -81,6 +83,11 @@ type Cache struct {
 	setMask  uint64
 	hitLat   int // cfg.HitLatency, denormalized off the Config struct
 	lruClock uint64
+	// dirty lists, once each, the sets filled since the last Reset (a bit
+	// in isDirty marks membership), so Reset clears what a run touched,
+	// not the whole tag array. Both are sized at New and never grow.
+	dirty   []int32
+	isDirty []uint64
 	// Stats accumulates hit/miss counts. Exported for the harness to read.
 	Stats Stats
 }
@@ -96,7 +103,14 @@ func New(cfg Config) *Cache {
 	for i := range sets {
 		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(cfg.Sets() - 1), hitLat: cfg.HitLatency}
+	return &Cache{
+		cfg:     cfg,
+		sets:    sets,
+		setMask: uint64(cfg.Sets() - 1),
+		hitLat:  cfg.HitLatency,
+		dirty:   make([]int32, 0, cfg.Sets()),
+		isDirty: make([]uint64, (cfg.Sets()+63)/64),
+	}
 }
 
 // Config returns the cache's configuration.
@@ -106,20 +120,21 @@ func (c *Cache) Config() Config { return c.cfg }
 // hot paths avoid copying the whole Config struct per access.
 func (c *Cache) HitLatency() int { return c.hitLat }
 
-func (c *Cache) index(lineAddr uint64) (set uint64, tag uint64) {
-	idx := lineAddr >> LineBits
-	return idx & c.setMask, idx // full line number as tag (simplicity)
+// index returns the set addr maps to and addr's tag.
+func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+	line := addr >> LineBits
+	return line & c.setMask, line + 1
 }
 
 // Lookup probes for the line containing addr. On a hit it updates LRU and
 // returns true. It records hit/miss statistics.
 func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(LineAddr(addr))
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+	set, tag := c.index(addr)
+	ws := c.sets[set]
+	for i := range ws {
+		if ws[i].tag == tag {
 			c.lruClock++
-			w.lru = c.lruClock
+			ws[i].lru = c.lruClock
 			c.Stats.Hits++
 			return true
 		}
@@ -131,10 +146,10 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Contains probes without updating LRU or statistics (used by tests and by
 // timing-only checks).
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(LineAddr(addr))
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+	set, tag := c.index(addr)
+	ws := c.sets[set]
+	for i := range ws {
+		if ws[i].tag == tag {
 			return true
 		}
 	}
@@ -144,47 +159,52 @@ func (c *Cache) Contains(addr uint64) bool {
 // Fill installs the line containing addr, evicting the LRU way if the set is
 // full. It returns the evicted line address and whether an eviction happened.
 func (c *Cache) Fill(addr uint64) (evicted uint64, wasEvicted bool) {
-	set, tag := c.index(LineAddr(addr))
+	set, tag := c.index(addr)
+	ws := c.sets[set]
 	c.lruClock++
 	// Already present? Just touch.
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			w.lru = c.lruClock
+	for i := range ws {
+		if ws[i].tag == tag {
+			ws[i].lru = c.lruClock
 			return 0, false
 		}
 	}
 	c.Stats.Fills++
 	victim := 0
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if !w.valid {
-			victim = i
-			goto install
+	for i := range ws {
+		if ws[i].tag == 0 {
+			// Only a fill into an invalid way can be a set's first write
+			// since Reset: an eviction or a touch needs a valid way.
+			c.markDirty(set)
+			ws[i] = way{tag: tag, lru: c.lruClock}
+			return 0, false
 		}
-		if w.lru < c.sets[set][victim].lru {
+		if ws[i].lru < ws[victim].lru {
 			victim = i
 		}
 	}
-	{
-		w := &c.sets[set][victim]
-		evicted = w.tag << LineBits
-		wasEvicted = true
-		c.Stats.Evictions++
+	evicted = (ws[victim].tag - 1) << LineBits
+	c.Stats.Evictions++
+	ws[victim] = way{tag: tag, lru: c.lruClock}
+	return evicted, true
+}
+
+// markDirty records that set holds state Reset must clear.
+func (c *Cache) markDirty(set uint64) {
+	if bit := uint64(1) << (set & 63); c.isDirty[set>>6]&bit == 0 {
+		c.isDirty[set>>6] |= bit
+		c.dirty = append(c.dirty, int32(set))
 	}
-install:
-	c.sets[set][victim] = way{valid: true, tag: tag, lru: c.lruClock}
-	return evicted, wasEvicted
 }
 
 // Invalidate removes the line containing addr if present, returning whether
 // it was present.
 func (c *Cache) Invalidate(addr uint64) bool {
-	set, tag := c.index(LineAddr(addr))
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			w.valid = false
+	set, tag := c.index(addr)
+	ws := c.sets[set]
+	for i := range ws {
+		if ws[i].tag == tag {
+			ws[i].tag = 0
 			c.Stats.Flushes++
 			return true
 		}
@@ -192,13 +212,22 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	return false
 }
 
-// Reset invalidates every line and clears statistics.
+// Reset invalidates every line and clears statistics, leaving the cache
+// exactly as New built it. It clears only the sets filled since the last
+// Reset, or the whole array when most sets were.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = way{}
+	if 2*len(c.dirty) > len(c.sets) {
+		for _, ws := range c.sets {
+			clear(ws)
+		}
+		clear(c.isDirty)
+	} else {
+		for _, s := range c.dirty {
+			clear(c.sets[s])
+			c.isDirty[s>>6] = 0
 		}
 	}
+	c.dirty = c.dirty[:0]
 	c.Stats = Stats{}
 	c.lruClock = 0
 }
@@ -206,9 +235,9 @@ func (c *Cache) Reset() {
 // Occupancy returns the number of valid lines (used by tests).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid {
+	for _, ws := range c.sets {
+		for _, w := range ws {
+			if w.tag != 0 {
 				n++
 			}
 		}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,29 @@ func TestReset(t *testing.T) {
 	c.Reset()
 	if c.Occupancy() != 0 || c.Stats.Hits != 0 {
 		t.Error("reset incomplete")
+	}
+}
+
+// TestResetMatchesNew: Reset clears only the sets filled since the last
+// Reset (or everything, when most were), and either way leaves the cache
+// exactly as New built it, from sparse and from dense use alike.
+func TestResetMatchesNew(t *testing.T) {
+	cfg := Config{Name: "test", SizeBytes: 64 << 10, Ways: 4, HitLatency: 4} // 256 sets
+	rng := rand.New(rand.NewSource(1))
+	c := New(cfg)
+	for round, lines := range []int{3, 40, 5000, 0, 100} {
+		for i := 0; i < lines; i++ {
+			addr := uint64(rng.Intn(1<<20)) * LineSize
+			c.Fill(addr)
+			if rng.Intn(4) == 0 {
+				c.Invalidate(addr)
+			}
+			c.Lookup(addr)
+		}
+		c.Reset()
+		if !reflect.DeepEqual(c, New(cfg)) {
+			t.Fatalf("round %d (%d fills): reset cache differs from a new one", round, lines)
+		}
 	}
 }
 

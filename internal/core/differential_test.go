@@ -16,7 +16,8 @@ import (
 )
 
 // private runs (cfg, prog) on a CPU around its own freshly built memory —
-// pipeline.New's BuildMemory path, which shares nothing with the image
+// pipeline.New's BuildMemory path, which builds its own page tables and
+// copies the program's pages on its own writes, independent of the image
 // cache behind core.New/Acquire — and returns the CPU after the run.
 func private(cfg core.Config, prog *isa.Program) (*pipeline.CPU, *pipeline.Stats) {
 	cpu := pipeline.New(cfg.Pipeline, prog)

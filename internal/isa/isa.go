@@ -373,7 +373,10 @@ type Program struct {
 	// violation). If < 0, a fault halts the program.
 	TrapHandler int
 	// Pages holds the initial data, installed before the program runs: one
-	// page, sorted by VA, for each page the program set a word on.
+	// page, sorted by VA, for each page the program set a word on. Pages
+	// are never written after Build: the simulator's memory images alias
+	// their Words instead of copying them, and copy a page only when a run
+	// stores to it.
 	Pages []DataPage
 	// Regions lists further address ranges to map before execution.
 	Regions []MemRegion

@@ -111,10 +111,12 @@ const regionBytes = entriesPerL * 8
 
 // Memory is the simulated physical memory plus the page-table machinery.
 //
-// A memory either owns all its frames (New, then Map and FillPage) or
-// reads through an immutable Image (FromImage, Load) and copies a frame the
-// first time it writes to it. Pooled simulators share one Image per program
-// that way: binding a memory to an image copies frame headers, not words.
+// A memory owns only the frames it wrote. Every other frame is borrowed and
+// never written: the shared zero frame behind a freshly mapped data page, a
+// program's own data page (SharePage), or a frame of an immutable Image
+// (FromImage, Load). The first write to a borrowed frame copies it. Pooled
+// simulators share one Image per program that way: binding a memory to an
+// image copies frame headers, not words.
 type Memory struct {
 	// frames holds the allocated regions in bump order: region i covers
 	// physical addresses [physBase+i*regionBytes, +len(frames[i])*8).
@@ -125,8 +127,8 @@ type Memory struct {
 	// of every page walk lands here) — map-free.
 	frames [][]int64
 	// owned[i] reports whether frames[i] is this memory's private copy.
-	// Other frames belong to an Image (or are the shared zero frame) and
-	// are never written: WritePhys copies them first.
+	// Other frames are borrowed (see Memory) and never written: WritePhys
+	// copies them first.
 	owned []bool
 	// spareData and spareTables hold private frames released by Load, by
 	// size, for the next copy-on-write to reuse, so a memory that is loaded
@@ -146,18 +148,18 @@ const physBase = 1 << 40
 // New returns an empty memory with an allocated (empty) root page table.
 func New() *Memory {
 	m := &Memory{nextFreePA: physBase}
-	m.rootPA = m.allocFrame(entriesPerL)
+	m.rootPA = m.addFrame(make([]int64, entriesPerL), true)
 	return m
 }
 
-// allocFrame reserves a zeroed physical region of the given word count and
-// returns its base address. The region occupies a full regionBytes slot of
-// the PA space regardless of words.
-func (m *Memory) allocFrame(words int) uint64 {
+// addFrame reserves the next physical region for f and returns its base
+// address. The region occupies a full regionBytes slot of the PA space
+// regardless of len(f).
+func (m *Memory) addFrame(f []int64, owned bool) uint64 {
 	base := m.nextFreePA
 	m.nextFreePA += regionBytes
-	m.frames = append(m.frames, make([]int64, words))
-	m.owned = append(m.owned, true)
+	m.frames = append(m.frames, f)
+	m.owned = append(m.owned, owned)
 	return base
 }
 
@@ -258,17 +260,20 @@ type imageFrame struct {
 // point to it so the intern table can hold it weakly.
 type frozen struct{ words []int64 }
 
-// zeroFrame backs every all-zero data frame of every Image. Nothing writes
-// it: it is never owned by a Memory.
+// zeroFrame backs every freshly mapped data page and every all-zero data
+// frame of every Image. Nothing writes it: it is never owned by a Memory.
 var zeroFrame [PageSize / 8]int64
 
 // Freeze snapshots m into an Image. m keeps its content but no longer owns
 // any frame: from now on it reads through the Image and copies on write,
-// exactly like FromImage(img).
+// exactly like FromImage(img). Images store frames without copying them:
+// a page passed to SharePage (or an equal frame interned before it) becomes
+// part of the image, so it must stay unchanged for as long as the image
+// lives.
 func (m *Memory) Freeze() *Image {
 	img := &Image{slots: len(m.frames), rootPA: m.rootPA, nextFreePA: m.nextFreePA}
 	for slot, f := range m.frames {
-		if len(f) == len(zeroFrame) && slices.Equal(f, zeroFrame[:]) {
+		if len(f) == len(zeroFrame) && (&f[0] == &zeroFrame[0] || slices.Equal(f, zeroFrame[:])) {
 			continue
 		}
 		img.frames = append(img.frames, imageFrame{slot: slot, frozen: intern(f)})
@@ -366,7 +371,7 @@ func (m *Memory) Map(va uint64, perm Perm) {
 	l1e, _ := m.ReadPhys(l1pa)
 	l1pte := PTE(l1e)
 	if !l1pte.Valid() {
-		tbl := m.allocFrame(entriesPerL)
+		tbl := m.addFrame(make([]int64, entriesPerL), true)
 		l1pte = MakePTE(tbl, PermUser|PermKernel)
 		_ = m.WritePhys(l1pa, int64(l1pte))
 	}
@@ -375,9 +380,9 @@ func (m *Memory) Map(va uint64, perm Perm) {
 	l2pte := PTE(l2e)
 	if !l2pte.Valid() {
 		// A data frame backs exactly one 4 KiB page: no translation can
-		// reach beyond it, so allocating the full region would only burn
-		// allocator time and cache footprint per mapped page.
-		frame := m.allocFrame(PageSize / 8)
+		// reach beyond it. It starts as the shared zero frame, so mapping
+		// allocates nothing; the first write copies it.
+		frame := m.addFrame(zeroFrame[:], false)
 		l2pte = MakePTE(frame, perm)
 	} else {
 		l2pte = MakePTE(l2pte.Frame(), perm)
@@ -489,15 +494,19 @@ func (m *Memory) EnsureMapped(va uint64, perm Perm) {
 	}
 }
 
-// FillPage copies words into the frame of the mapped page containing va,
-// whatever its permissions. Program loaders install data this way.
-func (m *Memory) FillPage(va uint64, words []int64) {
+// SharePage makes words, one page of them, the content of the mapped page
+// containing va, whatever its permissions. Program loaders install data
+// this way. The memory borrows words without copying them and never
+// writes them: its first write to the page copies it, and an Image frozen
+// from it aliases words, so the caller must not change them afterwards.
+func (m *Memory) SharePage(va uint64, words []int64) {
 	slot, ok := m.slotOf(m.Walk(va).Frame)
 	if !ok {
-		panic(fmt.Sprintf("mem: filling unmapped page %#x", va))
+		panic(fmt.Sprintf("mem: sharing into unmapped page %#x", va))
 	}
-	if !m.owned[slot] {
-		m.own(slot)
+	if len(words) != PageSize/8 {
+		panic(fmt.Sprintf("mem: sharing %d words into page %#x, want %d", len(words), va, PageSize/8))
 	}
-	copy(m.frames[slot], words)
+	m.frames[slot] = words
+	m.owned[slot] = false
 }

@@ -149,17 +149,20 @@ func TestCheckAccess(t *testing.T) {
 	}
 }
 
-// TestFillPage: a loader fills a page with one copy, kernel pages
-// included, and a page read through an image is copied before it is
-// filled.
-func TestFillPage(t *testing.T) {
+// TestSharePage: a loader backs a page with the caller's words, kernel
+// pages included, without copying them; writes copy the page first, so the
+// words are never changed, neither by the memory nor through an image
+// frozen from it.
+func TestSharePage(t *testing.T) {
 	words := make([]int64, PageSize/8)
 	words[0], words[0x108/8] = 1, 2
+	kwords := make([]int64, PageSize/8)
+	kwords[0x100/8] = 2
 	m := New()
 	m.Map(0x2000, PermUser|PermKernel)
 	m.Map(0x9000, PermKernel)
-	m.FillPage(0x2000, words)
-	m.FillPage(0x9000, words[1:])
+	m.SharePage(0x2000, words)
+	m.SharePage(0x9000, kwords)
 	if v, f := m.Read(0x2000, false); v != 1 || f != FaultNone {
 		t.Errorf("user data: %d %v", v, f)
 	}
@@ -173,21 +176,53 @@ func TestFillPage(t *testing.T) {
 		t.Error("kernel data wrong")
 	}
 
-	img := m.Freeze()
-	m.FillPage(0x2000, make([]int64, PageSize/8))
-	if v, _ := m.Read(0x2108, false); v != 0 {
-		t.Errorf("refilled page reads %d", v)
-	}
-	if v, _ := FromImage(img).Read(0x2108, false); v != 2 {
-		t.Errorf("filling a page wrote through to its image: %d", v)
+	m.Write(0x2008, 7, false)
+	if v, _ := m.Read(0x2008, false); v != 7 || words[1] != 0 {
+		t.Errorf("write to a shared page: memory reads %d, page holds %d; want 7 and 0", v, words[1])
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Error("filling an unmapped page did not panic")
-		}
-	}()
-	m.FillPage(0x5000, words)
+	img := m.Freeze()
+	m.SharePage(0x2000, make([]int64, PageSize/8))
+	if v, _ := m.Read(0x2108, false); v != 0 {
+		t.Errorf("re-shared page reads %d", v)
+	}
+	im := FromImage(img)
+	if v, _ := im.Read(0x2108, false); v != 2 {
+		t.Errorf("sharing a page wrote through to its image: %d", v)
+	}
+	im.Write(0x9100, 5, true)
+	if v, _ := im.Read(0x9100, true); v != 5 || kwords[0x100/8] != 2 {
+		t.Errorf("write through an image: memory reads %d, page holds %d; want 5 and 2", v, kwords[0x100/8])
+	}
+
+	for _, bad := range []struct {
+		va    uint64
+		words []int64
+	}{{0x5000, words}, {0x2000, words[1:]}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("sharing %d words into %#x did not panic", len(bad.words), bad.va)
+				}
+			}()
+			m.SharePage(bad.va, bad.words)
+		}()
+	}
+}
+
+// TestMapAllocatesNoDataFrame: a mapped data page reads the shared zero
+// frame until its first write, so mapping costs page-table space only.
+func TestMapAllocatesNoDataFrame(t *testing.T) {
+	m := New()
+	m.Map(0x2000, PermUser)
+	f := m.frames[len(m.frames)-1]
+	if &f[0] != &zeroFrame[0] || m.owned[len(m.frames)-1] {
+		t.Error("a fresh data page does not borrow the zero frame")
+	}
+	m.Write(0x2000, 1, false)
+	if v, _ := m.Read(0x2000, false); v != 1 || zeroFrame[0] != 0 {
+		t.Errorf("write to a fresh page: read %d, zero frame %d", v, zeroFrame[0])
+	}
 }
 
 func TestEnsureMapped(t *testing.T) {

@@ -1,11 +1,13 @@
 package pipeline_test
 
 import (
+	"runtime"
 	"testing"
 
 	"safespec/internal/asm"
 	"safespec/internal/mem"
 	"safespec/internal/pipeline"
+	"safespec/internal/workloads"
 )
 
 // TestBuildMemoryLayoutDeterministic: data pages outside every declared
@@ -45,5 +47,31 @@ func TestBuildMemoryLayoutDeterministic(t *testing.T) {
 					run, pages[i], tr.Frame, tr.Steps[1].PA, want[i].Frame, want[i].Steps[1].PA)
 			}
 		}
+	}
+}
+
+// TestImageBuildFootprint guards the cost of building the largest
+// kernel's memory image: its frames alias the program's 4 MiB of data
+// pages, so a build allocates page tables and frame headers, not a second
+// copy of the data.
+func TestImageBuildFootprint(t *testing.T) {
+	w, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := w.Spec
+	s.Seed = 434343 // a seed no other test builds
+	prog := s.Build()
+	if len(prog.Pages) < 1000 {
+		t.Fatalf("mcf has %d data pages, want its 4 MiB table", len(prog.Pages))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	img := pipeline.BuildMemory(prog).Freeze()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(img)
+	const limit = 512 << 10
+	if d := after.TotalAlloc - before.TotalAlloc; d > limit {
+		t.Errorf("building mcf's image allocated %d KiB, want <= %d KiB", d>>10, limit>>10)
 	}
 }

@@ -378,9 +378,12 @@ func New(cfg Config, prog *isa.Program) *CPU {
 }
 
 // BuildMemory loads prog's image (code pages, data pages, declared
-// regions) into a fresh architectural memory that owns all its frames.
-// Callers that run a program many times build it once, Freeze it into a
-// mem.Image and load that image into each run's memory instead.
+// regions) into a fresh architectural memory. The memory owns its page
+// tables and borrows everything else: each data page is prog's own
+// DataPage.Words, copied only on the memory's first write to it. Callers
+// that run a program many times build it once, Freeze it into a mem.Image
+// (which aliases the same pages) and load that image into each run's
+// memory instead.
 func BuildMemory(prog *isa.Program) *mem.Memory {
 	m := mem.New()
 	// Map the code region (user-readable: fetch is a user access).
@@ -399,7 +402,8 @@ func BuildMemory(prog *isa.Program) *mem.Memory {
 	}
 	// Map the user data pages no region covers, then the kernel pages
 	// (remapping a region's page kernel-only), each in ascending VA order,
-	// so the frame layout is fixed; then fill each page with one copy.
+	// so the frame layout is fixed; then back each page with the
+	// program's words.
 	for _, p := range prog.Pages {
 		if !p.Kernel {
 			m.EnsureMapped(p.VA, mem.PermUser|mem.PermKernel)
@@ -411,7 +415,7 @@ func BuildMemory(prog *isa.Program) *mem.Memory {
 		}
 	}
 	for _, p := range prog.Pages {
-		m.FillPage(p.VA, p.Words)
+		m.SharePage(p.VA, p.Words)
 	}
 	return m
 }
@@ -509,7 +513,10 @@ func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {
 
 		// Recycle RAS snapshots still held by in-flight state from a
 		// previous run, then drop the pool if the buffer size changed.
-		for j := range t.rob {
+		// Dispatch fills the ROB ring in order from slot 0 and seqCtr
+		// counts dispatches, so only the first seqCtr slots can be dirty.
+		touched := min(int(t.seqCtr), len(t.rob))
+		for j := range t.rob[:touched] {
 			t.putRASBuf(t.rob[j].rasSnap)
 			t.rob[j] = entry{}
 		}
@@ -522,12 +529,13 @@ func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {
 		}
 		if len(t.rob) != robPer {
 			t.rob = make([]entry, robPer)
+			touched = 0
 		}
 		if len(t.fetchBuf) != fbCap {
 			t.fetchBuf = make([]fetchRec, fbCap)
 		}
 		t.iqMax, t.ldqMax, t.stqMax, t.tagsMax = iqPer, ldqPer, stqPer, tagsPer
-		c.schedReset(t)
+		c.schedReset(t, touched)
 
 		t.regs = [isa.RegCount]int64{}
 		t.renm = [isa.RegCount]renameRef{}
@@ -544,7 +552,7 @@ func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {
 		t.lastFetchLine = ^uint64(0)
 		t.lastFetchPALine = 0
 		t.pendingIH, t.pendingITLBH = shadow.Handle{}, shadow.Handle{}
-		t.nPendingDH = 0
+		t.pendingDH, t.nPendingDH = [maxAccessDH]shadow.Handle{}, 0
 		t.halted = false
 		t.st = ThreadStats{}
 

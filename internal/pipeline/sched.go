@@ -47,8 +47,10 @@ const (
 )
 
 // schedReset (re)builds thread t's scheduler state for the current config.
-// Called from Reset after the thread's ROB geometry is final.
-func (c *CPU) schedReset(t *thread) {
+// Called from Reset after the thread's ROB geometry is final. touched is
+// the number of leading ROB slots the last run dispatched into: per-slot
+// state beyond them is still as New left it, so only those are cleared.
+func (c *CPU) schedReset(t *thread, touched int) {
 	words := (len(t.rob) + 63) >> 6
 	if len(t.readyMask) != words || len(t.waiters) != len(t.rob)*words {
 		t.schedWords = words
@@ -57,29 +59,38 @@ func (c *CPU) schedReset(t *thread) {
 		t.storeMask = make([]uint64, words)
 		t.waiters = make([]uint64, len(t.rob)*words)
 	} else {
-		clearWords(t.readyMask)
-		clearWords(t.compMask)
-		clearWords(t.storeMask)
-		clearWords(t.waiters)
+		clear(t.readyMask)
+		clear(t.compMask)
+		clear(t.storeMask)
+		clear(t.waiters[:touched*words])
 	}
 
 	span := wheelSpan(c.cfg)
 	if len(t.bucketHead) != span {
 		t.bucketHead = make([]int32, span)
 		t.bucketOcc = make([]uint64, span>>6)
+		for i := range t.bucketHead {
+			t.bucketHead[i] = wheelNone
+		}
 	} else {
-		clearWords(t.bucketOcc)
-	}
-	for i := range t.bucketHead {
-		t.bucketHead[i] = wheelNone
+		// A bucket has a head exactly when its occupancy bit is set.
+		for w, occ := range t.bucketOcc {
+			for ; occ != 0; occ &= occ - 1 {
+				t.bucketHead[w<<6+bits.TrailingZeros64(occ)] = wheelNone
+			}
+		}
+		clear(t.bucketOcc)
 	}
 	if len(t.wheelNext) != len(t.rob) {
 		t.wheelNext = make([]int32, len(t.rob))
 		t.wheelPrev = make([]int32, len(t.rob))
 		t.wheelBucket = make([]int32, len(t.rob))
 		t.overflow = make([]int32, 0, len(t.rob))
+		touched = len(t.rob)
 	}
-	for i := range t.wheelBucket {
+	clear(t.wheelNext[:touched])
+	clear(t.wheelPrev[:touched])
+	for i := range t.wheelBucket[:touched] {
 		t.wheelBucket[i] = wheelNone
 	}
 	t.overflow = t.overflow[:0]
@@ -100,12 +111,6 @@ func wheelSpan(cfg Config) int {
 		span <<= 1
 	}
 	return span
-}
-
-func clearWords(w []uint64) {
-	for i := range w {
-		w[i] = 0
-	}
 }
 
 func setBit(mask []uint64, idx int)   { mask[idx>>6] |= 1 << uint(idx&63) }

@@ -182,6 +182,11 @@ type Structure struct {
 	free    []int
 	nValid  int
 	genCtr  uint64
+	// touched is one past the highest entry allocated since Reset. The free
+	// list is a stack that starts as New's [Entries-1 ... 0], so the
+	// entries a run ever allocated are exactly [0, touched), and the
+	// entries above still sit untouched at the bottom of the stack.
+	touched int
 	// index is an open-addressed (linear probing) key -> entry-slot table
 	// accelerating the fully associative match: valid entries have unique
 	// keys, so every Lookup/Contains/Alloc/InvalidateKey resolves in O(1)
@@ -375,6 +380,7 @@ func (s *Structure) Alloc(key uint64, owner uint64, partition uint64, payload Pa
 	}
 	idx := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
+	s.touched = max(s.touched, idx+1)
 	s.genCtr++
 	s.gens[idx] = s.genCtr
 	s.entries[idx] = entry{valid: true, key: key, owner: owner, partition: partition, refs: 1, payload: payload}
@@ -480,19 +486,23 @@ func (s *Structure) StillValid(h Handle) bool {
 }
 
 // Reset clears all entries and statistics (the occupancy histogram, if
-// attached, is preserved so callers can aggregate across runs).
+// attached, is preserved so callers can aggregate across runs). Entries,
+// free list and probe table end as New built them; only the entries the
+// last run allocated are visited. Generations only advance, so a handle
+// from before the Reset stays stale.
 func (s *Structure) Reset() {
-	for i := range s.entries {
+	for i := range s.entries[:s.touched] {
+		if s.entries[i].valid {
+			s.idxDelete(s.entries[i].key)
+		}
 		s.entries[i] = entry{}
 		s.gens[i]++
 	}
-	s.free = s.free[:0]
-	for i := len(s.entries) - 1; i >= 0; i-- {
+	s.free = s.free[:len(s.entries)-s.touched]
+	for i := s.touched - 1; i >= 0; i-- {
 		s.free = append(s.free, i)
 	}
-	for i := range s.index {
-		s.index[i] = idxEmpty
-	}
+	s.touched = 0
 	s.nValid = 0
 	s.Stats = Stats{}
 }

@@ -2,6 +2,7 @@ package shadow
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -195,6 +196,51 @@ func TestReset(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if _, ok, _ := s.Alloc(uint64(i+10), 1, 0, Payload{}); !ok {
 			t.Fatalf("alloc %d failed after reset", i)
+		}
+	}
+}
+
+// TestResetMatchesNew: Reset visits only the entries allocated since the
+// last Reset, yet leaves entries, free-list order and probe table exactly
+// as New built them, with entries still live at the Reset too. Generations
+// are the one difference: they only advance, so old handles stay stale.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, onFull := range []OnFull{Block, Drop, Replace} {
+		s := mk(16, onFull)
+		for round := 0; round < 20; round++ {
+			var live []Handle
+			for i := rng.Intn(64); i > 0; i-- {
+				switch rng.Intn(4) {
+				case 0, 1:
+					if h, ok, _ := s.Alloc(uint64(rng.Intn(40)), uint64(i), 0, Payload{}); ok {
+						live = append(live, h)
+					}
+				case 2:
+					if len(live) > 0 {
+						j := rng.Intn(len(live))
+						if s.StillValid(live[j]) {
+							s.Release(live[j], rng.Intn(2) == 0)
+						}
+						live = append(live[:j], live[j+1:]...)
+					}
+				default:
+					s.InvalidateKey(uint64(rng.Intn(40)))
+				}
+			}
+			s.Reset()
+			for _, h := range live {
+				if s.StillValid(h) {
+					t.Errorf("%v round %d: handle %+v survived Reset", onFull, round, h)
+				}
+			}
+			fresh := mk(16, onFull)
+			gens, genCtr := s.gens, s.genCtr
+			s.gens, s.genCtr = fresh.gens, fresh.genCtr
+			if !reflect.DeepEqual(s, fresh) {
+				t.Fatalf("%v round %d: reset structure differs from a new one", onFull, round)
+			}
+			s.gens, s.genCtr = gens, genCtr
 		}
 	}
 }

@@ -78,6 +78,11 @@ type TLB struct {
 	sets     [][]entry
 	setMask  uint64
 	lruClock uint64
+	// dirty lists, once each, the sets filled since the last Reset (a bit
+	// in isDirty marks membership), so Reset clears only those. Both are
+	// sized at New and never grow.
+	dirty   []int32
+	isDirty []uint64
 	// Stats accumulates activity counters.
 	Stats Stats
 }
@@ -92,7 +97,13 @@ func New(cfg Config) *TLB {
 	for i := range sets {
 		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
 	}
-	return &TLB{cfg: cfg, sets: sets, setMask: uint64(cfg.Sets() - 1)}
+	return &TLB{
+		cfg:     cfg,
+		sets:    sets,
+		setMask: uint64(cfg.Sets() - 1),
+		dirty:   make([]int32, 0, cfg.Sets()),
+		isDirty: make([]uint64, (cfg.Sets()+63)/64),
+	}
 }
 
 // Config returns the TLB's configuration.
@@ -147,6 +158,12 @@ func (t *TLB) Fill(va, frame uint64, perm mem.Perm) {
 	for i := range t.sets[set] {
 		e := &t.sets[set][i]
 		if !e.valid {
+			// Only a fill into an invalid entry can be a set's first write
+			// since Reset.
+			if bit := uint64(1) << (set & 63); t.isDirty[set>>6]&bit == 0 {
+				t.isDirty[set>>6] |= bit
+				t.dirty = append(t.dirty, int32(set))
+			}
 			victim = i
 			break
 		}
@@ -171,13 +188,15 @@ func (t *TLB) Invalidate(va uint64) bool {
 	return false
 }
 
-// Reset invalidates everything and clears statistics.
+// Reset invalidates everything and clears statistics, leaving the TLB
+// exactly as New built it. It clears only the sets filled since the last
+// Reset.
 func (t *TLB) Reset() {
-	for s := range t.sets {
-		for i := range t.sets[s] {
-			t.sets[s][i] = entry{}
-		}
+	for _, s := range t.dirty {
+		clear(t.sets[s])
+		t.isDirty[s>>6] = 0
 	}
+	t.dirty = t.dirty[:0]
 	t.Stats = Stats{}
 	t.lruClock = 0
 }
