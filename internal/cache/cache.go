@@ -11,6 +11,7 @@ package cache
 import (
 	"fmt"
 
+	"safespec/internal/dirtyset"
 	"safespec/internal/stats"
 )
 
@@ -83,11 +84,9 @@ type Cache struct {
 	setMask  uint64
 	hitLat   int // cfg.HitLatency, denormalized off the Config struct
 	lruClock uint64
-	// dirty lists, once each, the sets filled since the last Reset (a bit
-	// in isDirty marks membership), so Reset clears what a run touched,
-	// not the whole tag array. Both are sized at New and never grow.
-	dirty   []int32
-	isDirty []uint64
+	// dirty records the sets filled since the last Reset, so Reset clears
+	// what a run touched, not the whole tag array.
+	dirty dirtyset.Sets
 	// Stats accumulates hit/miss counts. Exported for the harness to read.
 	Stats Stats
 }
@@ -108,8 +107,7 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		setMask: uint64(cfg.Sets() - 1),
 		hitLat:  cfg.HitLatency,
-		dirty:   make([]int32, 0, cfg.Sets()),
-		isDirty: make([]uint64, (cfg.Sets()+63)/64),
+		dirty:   dirtyset.New(cfg.Sets()),
 	}
 }
 
@@ -175,7 +173,7 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, wasEvicted bool) {
 		if ws[i].tag == 0 {
 			// Only a fill into an invalid way can be a set's first write
 			// since Reset: an eviction or a touch needs a valid way.
-			c.markDirty(set)
+			c.dirty.Mark(set)
 			ws[i] = way{tag: tag, lru: c.lruClock}
 			return 0, false
 		}
@@ -187,14 +185,6 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, wasEvicted bool) {
 	c.Stats.Evictions++
 	ws[victim] = way{tag: tag, lru: c.lruClock}
 	return evicted, true
-}
-
-// markDirty records that set holds state Reset must clear.
-func (c *Cache) markDirty(set uint64) {
-	if bit := uint64(1) << (set & 63); c.isDirty[set>>6]&bit == 0 {
-		c.isDirty[set>>6] |= bit
-		c.dirty = append(c.dirty, int32(set))
-	}
 }
 
 // Invalidate removes the line containing addr if present, returning whether
@@ -214,20 +204,12 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // Reset invalidates every line and clears statistics, leaving the cache
 // exactly as New built it. It clears only the sets filled since the last
-// Reset, or the whole array when most sets were.
+// Reset.
 func (c *Cache) Reset() {
-	if 2*len(c.dirty) > len(c.sets) {
-		for _, ws := range c.sets {
-			clear(ws)
-		}
-		clear(c.isDirty)
-	} else {
-		for _, s := range c.dirty {
-			clear(c.sets[s])
-			c.isDirty[s>>6] = 0
-		}
+	for _, s := range c.dirty.List() {
+		clear(c.sets[s])
 	}
-	c.dirty = c.dirty[:0]
+	c.dirty.Clear()
 	c.Stats = Stats{}
 	c.lruClock = 0
 }

@@ -116,8 +116,8 @@ func TestReset(t *testing.T) {
 }
 
 // TestResetMatchesNew: Reset clears only the sets filled since the last
-// Reset (or everything, when most were), and either way leaves the cache
-// exactly as New built it, from sparse and from dense use alike.
+// Reset and leaves the cache exactly as New built it, from sparse and from
+// dense use alike.
 func TestResetMatchesNew(t *testing.T) {
 	cfg := Config{Name: "test", SizeBytes: 64 << 10, Ways: 4, HitLatency: 4} // 256 sets
 	rng := rand.New(rand.NewSource(1))

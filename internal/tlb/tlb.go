@@ -11,6 +11,7 @@ package tlb
 import (
 	"fmt"
 
+	"safespec/internal/dirtyset"
 	"safespec/internal/mem"
 	"safespec/internal/stats"
 )
@@ -78,11 +79,9 @@ type TLB struct {
 	sets     [][]entry
 	setMask  uint64
 	lruClock uint64
-	// dirty lists, once each, the sets filled since the last Reset (a bit
-	// in isDirty marks membership), so Reset clears only those. Both are
-	// sized at New and never grow.
-	dirty   []int32
-	isDirty []uint64
+	// dirty records the sets filled since the last Reset, so Reset clears
+	// only those.
+	dirty dirtyset.Sets
 	// Stats accumulates activity counters.
 	Stats Stats
 }
@@ -101,8 +100,7 @@ func New(cfg Config) *TLB {
 		cfg:     cfg,
 		sets:    sets,
 		setMask: uint64(cfg.Sets() - 1),
-		dirty:   make([]int32, 0, cfg.Sets()),
-		isDirty: make([]uint64, (cfg.Sets()+63)/64),
+		dirty:   dirtyset.New(cfg.Sets()),
 	}
 }
 
@@ -160,10 +158,7 @@ func (t *TLB) Fill(va, frame uint64, perm mem.Perm) {
 		if !e.valid {
 			// Only a fill into an invalid entry can be a set's first write
 			// since Reset.
-			if bit := uint64(1) << (set & 63); t.isDirty[set>>6]&bit == 0 {
-				t.isDirty[set>>6] |= bit
-				t.dirty = append(t.dirty, int32(set))
-			}
+			t.dirty.Mark(set)
 			victim = i
 			break
 		}
@@ -192,11 +187,10 @@ func (t *TLB) Invalidate(va uint64) bool {
 // exactly as New built it. It clears only the sets filled since the last
 // Reset.
 func (t *TLB) Reset() {
-	for _, s := range t.dirty {
+	for _, s := range t.dirty.List() {
 		clear(t.sets[s])
-		t.isDirty[s>>6] = 0
 	}
-	t.dirty = t.dirty[:0]
+	t.dirty.Clear()
 	t.Stats = Stats{}
 	t.lruClock = 0
 }
