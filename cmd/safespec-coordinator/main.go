@@ -17,15 +17,15 @@
 //	    -tls-cert cert.pem -tls-key key.pem \
 //	    -token-file tenants.json -pprof 127.0.0.1:6060
 //
-// The token file maps per-client bearer tokens to named tenants, each with
-// an optional concurrent-sweep quota (over-quota submissions get 403) and
-// request rate limit (excess requests get 429); the single -token flag
-// remains as a shorthand for one unlimited tenant named "default". An
-// empty token configuration disables auth and should only be used on
-// loopback. Jobs are leased with a TTL (-lease-ttl): a crashed worker's
-// jobs are requeued to the surviving fleet. A sweep whose submitting bench
-// process disappears is abandoned after -sweep-ttl, so coordinator memory
-// holds steady over days.
+// The token file maps per-client bearer tokens to named tenants; a sweep
+// belongs to the tenant that opened it, and other tenants get 404 for its
+// id. The single -token flag is a shorthand for one tenant named
+// "default". An unknown token gets 401. An empty token configuration
+// disables auth and should only be used on loopback. Jobs are leased with
+// a TTL (-lease-ttl): a crashed worker's jobs are requeued to the
+// surviving fleet. A sweep whose submitting bench process disappears is
+// abandoned after -sweep-ttl, so coordinator memory holds steady over
+// days.
 //
 // With -state-dir the coordinator journals every sweep mutation to disk
 // and recovers in-flight sweeps on restart: delivered results serve
@@ -82,8 +82,8 @@ type config struct {
 func main() {
 	var c config
 	flag.StringVar(&c.listen, "listen", "127.0.0.1:9090", "listen address (host:port; :0 for an ephemeral port, announced in the startup log line)")
-	flag.StringVar(&c.token, "token", os.Getenv("SAFESPEC_TOKEN"), "single-tenant shorthand: one unlimited tenant with this bearer token (default $SAFESPEC_TOKEN; empty with no -token-file disables auth)")
-	flag.StringVar(&c.tokenFile, "token-file", "", "JSON file mapping per-client tokens to named tenants with sweep quotas and rate limits (overrides -token)")
+	flag.StringVar(&c.token, "token", os.Getenv("SAFESPEC_TOKEN"), "single-tenant shorthand: one tenant with this bearer token (default $SAFESPEC_TOKEN; empty with no -token-file disables auth)")
+	flag.StringVar(&c.tokenFile, "token-file", "", "JSON file mapping per-client bearer tokens to named tenants, {\"tenants\": [{\"name\": ..., \"token\": ...}]} (overrides -token)")
 	flag.StringVar(&c.tlsCert, "tls-cert", "", "serve native TLS with this PEM certificate (requires -tls-key)")
 	flag.StringVar(&c.tlsKey, "tls-key", "", "PEM private key for -tls-cert")
 	flag.DurationVar(&c.leaseTTL, "lease-ttl", 0, "job lease duration; size it above the slowest single job (default 2m)")

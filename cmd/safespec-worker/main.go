@@ -17,8 +17,8 @@
 // past -max-idle): an idle worker is a healthy worker waiting for the next
 // sweep. With -pprof set, the same listener serves Prometheus metrics at
 // /metrics: lease/completion/failure counters, lease round-trip latency,
-// per-job simulate-time histograms, result-cache hits/misses, and 429
-// backoffs.
+// per-job simulate-time histograms, result-cache hits/misses, and
+// contained incidents by kind.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -8,32 +9,18 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Tenant is one named client of a multi-tenant coordinator: a bearer token
-// plus the limits the coordinator enforces for it. Tenants come from a
-// token file (safespec-coordinator -token-file) or, for the single-tenant
-// shorthand, from the legacy -token flag.
+// Tenant is one named client of the coordinator: a bearer token and the
+// name that owns its sweeps. Tenants come from a token file
+// (safespec-coordinator -token-file) or, for the single-tenant shorthand,
+// from the -token flag.
 type Tenant struct {
 	// Name labels the tenant in logs, stats and metrics (never the token).
 	Name string `json:"name"`
 	// Token is the bearer secret presented as "Authorization: Bearer ...".
 	Token string `json:"token"`
-	// MaxSweeps bounds the tenant's concurrently open sweeps; a submission
-	// over the quota is rejected with 403 until one closes (0 = unlimited).
-	MaxSweeps int `json:"max_sweeps,omitempty"`
-	// RatePerSec is the tenant's sustained request budget across every
-	// /v1/* endpoint; requests beyond it get 429 with a Retry-After
-	// (0 = unlimited). Size worker-fleet tenants generously: each worker
-	// issues roughly one lease poll per idle Poll interval per loop.
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
-	// Burst is the token-bucket depth for RatePerSec (default: twice the
-	// rate, at least 10), absorbing the lease bursts of a draining fleet.
-	Burst int `json:"burst,omitempty"`
 }
 
 // tokenFile is the on-disk -token-file format: {"tenants": [...]}.
@@ -42,17 +29,24 @@ type tokenFile struct {
 }
 
 // LoadTenants reads a token file: a JSON object whose "tenants" array maps
-// per-client tokens to named tenants and their limits. Names and tokens
-// must be unique and non-empty (a duplicate token would make the match
-// ambiguous; a duplicate name would merge two clients' quotas).
+// per-client tokens to named tenants. Names and tokens must be unique and
+// non-empty (a duplicate token would make the match ambiguous; a duplicate
+// name would merge two clients' sweeps). Unknown fields are rejected by
+// name, so a file that asks for something the coordinator does not do,
+// such as a per-tenant limit, fails loudly instead of being ignored.
 func LoadTenants(path string) ([]Tenant, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("token file: %w", err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
 	var tf tokenFile
-	if err := json.Unmarshal(raw, &tf); err != nil {
+	if err := dec.Decode(&tf); err != nil {
 		return nil, fmt.Errorf("token file %s: %w", path, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("token file %s: data after the JSON object", path)
 	}
 	if len(tf.Tenants) == 0 {
 		return nil, fmt.Errorf("token file %s: no tenants (want {\"tenants\": [{\"name\": ..., \"token\": ...}, ...]})", path)
@@ -72,9 +66,6 @@ func LoadTenants(path string) ([]Tenant, error) {
 		if tokens[tn.Token] {
 			return nil, fmt.Errorf("token file %s: tenant %q reuses another tenant's token", path, tn.Name)
 		}
-		if tn.MaxSweeps < 0 || tn.RatePerSec < 0 || tn.Burst < 0 {
-			return nil, fmt.Errorf("token file %s: tenant %q has a negative limit", path, tn.Name)
-		}
 		names[tn.Name], tokens[tn.Token] = true, true
 	}
 	return tf.Tenants, nil
@@ -84,15 +75,7 @@ func LoadTenants(path string) ([]Tenant, error) {
 type tenantState struct {
 	Tenant
 	tokenHash [sha256.Size]byte // compared in constant time, never the token
-	limiter   *bucket           // nil = unlimited
-
-	// activeSweeps counts the tenant's open sweeps; guarded by Server.mu
-	// (sweep creation and release already serialize there).
-	activeSweeps int
-
-	requests      atomic.Uint64
-	rateLimited   atomic.Uint64
-	quotaRejected atomic.Uint64
+	requests  atomic.Uint64
 }
 
 // authenticator resolves bearer tokens to tenants in constant time: every
@@ -107,22 +90,14 @@ type authenticator struct {
 	anonymous *tenantState
 }
 
-func newAuthenticator(tenants []Tenant, now func() time.Time) *authenticator {
+func newAuthenticator(tenants []Tenant) *authenticator {
 	a := &authenticator{}
 	if len(tenants) == 0 {
 		a.anonymous = &tenantState{Tenant: Tenant{Name: "anonymous"}}
 		return a
 	}
 	for _, tn := range tenants {
-		ts := &tenantState{Tenant: tn, tokenHash: sha256.Sum256([]byte(tn.Token))}
-		if tn.RatePerSec > 0 {
-			burst := float64(tn.Burst)
-			if burst <= 0 {
-				burst = max(2*tn.RatePerSec, 10)
-			}
-			ts.limiter = &bucket{rate: tn.RatePerSec, burst: burst, tokens: burst, now: now}
-		}
-		a.tenants = append(a.tenants, ts)
+		a.tenants = append(a.tenants, &tenantState{Tenant: tn, tokenHash: sha256.Sum256([]byte(tn.Token))})
 	}
 	return a
 }
@@ -167,39 +142,6 @@ func (a *authenticator) byName(name string) *tenantState {
 	return nil
 }
 
-// bucket is a token-bucket rate limiter (one per rate-limited tenant). It
-// is hand-rolled because the repo deliberately has no dependencies outside
-// the standard library.
-type bucket struct {
-	rate  float64 // tokens per second
-	burst float64 // bucket depth
-
-	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-	now    func() time.Time
-}
-
-// allow consumes one token. When the bucket is empty it reports false
-// plus how long until refill yields the next whole token — the basis for
-// the 429 response's Retry-After header, so a well-behaved client backs
-// off exactly as long as the deficit demands instead of guessing.
-func (b *bucket) allow() (bool, time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	if !b.last.IsZero() {
-		b.tokens = min(b.burst, b.tokens+b.rate*now.Sub(b.last).Seconds())
-	}
-	b.last = now
-	if b.tokens < 1 {
-		wait := time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-		return false, wait
-	}
-	b.tokens--
-	return true, 0
-}
-
 // tenantKey carries the resolved tenant through the request context.
 type tenantKey struct{}
 
@@ -211,9 +153,8 @@ func requestTenant(req *http.Request) *tenantState {
 }
 
 // authTenants guards next with per-tenant bearer auth: an unknown token is
-// 401, a request over the tenant's rate limit is 429 with a Retry-After
-// hint, and the resolved tenant rides the request context so handlers can
-// enforce sweep ownership and quotas.
+// 401, and the resolved tenant rides the request context so handlers can
+// enforce sweep ownership.
 func (s *Server) authTenants(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		ts := s.auth.resolve(req.Header.Get("Authorization"))
@@ -224,21 +165,6 @@ func (s *Server) authTenants(next http.Handler) http.Handler {
 			return
 		}
 		ts.requests.Add(1)
-		if ts.limiter != nil {
-			if ok, wait := ts.limiter.allow(); !ok {
-				ts.rateLimited.Add(1)
-				// Retry-After carries whole delay-seconds; round the bucket's
-				// deficit up so a compliant client never retries early.
-				secs := int64((wait + time.Second - 1) / time.Second)
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-				http.Error(w, fmt.Sprintf("tenant %q over its request rate (%.3g/s)", ts.Name, ts.RatePerSec),
-					http.StatusTooManyRequests)
-				return
-			}
-		}
 		next.ServeHTTP(w, req.WithContext(context.WithValue(req.Context(), tenantKey{}, ts)))
 	})
 }

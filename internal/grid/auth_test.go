@@ -9,11 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"safespec/internal/sweep"
 )
 
 // writeTokenFile drops a token file into a temp dir and returns its path.
@@ -31,26 +27,31 @@ func writeTokenFile(t *testing.T, content string) string {
 // fields) would otherwise surface as silent misrouting at request time.
 func TestLoadTenants(t *testing.T) {
 	good := `{"tenants": [
-		{"name": "ci", "token": "tok-ci", "max_sweeps": 2, "rate_per_sec": 50},
+		{"name": "ci", "token": "tok-ci"},
 		{"name": "dev", "token": "tok-dev"}
 	]}`
 	tenants, err := LoadTenants(writeTokenFile(t, good))
 	if err != nil {
 		t.Fatalf("valid token file rejected: %v", err)
 	}
-	if len(tenants) != 2 || tenants[0].Name != "ci" || tenants[0].MaxSweeps != 2 ||
-		tenants[0].RatePerSec != 50 || tenants[1].Token != "tok-dev" {
+	if len(tenants) != 2 || tenants[0].Name != "ci" || tenants[0].Token != "tok-ci" ||
+		tenants[1].Token != "tok-dev" {
 		t.Fatalf("token file misparsed: %+v", tenants)
 	}
 
 	for name, tc := range map[string]struct{ content, wantErr string }{
-		"empty":          {`{"tenants": []}`, "no tenants"},
-		"no-name":        {`{"tenants": [{"token": "x"}]}`, "no name"},
-		"no-token":       {`{"tenants": [{"name": "a"}]}`, "no token"},
-		"dup-name":       {`{"tenants": [{"name":"a","token":"x"},{"name":"a","token":"y"}]}`, "duplicate tenant name"},
-		"dup-token":      {`{"tenants": [{"name":"a","token":"x"},{"name":"b","token":"x"}]}`, "reuses another tenant's token"},
-		"negative-limit": {`{"tenants": [{"name":"a","token":"x","max_sweeps":-1}]}`, "negative limit"},
-		"not-json":       {`tenants: [a]`, "token file"},
+		"empty":         {`{"tenants": []}`, "no tenants"},
+		"no-name":       {`{"tenants": [{"token": "x"}]}`, "no name"},
+		"no-token":      {`{"tenants": [{"name": "a"}]}`, "no token"},
+		"dup-name":      {`{"tenants": [{"name":"a","token":"x"},{"name":"a","token":"y"}]}`, "duplicate tenant name"},
+		"dup-token":     {`{"tenants": [{"name":"a","token":"x"},{"name":"b","token":"x"}]}`, "reuses another tenant's token"},
+		"not-json":      {`tenants: [a]`, "token file"},
+		"trailing-data": {`{"tenants": [{"name":"a","token":"x"}]} {}`, "data after the JSON object"},
+		// The coordinator enforces no per-tenant limit: a file that sets
+		// one must fail naming the field, not run unlimited.
+		"max-sweeps":   {`{"tenants": [{"name":"a","token":"x","max_sweeps":2}]}`, `"max_sweeps"`},
+		"rate-per-sec": {`{"tenants": [{"name":"a","token":"x","rate_per_sec":50}]}`, `"rate_per_sec"`},
+		"burst":        {`{"tenants": [{"name":"a","token":"x","burst":10}]}`, `"burst"`},
 	} {
 		_, err := LoadTenants(writeTokenFile(t, tc.content))
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -79,107 +80,6 @@ func TestSingleTokenShorthand(t *testing.T) {
 	}
 }
 
-// TestTenantRateLimit drives the token bucket through the HTTP middleware:
-// burst requests pass, the next gets 429 with a Retry-After hint (never
-// 401 — the token is valid), and refill restores service. The 429 must
-// also be visible in the tenant's counters.
-func TestTenantRateLimit(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(10_000, 0)}
-	server := NewServer(ServerOptions{
-		Tenants: []Tenant{{Name: "throttled", Token: "tt", RatePerSec: 1, Burst: 2}},
-		now:     clk.Now,
-	})
-	srv := httptest.NewServer(server.Handler())
-	defer srv.Close()
-	ctx := context.Background()
-
-	get := func(token string) (int, http.Header) {
-		t.Helper()
-		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/stats", nil)
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode, resp.Header
-	}
-
-	if status, _ := get("wrong"); status != http.StatusUnauthorized {
-		t.Fatalf("unknown token: got %d, want 401", status)
-	}
-	for i := 0; i < 2; i++ { // burst
-		if status, _ := get("tt"); status != http.StatusOK {
-			t.Fatalf("burst request %d: got %d, want 200", i, status)
-		}
-	}
-	status, hdr := get("tt")
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("over-rate request: got %d, want 429", status)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("429 carries no Retry-After hint")
-	}
-	clk.Advance(3 * time.Second) // refill
-	if status, _ := get("tt"); status != http.StatusOK {
-		t.Errorf("post-refill request: got %d, want 200", status)
-	}
-	snap := server.Stats()
-	if len(snap.Tenants) != 1 || snap.Tenants[0].RateLimited != 1 {
-		t.Errorf("429 not accounted: %+v", snap.Tenants)
-	}
-	if snap.AuthFailures != 1 {
-		t.Errorf("401 not accounted: %d auth failures", snap.AuthFailures)
-	}
-}
-
-// TestTenantSweepQuota: the MaxSweeps quota must reject the over-quota
-// submission with 403 (not 429 — backoff cannot help), release the slot on
-// DELETE, and not double-count a nonce-retried submission.
-func TestTenantSweepQuota(t *testing.T) {
-	server := NewServer(ServerOptions{
-		Tenants: []Tenant{{Name: "quota", Token: "qt", MaxSweeps: 1}},
-	})
-	srv := httptest.NewServer(server.Handler())
-	defer srv.Close()
-	ctx := context.Background()
-
-	var first SubmitResponse
-	status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "qt",
-		SubmitRequest{Nonce: "n1"}, &first)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("first sweep: status %d err %v", status, err)
-	}
-	// A retried POST of the same nonce resolves to the same sweep and must
-	// not trip the quota (it is the sweep already counted).
-	var retried SubmitResponse
-	status, err = doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "qt",
-		SubmitRequest{Nonce: "n1"}, &retried)
-	if err != nil || status != http.StatusOK || retried.SweepID != first.SweepID {
-		t.Fatalf("nonce retry: status %d err %v id %s (want %s)", status, err, retried.SweepID, first.SweepID)
-	}
-	// A second distinct sweep is over quota.
-	status, err = doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "qt",
-		SubmitRequest{Nonce: "n2"}, nil)
-	if err != nil || status != http.StatusForbidden {
-		t.Fatalf("over-quota sweep: status %d err %v, want 403", status, err)
-	}
-	// Closing the first sweep frees the slot.
-	if status, err = doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+first.SweepID, "qt", nil, nil); err != nil || status != http.StatusOK {
-		t.Fatalf("close: status %d err %v", status, err)
-	}
-	if status, err = doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "qt",
-		SubmitRequest{Nonce: "n3"}, nil); err != nil || status != http.StatusOK {
-		t.Fatalf("post-release sweep: status %d err %v, want 200", status, err)
-	}
-	snap := server.Stats()
-	if len(snap.Tenants) != 1 || snap.Tenants[0].QuotaRejected != 1 || snap.Tenants[0].ActiveSweeps != 1 {
-		t.Errorf("quota accounting wrong: %+v", snap.Tenants)
-	}
-}
-
 // TestSweepOwnership: one tenant's sweep id must be invisible to another —
 // every per-sweep endpoint answers 404, exactly as for an id that never
 // existed, so ids can never be used across tenants.
@@ -192,7 +92,7 @@ func TestSweepOwnership(t *testing.T) {
 	ctx := context.Background()
 
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "ta",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "ta", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +106,7 @@ func TestSweepOwnership(t *testing.T) {
 		if ep.method == http.MethodPost {
 			body = JobRequest{Index: 9, Job: smallJobs(t, "exchange2")[0]}
 		}
-		status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, "tb", body, nil)
+		status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, "tb", "", body, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,13 +115,13 @@ func TestSweepOwnership(t *testing.T) {
 		}
 	}
 	// The owner still resolves it.
-	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID+"/results", "ta", nil, nil)
+	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID+"/results", "ta", "", nil, nil)
 	if err != nil || status != http.StatusOK {
 		t.Errorf("owner poll: status %d err %v, want 200", status, err)
 	}
 	// Results come only from the batch stream: the sweep id itself serves
 	// DELETE and nothing else.
-	status, err = doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID, "ta", nil, nil)
+	status, err = doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID, "ta", "", nil, nil)
 	if err != nil || status != http.StatusMethodNotAllowed {
 		t.Errorf("owner GET of the sweep id: status %d err %v, want 405", status, err)
 	}
@@ -237,7 +137,7 @@ var metricLine = regexp.MustCompile(`^safespec_[a-z0-9_]+(\{[a-z]+="(\\.|[^"\\])
 // the load-bearing families are present with the values the test produced.
 func TestMetricsWellFormed(t *testing.T) {
 	server := NewServer(ServerOptions{
-		Tenants: []Tenant{{Name: "m\"etrics", Token: "secret-token-tm", MaxSweeps: 1}},
+		Tenants: []Tenant{{Name: "m\"etrics", Token: "secret-token-tm"}},
 	})
 	api := httptest.NewServer(server.Handler())
 	defer api.Close()
@@ -245,17 +145,14 @@ func TestMetricsWellFormed(t *testing.T) {
 	defer ops.Close()
 	ctx := context.Background()
 
-	// Produce some accounting: one open sweep, one 401, one quota 403.
+	// Produce some accounting: one open sweep and one 401.
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, api.Client(), http.MethodPost, api.URL+"/v1/sweeps", "secret-token-tm",
+	if _, err := doJSON(ctx, api.Client(), http.MethodPost, api.URL+"/v1/sweeps", "secret-token-tm", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := doJSON(ctx, api.Client(), http.MethodGet, api.URL+"/v1/stats", "bad", nil, nil); status != http.StatusUnauthorized {
+	if status, _ := doJSON(ctx, api.Client(), http.MethodGet, api.URL+"/v1/stats", "bad", "", nil, nil); status != http.StatusUnauthorized {
 		t.Fatalf("setup 401 got %d", status)
-	}
-	if status, _ := doJSON(ctx, api.Client(), http.MethodPost, api.URL+"/v1/sweeps", "secret-token-tm", SubmitRequest{}, nil); status != http.StatusForbidden {
-		t.Fatalf("setup 403 got %d", status)
 	}
 
 	res, err := http.Get(ops.URL + "/metrics")
@@ -301,11 +198,10 @@ func TestMetricsWellFormed(t *testing.T) {
 		samples[name] = value
 	}
 	for name, want := range map[string]string{
-		"safespec_sweeps_active":                                   "1",
-		"safespec_auth_failures_total":                             "1",
-		"safespec_jobs_pending":                                    "1",
-		`safespec_tenant_quota_rejected_total{tenant="m\"etrics"}`: "1",
-		`safespec_tenant_sweeps_active{tenant="m\"etrics"}`:        "1",
+		"safespec_sweeps_active":                             "1",
+		"safespec_auth_failures_total":                       "1",
+		"safespec_jobs_pending":                              "1",
+		`safespec_tenant_requests_total{tenant="m\"etrics"}`: "1",
 	} {
 		if got := samples[name]; got != want {
 			t.Errorf("%s = %q, want %q (samples: %v)", name, got, want, samples)
@@ -331,30 +227,5 @@ func TestMetricsWellFormed(t *testing.T) {
 	}
 	if strings.Contains(html.String(), "secret-token-tm") {
 		t.Error("status page leaks a tenant token")
-	}
-}
-
-// TestReport429Retried extends the terminal-4xx contract for the worker's
-// report path: 429 is the one 4xx that must be retried (it asks for exactly
-// a backoff), including by the detached final report on shutdown — a
-// completed job must not be thrown away because the tenant was briefly
-// over its request rate.
-func TestReport429Retried(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "slow down", http.StatusTooManyRequests)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-	w := &Worker{Coordinator: srv.URL}
-	if err := w.report(context.Background(), srv.Client(), "lease-1", sweep.Result{}); err != nil {
-		t.Fatalf("report did not ride out 429s: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("%d report attempts, want 3", got)
 	}
 }

@@ -24,7 +24,7 @@ func TestDrain(t *testing.T) {
 	ctx := context.Background()
 
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:2]}, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestDrain(t *testing.T) {
 		start := time.Now()
 		var batch ResultBatch
 		status, err := doJSON(ctx, srv.Client(), http.MethodGet,
-			srv.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0&wait=30s", "", nil, &batch)
+			srv.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0&wait=30s", "", "", nil, &batch)
 		done <- pollOut{status, batch, err, time.Since(start)}
 	}()
 	time.Sleep(100 * time.Millisecond) // let the poll park
@@ -65,7 +65,7 @@ func TestDrain(t *testing.T) {
 
 	// No new leases while draining: the queue still has an unleased job, but
 	// workers must see 204 (idle), not work that would outlive the process.
-	status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/lease", "",
+	status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/lease", "", "",
 		LeaseRequest{Worker: "late"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestDrain(t *testing.T) {
 	}
 
 	// The in-flight lease still lands its result.
-	status, err = doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "",
+	status, err = doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
 		ResultRequest{LeaseID: inflight.LeaseID, Result: sweep.Result{
 			Index: inflight.Index, Job: inflight.Job,
 			Res: &core.Results{Stats: &pipeline.Stats{Committed: 3}},
@@ -135,9 +135,31 @@ func TestReportRetriesConnectionRefused(t *testing.T) {
 	// attempt fails: 7 pauses of the transport policy.
 	var total time.Duration
 	for i := 0; i < 7; i++ {
-		total += reportTransport.Pause(i)
+		total += reportRetry.pause(i)
 	}
 	if total >= 10*time.Second {
 		t.Fatalf("worst-case report backoff %v exceeds the 10s detached budget", total)
+	}
+}
+
+// TestPauseGrowsAndCaps pins the retry schedule every grid retry loop
+// shares: the base pause, doubled once per attempt, held at the cap.
+func TestPauseGrowsAndCaps(t *testing.T) {
+	b := backoff{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
+	want := []time.Duration{
+		200 * time.Millisecond,
+		400 * time.Millisecond,
+		800 * time.Millisecond,
+		1600 * time.Millisecond,
+		2 * time.Second,
+		2 * time.Second,
+	}
+	for attempt, w := range want {
+		if got := b.pause(attempt); got != w {
+			t.Errorf("attempt %d: pause %v, want %v", attempt, got, w)
+		}
+	}
+	if got := (backoff{Base: 3 * time.Second, Cap: 5 * time.Second}).pause(1); got != 5*time.Second {
+		t.Errorf("cap below the doubled pause: %v, want 5s", got)
 	}
 }

@@ -1,5 +1,5 @@
 // Package grid shards a sweep.Job matrix across worker processes over
-// HTTP. A Server owns the Coordinator, which queues every submitted job and
+// HTTP. A Server owns the coordinator, which queues every submitted job and
 // leases it to the next polling Worker; a RemoteExecutor hands sweep.Run
 // the streamed results, so the run's deterministic in-order sink delivery
 // keeps JSONL/CSV output of a distributed sweep byte-identical to a local
@@ -92,7 +92,7 @@ type Snapshot struct {
 	Hedged      uint64 `json:"hedged"`
 }
 
-// Options configures a Coordinator.
+// Options configures the coordinator.
 type Options struct {
 	// LeaseTTL is how long a worker may hold a job before it is re-queued
 	// (default 2 minutes; shorten it in tests to exercise the retry path).
@@ -128,7 +128,7 @@ type task struct {
 	granted   time.Time     // most recent lease grant (report-overhead span)
 	deliver   func(outcome) // receives the terminal outcome, exactly once
 	elem      *list.Element // position in pending while queued
-	expired   []string      // this task's entries in Coordinator.expired
+	expired   []string      // this task's entries in coordinator.expired
 	completed bool          // outcome delivered (exactly once)
 	cancelled bool          // the owning sweep was closed or abandoned
 
@@ -143,11 +143,11 @@ type outcome struct {
 	timing *sweep.Timing // span breakdown (nil when the worker sent none)
 }
 
-// Coordinator queues the jobs of submitted sweeps and leases them to
+// coordinator queues the jobs of submitted sweeps and leases them to
 // polling workers. It is safe for concurrent use: the Server's sweep
 // handlers enqueue and abandon jobs while its worker handlers lease and
 // complete them.
-type Coordinator struct {
+type coordinator struct {
 	opts Options
 
 	// observe, when non-nil, receives every completed result (with its
@@ -192,8 +192,8 @@ type Coordinator struct {
 	hedgeThrAt time.Time
 }
 
-// NewCoordinator builds a coordinator with defaults applied.
-func NewCoordinator(opts Options) *Coordinator {
+// newCoordinator builds a coordinator with defaults applied.
+func newCoordinator(opts Options) *coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 2 * time.Minute
 	}
@@ -206,7 +206,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.now == nil {
 		opts.now = time.Now
 	}
-	return &Coordinator{
+	return &coordinator{
 		opts:    opts,
 		pending: list.New(),
 		leases:  make(map[string]*task),
@@ -218,7 +218,7 @@ func NewCoordinator(opts Options) *Coordinator {
 // enqueue queues one job for the worker fleet and returns its task. The
 // terminal outcome goes to deliver, called exactly once and without c.mu
 // held. sweepID labels the owning submitted sweep in lease responses.
-func (c *Coordinator) enqueue(index int, j sweep.Job, sweepID string, deliver func(outcome)) *task {
+func (c *coordinator) enqueue(index int, j sweep.Job, sweepID string, deliver func(outcome)) *task {
 	t := &task{index: index, job: j, sweepID: sweepID, deliver: deliver, enqueued: c.opts.now()}
 	c.mu.Lock()
 	t.elem = c.pending.PushBack(t)
@@ -229,7 +229,7 @@ func (c *Coordinator) enqueue(index int, j sweep.Job, sweepID string, deliver fu
 // abandon withdraws a closed sweep's task from the queue, the lease table and
 // the expired-lease index; a late worker report for it gets 409 and is
 // discarded.
-func (c *Coordinator) abandon(t *task) {
+func (c *coordinator) abandon(t *task) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t.cancelled = true
@@ -248,7 +248,7 @@ func (c *Coordinator) abandon(t *task) {
 // reaches a terminal state — completed, failed, or abandoned — a late
 // result can no longer be used, and keeping the entries would leak one per
 // lease expiry for the life of a persistent coordinator.
-func (c *Coordinator) purgeExpiredLocked(t *task) {
+func (c *coordinator) purgeExpiredLocked(t *task) {
 	for _, id := range t.expired {
 		delete(c.expired, id)
 	}
@@ -260,7 +260,7 @@ func (c *Coordinator) purgeExpiredLocked(t *task) {
 // those after releasing c.mu. It runs under c.mu on each lease poll: expiry
 // needs no timer goroutine, because a lost job only matters when some
 // worker is alive to take it.
-func (c *Coordinator) requeueExpiredLocked(now time.Time) (exhausted []*task) {
+func (c *coordinator) requeueExpiredLocked(now time.Time) (exhausted []*task) {
 	for id, t := range c.leases {
 		if now.Before(t.deadline) {
 			continue
@@ -284,7 +284,7 @@ func (c *Coordinator) requeueExpiredLocked(now time.Time) (exhausted []*task) {
 
 // drain stops lease grants; results for already-granted leases are still
 // accepted.
-func (c *Coordinator) drain() { c.draining.Store(true) }
+func (c *coordinator) drain() { c.draining.Store(true) }
 
 // lease hands the oldest pending job to a worker (none while draining).
 // worker labels the lease id (free-form, typically "id/loop"); base is the
@@ -293,7 +293,7 @@ func (c *Coordinator) drain() { c.draining.Store(true) }
 // worker that last held it while another worker is live. When the queue is
 // empty but leases remain, the poll may hedge a stalled tail lease (see
 // maybeHedgeLocked) and immediately grant the duplicate.
-func (c *Coordinator) lease(worker, base string) (LeaseResponse, bool) {
+func (c *coordinator) lease(worker, base string) (LeaseResponse, bool) {
 	if c.draining.Load() {
 		return LeaseResponse{}, false
 	}
@@ -350,7 +350,7 @@ func (c *Coordinator) lease(worker, base string) (LeaseResponse, bool) {
 // loser's gets 409 and is discarded, so output stays byte-identical) and
 // the task re-enters the queue front for the polling worker to take.
 // Caller holds c.mu and has verified the queue is empty.
-func (c *Coordinator) maybeHedgeLocked(now time.Time) {
+func (c *coordinator) maybeHedgeLocked(now time.Time) {
 	if len(c.leases) == 0 {
 		return
 	}
@@ -386,7 +386,7 @@ func (c *Coordinator) maybeHedgeLocked(now time.Time) {
 // hedgeThresholdLocked returns the lease age beyond which a tail lease is
 // hedged (0 disables). An explicit HedgeAfter wins; the adaptive default
 // needs a sample base and recomputes its quantile at most once a second.
-func (c *Coordinator) hedgeThresholdLocked(now time.Time) time.Duration {
+func (c *coordinator) hedgeThresholdLocked(now time.Time) time.Duration {
 	if c.opts.HedgeAfter != 0 {
 		return c.opts.HedgeAfter // negative disables
 	}
@@ -411,7 +411,7 @@ func (c *Coordinator) hedgeThresholdLocked(now time.Time) time.Duration {
 
 // recordDurationLocked feeds one completed lease's grant-to-report
 // duration into the hedge sample ring. Caller holds c.mu.
-func (c *Coordinator) recordDurationLocked(d time.Duration) {
+func (c *coordinator) recordDurationLocked(d time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -429,7 +429,7 @@ func (c *Coordinator) recordDurationLocked(d time.Duration) {
 // lease, a cancelled job, or a job already completed; the worker discards
 // the result. base, when non-empty, refreshes the reporting worker's
 // last-contact time.
-func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool {
+func (c *coordinator) complete(leaseID string, r sweep.Result, base string) bool {
 	c.mu.Lock()
 	now := c.opts.now()
 	c.touchLocked(base, now)
@@ -489,7 +489,7 @@ func (c *Coordinator) complete(leaseID string, r sweep.Result, base string) bool
 // lease id the coordinator has never heard of, which is not counted; an
 // incident against a job that already completed is counted but changes
 // nothing.
-func (c *Coordinator) incident(leaseID string, inc taskIncident) bool {
+func (c *coordinator) incident(leaseID string, inc taskIncident) bool {
 	var finish *task
 	var finishErr error
 	c.mu.Lock()
@@ -542,7 +542,7 @@ func (c *Coordinator) incident(leaseID string, inc taskIncident) bool {
 // quarantineLocked completes a task as poison: it is withdrawn from the
 // queue, the lease table and the expired index, and counted. Caller holds
 // c.mu and must deliver quarantineError after releasing it.
-func (c *Coordinator) quarantineLocked(t *task) {
+func (c *coordinator) quarantineLocked(t *task) {
 	if t.elem != nil {
 		c.pending.Remove(t.elem)
 		t.elem = nil
@@ -560,7 +560,7 @@ func (c *Coordinator) quarantineLocked(t *task) {
 // reporting true when the history already crosses the quarantine
 // threshold — the task has then been withdrawn and the caller must finish
 // it with quarantineFinish after releasing sweep-level locks.
-func (c *Coordinator) seedIncidents(t *task, hist []taskIncident) bool {
+func (c *coordinator) seedIncidents(t *task, hist []taskIncident) bool {
 	if len(hist) == 0 {
 		return false
 	}
@@ -575,22 +575,22 @@ func (c *Coordinator) seedIncidents(t *task, hist []taskIncident) bool {
 }
 
 // quarantineFinish delivers the deterministic quarantine outcome for a
-// task seedIncidents withdrew. Callers must not hold Coordinator.mu or the
+// task seedIncidents withdrew. Callers must not hold coordinator.mu or the
 // owning sweep's mutex.
-func (c *Coordinator) quarantineFinish(t *task) {
+func (c *coordinator) quarantineFinish(t *task) {
 	t.deliver(outcome{err: quarantineError(t, distinctIncidentWorkersLocked(t))})
 }
 
 // incidentHistory returns a copy of the incidents recorded against a task,
 // for snapshotting live state on graceful shutdown.
-func (c *Coordinator) incidentHistory(t *task) []taskIncident {
+func (c *coordinator) incidentHistory(t *task) []taskIncident {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]taskIncident(nil), t.incidents...)
 }
 
 // Stats snapshots the coordinator accounting.
-func (c *Coordinator) Stats() Snapshot {
+func (c *coordinator) Stats() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Snapshot{
@@ -621,12 +621,12 @@ func reqWorker(req *http.Request, fallback string) string {
 	return fallback
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
+func (s *Server) handleLease(w http.ResponseWriter, req *http.Request) {
 	var lr LeaseRequest
 	if !decodeJSON(w, req, &lr) {
 		return
 	}
-	resp, ok := c.lease(lr.Worker, reqWorker(req, lr.Worker))
+	resp, ok := s.coord.lease(lr.Worker, reqWorker(req, lr.Worker))
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -634,7 +634,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, resp)
 }
 
-func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
+func (s *Server) handleResult(w http.ResponseWriter, req *http.Request) {
 	var rr ResultRequest
 	if !decodeJSON(w, req, &rr) {
 		return
@@ -645,14 +645,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "result carries neither res nor err", http.StatusBadRequest)
 		return
 	}
-	if !c.complete(rr.LeaseID, rr.Result, reqWorker(req, "")) {
+	if !s.coord.complete(rr.LeaseID, rr.Result, reqWorker(req, "")) {
 		http.Error(w, "unknown or expired lease", http.StatusConflict)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
 }
 
-func (c *Coordinator) handleIncident(w http.ResponseWriter, req *http.Request) {
+func (s *Server) handleIncident(w http.ResponseWriter, req *http.Request) {
 	var ir IncidentRequest
 	if !decodeJSON(w, req, &ir) {
 		return
@@ -666,7 +666,7 @@ func (c *Coordinator) handleIncident(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "incident names no worker", http.StatusBadRequest)
 		return
 	}
-	if !c.incident(ir.LeaseID, taskIncident{Worker: worker, Kind: ir.Kind, Message: ir.Message}) {
+	if !s.coord.incident(ir.LeaseID, taskIncident{Worker: worker, Kind: ir.Kind, Message: ir.Message}) {
 		http.Error(w, "unknown lease", http.StatusConflict)
 		return
 	}

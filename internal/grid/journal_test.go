@@ -364,14 +364,14 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 	}
 	srv1 := httptest.NewServer(first.Handler())
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: jobs, Nonce: "n-e2e"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	// Complete exactly one job by hand, then "kill -9": close the listener
 	// without CloseState, leaving only the journal behind.
 	lease := leaseOne(t, srv1.URL)
-	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/result", "",
+	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/result", "", "",
 		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{
 			Index: lease.Index, Job: lease.Job,
 			Res: &core.Results{Stats: &pipeline.Stats{Committed: 7}},
@@ -380,7 +380,7 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 	}
 	var before ResultBatch
 	if _, err := doJSON(ctx, srv1.Client(), http.MethodGet,
-		srv1.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0", "", nil, &before); err != nil {
+		srv1.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0", "", "", nil, &before); err != nil {
 		t.Fatal(err)
 	}
 	if len(before.Results) != 1 {
@@ -400,7 +400,7 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 	// delivered result identically.
 	var after ResultBatch
 	if status, err := doJSON(ctx, srv2.Client(), http.MethodGet,
-		srv2.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0", "", nil, &after); err != nil || status != http.StatusOK {
+		srv2.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0", "", "", nil, &after); err != nil || status != http.StatusOK {
 		t.Fatalf("recovered sweep id did not resolve: status %d, %v", status, err)
 	}
 	if len(after.Results) != 1 || after.Results[0].Index != before.Results[0].Index ||
@@ -410,7 +410,7 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 	// A resubmission with the same nonce resolves to the recovered sweep —
 	// the client-side recovery key.
 	var re SubmitResponse
-	if _, err := doJSON(ctx, srv2.Client(), http.MethodPost, srv2.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv2.Client(), http.MethodPost, srv2.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Nonce: "n-e2e"}, &re); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 		var batch ResultBatch
 		if status, err := doJSON(ctx, srv2.Client(), http.MethodGet,
 			fmt.Sprintf("%s/v1/sweeps/%s/results?after=%d&wait=5s", srv2.URL, resp.SweepID, cursor),
-			"", nil, &batch); err != nil || status != http.StatusOK {
+			"", "", nil, &batch); err != nil || status != http.StatusOK {
 			t.Fatalf("drain poll: status %d, %v", status, err)
 		}
 		for _, res := range batch.Results {

@@ -14,7 +14,7 @@ import (
 // call per scrape, through the registry's OnCollect hook — so their values
 // are exactly what /v1/stats reports. The span histograms are live: the
 // coordinator's completion path observes every reported job's Timing, and
-// it also wires that path up here (via Coordinator.observe).
+// it also wires that path up here (via coordinator.observe).
 func (s *Server) newRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 
@@ -36,10 +36,7 @@ func (s *Server) newRegistry() *obs.Registry {
 	streamed := reg.Counter("safespec_results_streamed_total", "Results delivered through batch streaming responses.")
 	authFail := reg.Counter("safespec_auth_failures_total", "Requests rejected with 401 (unknown bearer token).")
 
-	tenantSweeps := reg.GaugeVec("safespec_tenant_sweeps_active", "Open sweeps per tenant.", "tenant")
 	tenantReqs := reg.CounterVec("safespec_tenant_requests_total", "Authenticated requests per tenant.", "tenant")
-	tenantLimited := reg.CounterVec("safespec_tenant_rate_limited_total", "Requests rejected with 429 per tenant.", "tenant")
-	tenantQuota := reg.CounterVec("safespec_tenant_quota_rejected_total", "Sweep submissions rejected over quota per tenant.", "tenant")
 
 	queueWait := reg.Histogram("safespec_job_queue_wait_seconds",
 		"Per-job wait between enqueue and the completing lease grant.", nil)
@@ -68,10 +65,7 @@ func (s *Server) newRegistry() *obs.Registry {
 		streamed.Set(snap.ResultsStreamed)
 		authFail.Set(snap.AuthFailures)
 		for _, ts := range snap.Tenants {
-			tenantSweeps.With(ts.Name).Set(int64(ts.ActiveSweeps))
 			tenantReqs.With(ts.Name).Set(ts.Requests)
-			tenantLimited.With(ts.Name).Set(ts.RateLimited)
-			tenantQuota.With(ts.Name).Set(ts.QuotaRejected)
 		}
 	})
 
@@ -93,24 +87,15 @@ func (s *Server) newRegistry() *obs.Registry {
 	return reg
 }
 
-// WriteMetrics renders the server's accounting in the Prometheus text
-// exposition format (version 0.0.4): coordinator lease/job counters, sweep
-// lifecycle counters, per-tenant request/limit counters, and per-job span
-// histograms under the `safespec_` namespace. It is mounted (with the
-// /status page) on the operations port — the same dedicated listener as
-// pprof, never the authenticated /v1/* mux — so a scraper needs no tenant
-// token and a leaked scrape config reveals none.
-func (s *Server) WriteMetrics(w io.Writer) {
-	s.reg.WritePrometheus(w)
-}
-
 // OpsHandler returns the unauthenticated operations surface mounted on the
-// dedicated -pprof/ops listener: GET /metrics (Prometheus text format),
-// GET /status (read-only live HTML), and the GET /healthz and GET /readyz
-// probes. Keep that listener on loopback or a firewalled operations
-// network — it is deliberately token-free so scrapers and dashboards need
-// no tenant credential, and it exposes tenant names and sweep shapes
-// (never tokens or results).
+// dedicated -pprof/ops listener: GET /metrics (Prometheus text format,
+// version 0.0.4: coordinator lease/job counters, sweep lifecycle counters,
+// per-tenant request counters and per-job span histograms under the
+// `safespec_` namespace), GET /status (read-only live HTML), and the GET
+// /healthz and GET /readyz probes. Keep that listener on loopback or a
+// firewalled operations network — it is deliberately token-free so
+// scrapers and dashboards need no tenant credential, and it exposes tenant
+// names and sweep shapes (never tokens or results).
 func (s *Server) OpsHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", s.reg.Handler())

@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"safespec/internal/backoff"
 	"safespec/internal/core"
 	"safespec/internal/sweep"
 )
@@ -84,6 +83,11 @@ func (r *RemoteExecutor) client() *http.Client {
 }
 
 var defaultRemoteClient = &http.Client{Timeout: 90 * time.Second}
+
+// call sends one JSON request to the coordinator path (see doJSON).
+func (r *RemoteExecutor) call(ctx context.Context, method, path string, in, out any) (int, error) {
+	return doJSON(ctx, r.client(), method, r.URL+path, r.Token, "", in, out)
+}
 
 // NewHTTPClient builds an HTTP client for coordinator URLs. A non-empty
 // caFile names a PEM certificate bundle trusted in place of the system
@@ -167,9 +171,8 @@ func (r *RemoteExecutor) nonceLocked() string {
 func (r *RemoteExecutor) openSweep(ctx context.Context, jobs []sweep.Job, nonce string) (SubmitResponse, error) {
 	req := SubmitRequest{Jobs: jobs, Nonce: nonce}
 	var resp SubmitResponse
-	status, err := r.retry(ctx, func() (int, http.Header, error) {
-		return doJSONHdr(ctx, r.client(), http.MethodPost, r.URL+"/v1/sweeps", r.Token,
-			req, &resp)
+	status, err := r.retry(ctx, func() (int, error) {
+		return r.call(ctx, http.MethodPost, "/v1/sweeps", req, &resp)
 	})
 	if err == nil && status != http.StatusOK {
 		err = statusErr(status)
@@ -254,7 +257,7 @@ const maxStreamRecoveries = 5
 // stream long-polls the sweep's result batches and dispatches each result
 // to the Execute call waiting on its index (or parks it for an Execute yet
 // to ask). It exits on Close's cancellation or a terminal coordinator
-// answer; transport faults, 5xx and 429 are ridden out by retry, and a
+// answer; transport faults and 5xx are ridden out by retry, and a
 // coordinator restart (404 for the sweep id, or a connection that stays
 // refused past the retry budget) is ridden out by re-resolving the sweep
 // through its submission nonce and resuming the batch cursor.
@@ -284,10 +287,10 @@ func (r *RemoteExecutor) stream(ctx context.Context, id string, end chan struct{
 		return true
 	}
 	for {
-		url := fmt.Sprintf("%s/v1/sweeps/%s/results?after=%d&wait=%s", r.URL, id, after, wait)
+		path := fmt.Sprintf("/v1/sweeps/%s/results?after=%d&wait=%s", id, after, wait)
 		var batch ResultBatch
-		status, err := r.retry(ctx, func() (int, http.Header, error) {
-			return doJSONHdr(ctx, r.client(), http.MethodGet, url, r.Token, nil, &batch)
+		status, err := r.retry(ctx, func() (int, error) {
+			return r.call(ctx, http.MethodGet, path, nil, &batch)
 		})
 		switch {
 		case ctx.Err() != nil:
@@ -359,9 +362,8 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 		return "", fmt.Errorf("sweep %s has no submission nonce to recover by", lostID)
 	}
 	var resp SubmitResponse
-	status, err := r.retry(ctx, func() (int, http.Header, error) {
-		return doJSONHdr(ctx, r.client(), http.MethodPost, r.URL+"/v1/sweeps", r.Token,
-			SubmitRequest{Nonce: nonce}, &resp)
+	status, err := r.retry(ctx, func() (int, error) {
+		return r.call(ctx, http.MethodPost, "/v1/sweeps", SubmitRequest{Nonce: nonce}, &resp)
 	})
 	if err == nil && status != http.StatusOK {
 		err = statusErr(status)
@@ -375,9 +377,8 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 	}
 	sort.Ints(indexes)
 	for _, i := range indexes {
-		status, err := r.retry(ctx, func() (int, http.Header, error) {
-			return doJSONHdr(ctx, r.client(), http.MethodPost,
-				fmt.Sprintf("%s/v1/sweeps/%s/jobs", r.URL, resp.SweepID), r.Token,
+		status, err := r.retry(ctx, func() (int, error) {
+			return r.call(ctx, http.MethodPost, "/v1/sweeps/"+resp.SweepID+"/jobs",
 				JobRequest{Index: i, Job: jobs[i]}, nil)
 		})
 		if err == nil && status != http.StatusOK {
@@ -462,9 +463,8 @@ func (r *RemoteExecutor) ensure(ctx context.Context, index int, j sweep.Job) (st
 		// the current id. Bounded — each pass either succeeds, recovers, or
 		// returns the terminal error.
 		for pass := 0; ; pass++ {
-			status, err := r.retry(ctx, func() (int, http.Header, error) {
-				return doJSONHdr(ctx, r.client(), http.MethodPost,
-					fmt.Sprintf("%s/v1/sweeps/%s/jobs", r.URL, id), r.Token,
+			status, err := r.retry(ctx, func() (int, error) {
+				return r.call(ctx, http.MethodPost, "/v1/sweeps/"+id+"/jobs",
 					JobRequest{Index: index, Job: j}, nil)
 			})
 			if err == nil && status == http.StatusNotFound && pass < maxStreamRecoveries {
@@ -509,7 +509,7 @@ func (r *RemoteExecutor) Close() error {
 	}
 	ctx, cancelReq := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelReq()
-	status, err := doJSON(ctx, r.client(), http.MethodDelete, r.URL+"/v1/sweeps/"+id, r.Token, nil, nil)
+	status, err := r.call(ctx, http.MethodDelete, "/v1/sweeps/"+id, nil, nil)
 	if err != nil {
 		return fmt.Errorf("grid: close sweep %s: %w", id, err)
 	}
@@ -522,7 +522,7 @@ func (r *RemoteExecutor) Close() error {
 // Stats fetches the coordinator's accounting snapshot.
 func (r *RemoteExecutor) Stats(ctx context.Context) (ServerSnapshot, error) {
 	var snap ServerSnapshot
-	status, err := doJSON(ctx, r.client(), http.MethodGet, r.URL+"/v1/stats", r.Token, nil, &snap)
+	status, err := r.call(ctx, http.MethodGet, "/v1/stats", nil, &snap)
 	if err != nil {
 		return snap, err
 	}
@@ -532,46 +532,32 @@ func (r *RemoteExecutor) Stats(ctx context.Context) (ServerSnapshot, error) {
 	return snap, nil
 }
 
-// remoteRetry is the executor's backoff schedule for transport faults,
-// 5xx and 429 alike.
-var remoteRetry = backoff.Policy{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
+// remoteRetry is the executor's backoff schedule for transport faults and
+// 5xx alike.
+var remoteRetry = backoff{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
 
-// retry runs fn until it returns a status that is neither 5xx nor 429
-// without a transport error, backing off between attempts, and hands the
-// final status to the caller to interpret. Transport faults and 5xx are
-// retried alike (both are the shape of a coordinator or fronting proxy
-// mid-restart); 429 is the coordinator's rate limiter asking exactly for
-// this backoff — its Retry-After, when present, overrides the schedule —
-// so treating it as terminal would fail a sweep the tenant was merely
-// pacing.
-func (r *RemoteExecutor) retry(ctx context.Context, fn func() (int, http.Header, error)) (int, error) {
+// retry runs fn until it returns a status below 500 without a transport
+// error, backing off between attempts, and hands the final status to the
+// caller to interpret. Transport faults and 5xx are retried alike (both
+// are the shape of a coordinator or fronting proxy mid-restart).
+func (r *RemoteExecutor) retry(ctx context.Context, fn func() (int, error)) (int, error) {
 	var status int
 	var err error
-	var hint time.Duration
 	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
-			pause := remoteRetry.PauseHint(attempt-1, hint)
-			if !sleep(ctx, pause) {
-				return 0, ctx.Err()
-			}
+		if attempt > 0 && !sleep(ctx, remoteRetry.pause(attempt-1)) {
+			return 0, ctx.Err()
 		}
-		var hdr http.Header
-		status, hdr, err = fn()
-		if err == nil && status < 500 && status != http.StatusTooManyRequests {
+		status, err = fn()
+		if err == nil && status < 500 {
 			return status, nil
 		}
 		if ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
-		hint = 0
-		pause := remoteRetry.Pause(attempt)
-		switch {
-		case err != nil:
+		pause := remoteRetry.pause(attempt)
+		if err != nil {
 			r.log().Warn("coordinator unreachable, backing off", "coordinator", r.URL, "err", err.Error(), "pause", pause.String())
-		case status == http.StatusTooManyRequests:
-			hint = retryAfter(hdr)
-			r.log().Info("coordinator rate limit, backing off", "coordinator", r.URL, "pause", remoteRetry.PauseHint(attempt, hint).String())
-		default:
+		} else {
 			r.log().Warn("coordinator error, backing off", "coordinator", r.URL, "status", status, "pause", pause.String())
 		}
 	}
@@ -582,15 +568,10 @@ func (r *RemoteExecutor) retry(ctx context.Context, fn func() (int, http.Header,
 }
 
 // statusErr renders a terminal HTTP status as an error, spelling out the
-// misconfigurations users actually hit.
+// misconfiguration users actually hit.
 func statusErr(status int) error {
-	switch status {
-	case http.StatusUnauthorized:
+	if status == http.StatusUnauthorized {
 		return errUnauthorized
-	case http.StatusForbidden:
-		return fmt.Errorf("coordinator refused (status 403): tenant sweep quota exceeded; close an open sweep or raise max_sweeps in the token file")
-	case http.StatusTooManyRequests:
-		return fmt.Errorf("coordinator rate limit (status 429) persisted through retries; raise rate_per_sec in the token file or slow the client")
 	}
 	return fmt.Errorf("unexpected status %d", status)
 }
@@ -602,41 +583,28 @@ func newNonce() string {
 	return hex.EncodeToString(b[:])
 }
 
-// doJSON sends one JSON request with optional bearer auth and decodes a
-// 200 response body into out (when non-nil). The returned error covers
-// transport and decoding failures only; HTTP statuses are the caller's to
-// interpret.
-func doJSON(ctx context.Context, client *http.Client, method, url, token string, in, out any) (int, error) {
-	status, _, err := doJSONHdr(ctx, client, method, url, token, in, out)
-	return status, err
-}
-
-// doJSONHdr is doJSON also returning the response headers (nil on
-// transport failure), for callers that interpret advisory headers such as
-// a 429's Retry-After. Requests are stamped with a body checksum, and a
-// 200 response carrying one is verified before decoding: a mismatch (a
-// byte damaged in transit that might still parse as JSON) is returned as
-// a transport-shaped error so retry loops fetch fresh bytes.
-func doJSONHdr(ctx context.Context, client *http.Client, method, url, token string, in, out any) (int, http.Header, error) {
-	return doJSONAs(ctx, client, method, url, token, "", in, out)
-}
-
-// doJSONAs is doJSONHdr additionally stamping the worker identity header
-// (when worker is non-empty).
-func doJSONAs(ctx context.Context, client *http.Client, method, url, token, worker string, in, out any) (int, http.Header, error) {
+// doJSON sends one JSON request with optional bearer auth and worker
+// identity header (each omitted when empty) and decodes a 200 response
+// body into out (when non-nil). The returned error covers transport and
+// decoding failures only; HTTP statuses are the caller's to interpret.
+// Requests are stamped with a body checksum, and a 200 response carrying
+// one is verified before decoding: a mismatch (a byte damaged in transit
+// that might still parse as JSON) is returned as a transport-shaped error
+// so retry loops fetch fresh bytes.
+func doJSON(ctx context.Context, client *http.Client, method, url, token, worker string, in, out any) (int, error) {
 	var body io.Reader
 	var sum string
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		body = bytes.NewReader(b)
 		sum = bodySum(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -650,7 +618,7 @@ func doJSONAs(ctx context.Context, client *http.Client, method, url, token, work
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
@@ -659,14 +627,14 @@ func doJSONAs(ctx context.Context, client *http.Client, method, url, token, work
 	if out != nil && resp.StatusCode == http.StatusOK {
 		b, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 		if err != nil {
-			return resp.StatusCode, resp.Header, err
+			return resp.StatusCode, err
 		}
 		if want := resp.Header.Get(sumHeader); want != "" && want != bodySum(b) {
-			return resp.StatusCode, resp.Header, fmt.Errorf("response body checksum mismatch (damaged in transit)")
+			return resp.StatusCode, fmt.Errorf("response body checksum mismatch (damaged in transit)")
 		}
 		if err := json.Unmarshal(b, out); err != nil {
-			return resp.StatusCode, resp.Header, err
+			return resp.StatusCode, err
 		}
 	}
-	return resp.StatusCode, resp.Header, nil
+	return resp.StatusCode, nil
 }

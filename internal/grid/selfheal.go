@@ -78,7 +78,7 @@ const workerLiveWindow = time.Minute
 // coordinator's map holds steady across fleet churn. Caller holds c.mu; an
 // empty id (a client that predates the worker header and sent no worker
 // label) is not tracked.
-func (c *Coordinator) touchLocked(id string, now time.Time) {
+func (c *coordinator) touchLocked(id string, now time.Time) {
 	if id == "" {
 		return
 	}
@@ -96,7 +96,7 @@ func (c *Coordinator) touchLocked(id string, now time.Time) {
 
 // anyOtherLiveLocked reports whether a worker other than except has made
 // contact within the live window. Caller holds c.mu.
-func (c *Coordinator) anyOtherLiveLocked(except string, now time.Time) bool {
+func (c *coordinator) anyOtherLiveLocked(except string, now time.Time) bool {
 	for id, last := range c.seen {
 		if id != except && now.Sub(last) <= workerLiveWindow {
 			return true

@@ -377,7 +377,7 @@ func TestHedgeSkipsHolder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := &fakeClock{now: time.Unix(1_000, 0)}
-			c := NewCoordinator(Options{LeaseTTL: time.Hour, HedgeAfter: time.Second, now: clk.Now})
+			c := newCoordinator(Options{LeaseTTL: time.Hour, HedgeAfter: time.Second, now: clk.Now})
 			if _, ok := c.lease("other/0", "other"); ok { // registers "other" as live
 				t.Fatal("empty queue granted a lease")
 			}
@@ -416,7 +416,7 @@ func TestIncidentEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	post := func(path string, in any) int {
-		status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+path, "", in, nil)
+		status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+path, "", "", in, nil)
 		if err != nil && status == 0 {
 			t.Fatalf("POST %s: %v", path, err)
 		}
@@ -489,12 +489,12 @@ func TestQuarantineHistorySurvivesRestart(t *testing.T) {
 	}
 	srv1 := httptest.NewServer(first.Handler())
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: jobs, Nonce: "n-poison"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	lease := leaseOne(t, srv1.URL)
-	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/incident", "",
+	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/incident", "", "",
 		IncidentRequest{LeaseID: lease.LeaseID, Worker: "a", Kind: IncidentPanic, Message: "boom"}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -519,14 +519,14 @@ func TestQuarantineHistorySurvivesRestart(t *testing.T) {
 	for i := 0; i < len(jobs)+2 && !found; i++ {
 		lr := leaseOne(t, srv2.URL)
 		if lr.Index == poisonIdx {
-			if _, err := doJSON(ctx, srv2.Client(), http.MethodPost, srv2.URL+"/v1/incident", "",
+			if _, err := doJSON(ctx, srv2.Client(), http.MethodPost, srv2.URL+"/v1/incident", "", "",
 				IncidentRequest{LeaseID: lr.LeaseID, Worker: "b", Kind: IncidentPanic, Message: "boom"}, nil); err != nil {
 				t.Fatal(err)
 			}
 			found = true
 			continue
 		}
-		if _, err := doJSON(ctx, srv2.Client(), http.MethodPost, srv2.URL+"/v1/result", "",
+		if _, err := doJSON(ctx, srv2.Client(), http.MethodPost, srv2.URL+"/v1/result", "", "",
 			ResultRequest{LeaseID: lr.LeaseID, Result: sweep.Result{
 				Index: lr.Index, Job: lr.Job,
 				Res: &core.Results{Stats: &pipeline.Stats{Committed: uint64(lr.Index + 1)}},

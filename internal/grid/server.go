@@ -14,16 +14,12 @@ import (
 	"safespec/internal/sweep"
 )
 
-// Server is a persistent grid coordinator: it owns a Coordinator for the
+// Server is a persistent grid coordinator: it owns a coordinator for the
 // worker fleet and adds a sweep-submission API, so many sequential (or
 // concurrent) sweeps can share one long-lived worker fleet across
 // safespec-bench restarts. Every /v1/* endpoint — worker- and
-// client-facing alike — is guarded by per-tenant bearer auth: each token
-// resolves (in constant time) to a named tenant carrying a concurrent-sweep
-// quota and a request rate limit. On the wire the three rejections are
-// distinct: 401 (unknown token), 429 (over the tenant's request rate;
-// retry after backoff) and 403 (over the tenant's sweep quota; release a
-// sweep first).
+// client-facing alike — is guarded by bearer auth: each token resolves (in
+// constant time) to a named tenant, and an unknown token gets 401.
 //
 // A sweep is created by POST /v1/sweeps (optionally carrying the whole job
 // matrix), grown by POST /v1/sweeps/{id}/jobs, and released by DELETE.
@@ -39,7 +35,7 @@ import (
 // steady memory over days of operation.
 type Server struct {
 	opts  ServerOptions
-	coord *Coordinator
+	coord *coordinator
 	auth  *authenticator
 	// reg renders /metrics: registry-owned histograms observe live job
 	// timing, while the counter/gauge families mirror Stats() at scrape
@@ -69,14 +65,14 @@ type Server struct {
 // ServerOptions configures a Server.
 type ServerOptions struct {
 	// Token is the single-tenant shorthand: it behaves exactly like a
-	// Tenants list holding one unlimited tenant named "default". Ignored
-	// when Tenants is non-empty; "" with no Tenants disables auth —
-	// loopback development only.
+	// Tenants list holding one tenant named "default". Ignored when
+	// Tenants is non-empty; "" with no Tenants disables auth — loopback
+	// development only.
 	Token string
-	// Tenants maps per-client tokens to named tenants with quotas and rate
-	// limits (see Tenant and LoadTenants).
+	// Tenants maps per-client tokens to named tenants (see Tenant and
+	// LoadTenants).
 	Tenants []Tenant
-	// Lease configures the embedded Coordinator (TTL, attempt bound).
+	// Lease configures the embedded coordinator (TTL, attempt bound).
 	Lease Options
 	// SweepTTL abandons a sweep whose client has neither submitted jobs nor
 	// polled results for this long (default 10 minutes). Live clients
@@ -85,7 +81,7 @@ type ServerOptions struct {
 	// Log receives the server's structured progress records (nil discards
 	// them).
 	Log *slog.Logger
-	// now is a test seam for the sweep liveness and rate-limit clock.
+	// now is a test seam for the sweep liveness clock.
 	now func() time.Time
 }
 
@@ -109,11 +105,8 @@ type ServerSnapshot struct {
 
 // TenantSnapshot is one tenant's accounting within a ServerSnapshot.
 type TenantSnapshot struct {
-	Name          string `json:"name"`
-	ActiveSweeps  int    `json:"active_sweeps"`
-	Requests      uint64 `json:"requests"`
-	RateLimited   uint64 `json:"rate_limited"`
-	QuotaRejected uint64 `json:"quota_rejected"`
+	Name     string `json:"name"`
+	Requests uint64 `json:"requests"`
 }
 
 // SubmitRequest opens a sweep, optionally enqueueing its whole job matrix
@@ -164,8 +157,8 @@ type ResultBatch struct {
 
 // sweepState tracks one submitted sweep. Its mutex is ordered before the
 // coordinator's: handlers take sweepState.mu then enqueue/abandon (which
-// take Coordinator.mu), while result delivery takes sweepState.mu only
-// after Coordinator.mu has been released.
+// take coordinator.mu), while result delivery takes sweepState.mu only
+// after coordinator.mu has been released.
 type sweepState struct {
 	id     string
 	nonce  string       // submission nonce, purged from Server.byNonce with the sweep
@@ -207,20 +200,20 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	tenants := opts.Tenants
 	if len(tenants) == 0 && opts.Token != "" {
-		// The single -token shorthand: one unlimited tenant.
+		// The single -token shorthand: one tenant.
 		tenants = []Tenant{{Name: "default", Token: opts.Token}}
 	}
 	s := &Server{
 		opts:    opts,
-		coord:   NewCoordinator(opts.Lease),
-		auth:    newAuthenticator(tenants, opts.now),
+		coord:   newCoordinator(opts.Lease),
+		auth:    newAuthenticator(tenants),
 		sweeps:  make(map[string]*sweepState),
 		byNonce: make(map[string]string),
 		drainCh: make(chan struct{}),
 	}
 	s.reg = s.newRegistry()
 	// Journal every accepted incident so a poison job's quarantine history
-	// survives a restart (hook runs under Coordinator.mu; the store's mutex
+	// survives a restart (hook runs under coordinator.mu; the store's mutex
 	// is the innermost lock, so the append is safe there).
 	s.coord.onIncident = func(sweepID string, index int, inc taskIncident) {
 		s.journal(journalRecord{Op: opIncident, Sweep: sweepID, Index: index,
@@ -319,7 +312,6 @@ func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	if st.nonce != "" {
 		s.byNonce[st.nonce] = st.id
 	}
-	tenant.activeSweeps++
 	return len(requeue)
 }
 
@@ -404,13 +396,7 @@ func (s *Server) Stats() ServerSnapshot {
 		ResultsStreamed: s.resultsStreamed.Load(),
 	}
 	for _, ts := range s.auth.tenants {
-		out.Tenants = append(out.Tenants, TenantSnapshot{
-			Name:          ts.Name,
-			ActiveSweeps:  ts.activeSweeps,
-			Requests:      ts.requests.Load(),
-			RateLimited:   ts.rateLimited.Load(),
-			QuotaRejected: ts.quotaRejected.Load(),
-		})
+		out.Tenants = append(out.Tenants, TenantSnapshot{Name: ts.Name, Requests: ts.requests.Load()})
 	}
 	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Name < out.Tenants[j].Name })
 	return out
@@ -422,9 +408,9 @@ func (s *Server) Stats() ServerSnapshot {
 // orphan sweep never outlives SweepTTL by much).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/lease", s.coord.handleLease)
-	mux.HandleFunc("POST /v1/result", s.coord.handleResult)
-	mux.HandleFunc("POST /v1/incident", s.coord.handleIncident)
+	mux.HandleFunc("POST /v1/lease", s.handleLease)
+	mux.HandleFunc("POST /v1/result", s.handleResult)
+	mux.HandleFunc("POST /v1/incident", s.handleIncident)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, s.Stats())
 	})
@@ -455,7 +441,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			if prev := s.sweeps[id]; prev != nil && prev.tenant == tenant {
 				// A retried submission whose first attempt did land: hand
 				// back the existing sweep instead of double-running it.
-				// (No quota check: it is the same sweep, already counted.)
 				prev.mu.Lock()
 				resp := SubmitResponse{SweepID: prev.id, Jobs: len(prev.slots)}
 				prev.lastSeen = s.opts.now()
@@ -465,16 +450,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 				return
 			}
 		}
-	}
-	if tenant.MaxSweeps > 0 && tenant.activeSweeps >= tenant.MaxSweeps {
-		quota := tenant.MaxSweeps
-		s.mu.Unlock()
-		tenant.quotaRejected.Add(1)
-		// 403, not 429: backing off does not help — the tenant must close
-		// (or let the TTL abandon) one of its open sweeps first.
-		http.Error(w, fmt.Sprintf("tenant %q sweep quota exceeded (%d concurrent); close a sweep first",
-			tenant.Name, quota), http.StatusForbidden)
-		return
 	}
 	// The id is random, not sequential: a client that rides out a
 	// coordinator restart must see its old sweep id stop resolving (404)
@@ -495,7 +470,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		s.addJob(st, i, j)
 	}
 	s.submitted++
-	tenant.activeSweeps++
 	s.sweeps[st.id] = st
 	if sr.Nonce != "" {
 		s.byNonce[sr.Nonce] = st.id
@@ -631,16 +605,13 @@ func (s *Server) handleClose(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// releaseLocked removes a sweep from the server's indexes and returns its
-// quota slot to the owning tenant. Caller holds s.mu.
+// releaseLocked removes a sweep from the server's indexes. Caller holds
+// s.mu.
 func (s *Server) releaseLocked(st *sweepState) {
 	s.journal(journalRecord{Op: opClose, Sweep: st.id})
 	delete(s.sweeps, st.id)
 	if st.nonce != "" {
 		delete(s.byNonce, st.nonce)
-	}
-	if st.tenant != nil {
-		st.tenant.activeSweeps--
 	}
 }
 

@@ -127,7 +127,7 @@ func TestServerAuth(t *testing.T) {
 	}
 	for _, ep := range endpoints {
 		for name, tok := range map[string]string{"missing": "", "wrong": "not-" + token} {
-			status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, tok, ep.body, nil)
+			status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, tok, "", ep.body, nil)
 			if err != nil {
 				t.Fatalf("%s %s: %v", ep.method, ep.path, err)
 			}
@@ -135,7 +135,7 @@ func TestServerAuth(t *testing.T) {
 				t.Errorf("%s %s with %s token: got %d, want 401", ep.method, ep.path, name, status)
 			}
 		}
-		status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, token, ep.body, nil)
+		status, err := doJSON(ctx, srv.Client(), ep.method, srv.URL+ep.path, token, "", ep.body, nil)
 		if err != nil {
 			t.Fatalf("%s %s: %v", ep.method, ep.path, err)
 		}
@@ -158,7 +158,7 @@ func TestSweepAbandonedAfterTTL(t *testing.T) {
 	ctx := context.Background()
 
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +170,13 @@ func TestSweepAbandonedAfterTTL(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	mu.Unlock()
 	var snap ServerSnapshot
-	if _, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/stats", "", nil, &snap); err != nil {
+	if _, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/stats", "", "", nil, &snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Sweeps != 0 || snap.Pending != 0 || snap.SweepsAbandoned != 1 {
 		t.Errorf("orphan sweep not collected: %+v", snap)
 	}
-	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID+"/results", "", nil, nil)
+	status, err := doJSON(ctx, srv.Client(), http.MethodGet, srv.URL+"/v1/sweeps/"+resp.SweepID+"/results", "", "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func (f *fakeClock) Advance(d time.Duration) {
 // back to zero when a job with timed-out leases finally completes.
 func TestExpiredLeasesPurgedOnCompletion(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := NewCoordinator(Options{LeaseTTL: time.Minute, now: clk.Now})
+	coord := newCoordinator(Options{LeaseTTL: time.Minute, now: clk.Now})
 	ch := make(chan outcome, 1)
 	coord.enqueue(0, sweep.Job{Bench: "exchange2", Mode: "baseline"}, "", func(o outcome) { ch <- o })
 
@@ -303,7 +303,7 @@ func TestExpiredLeasesPurgedOnCompletion(t *testing.T) {
 // job's expired entries along with delivering the error.
 func TestExpiredLeasesPurgedOnFailure(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := NewCoordinator(Options{LeaseTTL: time.Minute, MaxAttempts: 2, now: clk.Now})
+	coord := newCoordinator(Options{LeaseTTL: time.Minute, MaxAttempts: 2, now: clk.Now})
 	ch := make(chan outcome, 1)
 	coord.enqueue(0, sweep.Job{Bench: "exchange2", Mode: "baseline"}, "", func(o outcome) { ch <- o })
 
@@ -340,7 +340,7 @@ func TestExpiredLeasesPurgedOnAbandon(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestExpiredLeasesPurgedOnAbandon(t *testing.T) {
 	if s := coord.Stats(); s.Expired != 1 {
 		t.Fatalf("expiry not indexed: %+v", s)
 	}
-	if status, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+resp.SweepID, "", nil, nil); err != nil || status != http.StatusOK {
+	if status, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+resp.SweepID, "", "", nil, nil); err != nil || status != http.StatusOK {
 		t.Fatalf("close sweep: status %d err %v", status, err)
 	}
 	if s := coord.Stats(); s.Expired != 0 || s.Leased != 0 || s.Pending != 0 {
@@ -453,10 +453,10 @@ func TestSubmitNonceIdempotent(t *testing.T) {
 
 	req := SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1], Nonce: "retry-nonce-1"}
 	var first, second SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", req, &first); err != nil {
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "", req, &first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", req, &second); err != nil {
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "", req, &second); err != nil {
 		t.Fatal(err)
 	}
 	if first.SweepID != second.SweepID {
@@ -467,11 +467,11 @@ func TestSubmitNonceIdempotent(t *testing.T) {
 	}
 	// Closing the sweep releases the nonce; the same nonce then opens a
 	// fresh sweep rather than resolving to a dead id.
-	if _, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+first.SweepID, "", nil, nil); err != nil {
+	if _, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+first.SweepID, "", "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var third SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", req, &third); err != nil {
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "", req, &third); err != nil {
 		t.Fatal(err)
 	}
 	if third.SweepID == first.SweepID {

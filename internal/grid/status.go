@@ -58,9 +58,8 @@ hedged={{.Snap.Hedged}} &middot;
 sweeps: {{.Snap.Sweeps}} open / {{.Snap.SweepsSubmitted}} lifetime
 ({{.Snap.SweepsAbandoned}} abandoned)</p>
 {{if .Snap.Tenants}}<table>
-<tr><th>tenant</th><th>open sweeps</th><th>requests</th><th>429s</th><th>quota rejections</th></tr>
-{{range .Snap.Tenants}}<tr><td class="b">{{.Name}}</td><td>{{.ActiveSweeps}}</td>
-<td>{{.Requests}}</td><td>{{.RateLimited}}</td><td>{{.QuotaRejected}}</td></tr>
+<tr><th>tenant</th><th>requests</th></tr>
+{{range .Snap.Tenants}}<tr><td class="b">{{.Name}}</td><td>{{.Requests}}</td></tr>
 {{end}}</table>{{end}}
 {{range .Sweeps}}
 <h2>{{.ID}} <span class="muted">tenant {{.Tenant}} &middot; {{.Age}} old &middot;

@@ -28,14 +28,14 @@ func TestResultBatchCursor(t *testing.T) {
 
 	jobs := smallJobs(t, "exchange2")[:2]
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: jobs}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	results := func(query string, batch *ResultBatch) int {
 		t.Helper()
 		status, err := doJSON(ctx, srv.Client(), http.MethodGet,
-			srv.URL+"/v1/sweeps/"+resp.SweepID+"/results"+query, "", nil, batch)
+			srv.URL+"/v1/sweeps/"+resp.SweepID+"/results"+query, "", "", nil, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestStreamCoordinatorRestart(t *testing.T) {
 	// must not resolve to it, and recovery must not adopt it.
 	var foreign SubmitResponse
 	if _, err := doJSON(context.Background(), srv.Client(), http.MethodPost,
-		srv.URL+"/v1/sweeps", "", SubmitRequest{Jobs: jobs}, &foreign); err != nil {
+		srv.URL+"/v1/sweeps", "", "", SubmitRequest{Jobs: jobs}, &foreign); err != nil {
 		t.Fatal(err)
 	}
 	if foreign.SweepID == oldID {
@@ -195,7 +195,7 @@ func TestStreamLateLeaseInterleave(t *testing.T) {
 	ctx := context.Background()
 
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestStreamLateLeaseInterleave(t *testing.T) {
 
 	report := func(leaseID string) int {
 		t.Helper()
-		status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "",
+		status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
 			ResultRequest{LeaseID: leaseID, Result: sweep.Result{
 				Index: 0, Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}},
 			}}, nil)
@@ -224,7 +224,7 @@ func TestStreamLateLeaseInterleave(t *testing.T) {
 
 	var batch ResultBatch
 	if _, err := doJSON(ctx, srv.Client(), http.MethodGet,
-		srv.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0", "", nil, &batch); err != nil {
+		srv.URL+"/v1/sweeps/"+resp.SweepID+"/results?after=0", "", "", nil, &batch); err != nil {
 		t.Fatal(err)
 	}
 	if len(batch.Results) != 1 || batch.Next != 1 || !batch.Done {

@@ -8,11 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"safespec/internal/obs"
 	"safespec/internal/sweep"
 )
 
@@ -32,7 +30,7 @@ func TestTimingRoundTripsWire(t *testing.T) {
 	ctx := context.Background()
 
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +44,7 @@ func TestTimingRoundTripsWire(t *testing.T) {
 	}
 	timing.SimulateNS = int64(7 * time.Millisecond) // pin for exact assertions
 	timing.CacheNS = int64(3 * time.Millisecond)
-	if status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "",
+	if status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
 		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{
 			Index: lease.Index, Job: lease.Job, Res: res, Timing: timing,
 		}}, nil); err != nil || status != http.StatusOK {
@@ -100,7 +98,7 @@ func TestNoTimingPeerWireCompat(t *testing.T) {
 	ctx := context.Background()
 
 	var resp SubmitResponse
-	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "",
+	if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,7 @@ func TestNoTimingPeerWireCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "",
+	if status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
 		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{
 			Index: lease.Index, Job: lease.Job, Res: res,
 		}}, nil); err != nil || status != http.StatusOK {
@@ -196,86 +194,4 @@ func TestNoTimingPeerByteIdenticalSweep(t *testing.T) {
 	if remote := runWith(remoteExec(t, url)); remote != local {
 		t.Errorf("untimed peer changed sweep output:\n%s\nvs\n%s", remote, local)
 	}
-}
-
-// TestWorkerHonorsRetryAfter pins the 429 pacing contract with a fake
-// sleep: a coordinator Retry-After is authoritative for the backoff
-// duration on both the lease and the report path, and the fixed backoff
-// only covers responses that omit the header.
-func TestWorkerHonorsRetryAfter(t *testing.T) {
-	t.Run("report", func(t *testing.T) {
-		var calls atomic.Int32
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			switch calls.Add(1) {
-			case 1: // no header: the worker falls back to its own backoff
-				http.Error(w, "slow down", http.StatusTooManyRequests)
-			case 2:
-				w.Header().Set("Retry-After", "5")
-				http.Error(w, "slow down", http.StatusTooManyRequests)
-			default:
-				w.WriteHeader(http.StatusOK)
-			}
-		}))
-		defer srv.Close()
-
-		var pauses []time.Duration
-		reg := obs.NewRegistry()
-		w := &Worker{Coordinator: srv.URL, Metrics: NewWorkerMetrics(reg),
-			sleepFn: func(ctx context.Context, d time.Duration) bool {
-				pauses = append(pauses, d)
-				return true
-			}}
-		if err := w.report(context.Background(), srv.Client(), "lease-1", sweep.Result{}); err != nil {
-			t.Fatalf("report did not ride out 429s: %v", err)
-		}
-		want := []time.Duration{time.Second, 5 * time.Second}
-		if len(pauses) != len(want) || pauses[0] != want[0] || pauses[1] != want[1] {
-			t.Errorf("report pauses %v, want %v", pauses, want)
-		}
-		if got := w.Metrics.Backoff429.Value(); got != 2 {
-			t.Errorf("backoff_429_total = %d, want 2", got)
-		}
-	})
-
-	t.Run("lease", func(t *testing.T) {
-		var leases atomic.Int32
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Path != "/v1/lease" {
-				http.NotFound(w, req)
-				return
-			}
-			if leases.Add(1) == 1 {
-				w.Header().Set("Retry-After", "7")
-				http.Error(w, "slow down", http.StatusTooManyRequests)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		}))
-		defer srv.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		pause := make(chan time.Duration, 1)
-		w := &Worker{Coordinator: srv.URL, ID: "ra", Parallel: 1,
-			Poll: 10 * time.Millisecond, Client: srv.Client(),
-			sleepFn: func(ctx context.Context, d time.Duration) bool {
-				select {
-				case pause <- d:
-				default:
-				}
-				cancel() // one observed backoff is the whole test
-				return false
-			}}
-		if err := w.Run(ctx); err != nil {
-			t.Fatalf("worker run: %v", err)
-		}
-		select {
-		case d := <-pause:
-			if d != 7*time.Second {
-				t.Errorf("lease 429 pause = %v, want 7s (Retry-After)", d)
-			}
-		default:
-			t.Fatal("worker never backed off")
-		}
-	})
 }

@@ -7,12 +7,9 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"safespec/internal/backoff"
 	"safespec/internal/core"
 	"safespec/internal/obs"
 	"safespec/internal/sweep"
@@ -28,8 +25,6 @@ type WorkerMetrics struct {
 	// error (still reported — an error is a final result), and results the
 	// coordinator discarded (expired lease) or jobs abandoned on shutdown.
 	Leased, Completed, Failed, Requeued *obs.Counter
-	// Backoff429 counts coordinator rate-limit responses (lease and report).
-	Backoff429 *obs.Counter
 	// CacheHits/CacheMisses mirror the worker's result cache at scrape time
 	// (the binary wires the mirror; they stay 0 without a cache).
 	CacheHits, CacheMisses *obs.Counter
@@ -48,7 +43,6 @@ func NewWorkerMetrics(reg *obs.Registry) *WorkerMetrics {
 		Completed:    reg.Counter("safespec_worker_jobs_completed_total", "Results accepted by the coordinator."),
 		Failed:       reg.Counter("safespec_worker_jobs_failed_total", "Jobs whose execution returned an error."),
 		Requeued:     reg.Counter("safespec_worker_jobs_requeued_total", "Results discarded (stale lease) or jobs abandoned on shutdown."),
-		Backoff429:   reg.Counter("safespec_worker_backoff_429_total", "Coordinator rate-limit (429) backoffs across lease and report."),
 		CacheHits:    reg.Counter("safespec_worker_cache_hits_total", "Result-cache hits (0 without -cache-dir)."),
 		CacheMisses:  reg.Counter("safespec_worker_cache_misses_total", "Result-cache misses (0 without -cache-dir)."),
 		LeaseLatency: reg.Histogram("safespec_worker_lease_latency_seconds", "Lease request round-trip latency.", nil),
@@ -74,8 +68,7 @@ type Worker struct {
 	// Exec executes leased jobs (nil selects sweep.LocalExecutor).
 	Exec sweep.Executor
 	// Poll is the idle sleep between lease attempts when the coordinator
-	// has no work (default 250ms). Transport errors back off up to 16x; a
-	// coordinator 429 carrying a Retry-After header is honored instead.
+	// has no work (default 250ms). Transport errors back off up to 16x.
 	Poll time.Duration
 	// MaxIdle exits Run after the coordinator has been unreachable for this
 	// long (0 = keep polling until ctx is cancelled). Idle 204 responses do
@@ -166,9 +159,9 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 	exec sweep.Executor, poll time.Duration) error {
 	log := w.log().With("worker", w.ID, "loop", loop)
 	// The lease backoff schedule: first retry after one poll interval,
-	// doubling to 16x. failures counts consecutive lease faults (transport
-	// or 429) and resets on any answer from a healthy queue.
-	leaseRetry := backoff.Policy{Base: poll, Cap: 16 * poll}
+	// doubling to 16x. failures counts consecutive lease faults and resets
+	// on any answer from a healthy queue.
+	leaseRetry := backoff{Base: poll, Cap: 16 * poll}
 	failures := 0
 	var unreachableSince time.Time
 	for {
@@ -176,35 +169,19 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			return nil
 		}
 		leaseStart := time.Now()
-		lease, ok, hint, err := w.lease(ctx, client, loop)
+		lease, ok, err := w.lease(ctx, client, loop)
 		if err == nil && w.Metrics != nil {
 			w.Metrics.LeaseLatency.Observe(time.Since(leaseStart).Seconds())
 		}
 		// Readiness tracks reachability, not queue depth: any useful answer
-		// — including 204 (idle) and 429 (paced) — proves the coordinator is
-		// there; transport failures and auth rejections flip it off.
-		w.ready.Store(err == nil || errors.Is(err, errRateLimited))
+		// — including 204 (idle) — proves the coordinator is there;
+		// transport failures and auth rejections flip it off.
+		w.ready.Store(err == nil)
 		switch {
 		case errors.Is(err, errUnauthorized):
 			// A wrong token never becomes right; polling on would only spam
 			// the coordinator's auth log.
 			return err
-		case errors.Is(err, errRateLimited):
-			// The coordinator is pacing this tenant, not failing: back off
-			// without starting the MaxIdle unreachability clock (a
-			// rate-limited coordinator is a reachable coordinator). The
-			// coordinator's Retry-After is authoritative when present; the
-			// doubling backoff covers coordinators that omit it.
-			pause := leaseRetry.PauseHint(failures, hint)
-			failures++
-			if w.Metrics != nil {
-				w.Metrics.Backoff429.Inc()
-			}
-			log.Info("coordinator rate limit, backing off", "pause", pause.String(), "retry_after", hint > 0)
-			if !w.sleep(ctx, pause) {
-				return nil
-			}
-			continue
 		case err != nil:
 			if unreachableSince.IsZero() {
 				unreachableSince = time.Now()
@@ -213,7 +190,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 				return fmt.Errorf("grid: coordinator %s unreachable for %v: %w",
 					w.Coordinator, w.MaxIdle, err)
 			}
-			pause := leaseRetry.Pause(failures)
+			pause := leaseRetry.pause(failures)
 			failures++
 			log.Warn("lease failed, backing off", "err", err.Error(), "pause", pause.String())
 			if !w.sleep(ctx, pause) {
@@ -404,10 +381,10 @@ func (w *Worker) reportIncident(ctx context.Context, client *http.Client, inc In
 	}
 	defer cancel()
 	for attempt := 0; attempt < 3; attempt++ {
-		if attempt > 0 && !w.sleep(rctx, reportTransport.Pause(attempt-1)) {
+		if attempt > 0 && !w.sleep(rctx, reportRetry.pause(attempt-1)) {
 			return
 		}
-		status, _, err := w.post(rctx, client, "/v1/incident", inc, nil)
+		status, err := w.post(rctx, client, "/v1/incident", inc, nil)
 		if err != nil || status >= 500 {
 			continue // transport fault or server error: retry
 		}
@@ -421,85 +398,46 @@ func (w *Worker) reportIncident(ctx context.Context, client *http.Client, inc In
 // retrying) instead of hammering the coordinator's auth log.
 var errUnauthorized = errors.New("coordinator rejected the bearer token (status 401); check -token/SAFESPEC_TOKEN")
 
-// errRateLimited marks a coordinator 429: this tenant is over its request
-// rate. Unlike other 4xx it is transient by definition — the rate limiter
-// is asking for exactly a backoff — so lease and report loops retry it
-// instead of treating it as terminal.
-var errRateLimited = errors.New("coordinator rate limit (status 429)")
-
-// retryAfter parses a Retry-After header's delay-seconds form (the form
-// the coordinator sends). The HTTP-date form and garbage both come back 0:
-// the caller falls back to its own backoff.
-func retryAfter(h http.Header) time.Duration {
-	v := strings.TrimSpace(h.Get("Retry-After"))
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// lease requests one job; ok is false on an empty queue (204). On a 429,
-// hint carries the coordinator's Retry-After delay (0 when absent).
-func (w *Worker) lease(ctx context.Context, client *http.Client, loop int) (LeaseResponse, bool, time.Duration, error) {
+// lease requests one job; ok is false on an empty queue (204).
+func (w *Worker) lease(ctx context.Context, client *http.Client, loop int) (LeaseResponse, bool, error) {
 	var resp LeaseResponse
-	status, hdr, err := w.post(ctx, client, "/v1/lease",
+	status, err := w.post(ctx, client, "/v1/lease",
 		LeaseRequest{Worker: fmt.Sprintf("%s/%d", w.ID, loop)}, &resp)
 	if err != nil {
-		return resp, false, 0, err
+		return resp, false, err
 	}
 	switch status {
 	case http.StatusOK:
-		return resp, true, 0, nil
+		return resp, true, nil
 	case http.StatusNoContent:
-		return resp, false, 0, nil
+		return resp, false, nil
 	case http.StatusUnauthorized:
-		return resp, false, 0, errUnauthorized
-	case http.StatusTooManyRequests:
-		return resp, false, retryAfter(hdr), errRateLimited
+		return resp, false, errUnauthorized
 	default:
-		return resp, false, 0, fmt.Errorf("lease: unexpected status %d", status)
+		return resp, false, fmt.Errorf("lease: unexpected status %d", status)
 	}
 }
 
-// reportTransport and reportRate are the report retry schedules: transport
-// faults and 5xx ride a fast doubling schedule whose eight attempts fit
-// the 10-second detached-report budget a shutting-down worker gets (a
-// coordinator mid-restart refuses connections for a few seconds — a
-// finished result must survive that, not be thrown away and re-simulated);
-// rate-limit rejections wait on the coarser bucket-refill scale.
-var (
-	reportTransport = backoff.Policy{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
-	reportRate      = backoff.Policy{Base: time.Second, Cap: 8 * time.Second}
-)
+// reportRetry is the report retry schedule for transport faults and 5xx:
+// a fast doubling schedule whose eight attempts fit the 10-second detached
+// budget a shutting-down worker gets (a coordinator mid-restart refuses
+// connections for a few seconds — a finished result must survive that,
+// not be thrown away and re-simulated).
+var reportRetry = backoff{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
 
 // report posts a finished lease, retrying transport errors and 5xx until
 // its backoff budget runs out, then giving the job back to the coordinator
 // via lease expiry. Any 4xx other than 409 (stale lease, reported by the
-// caller) and 429 (tenant rate limit — the limiter is asking for a
-// backoff, and the detached final report on shutdown must survive it too)
-// is terminal: the coordinator rejected the payload itself, and retrying
-// the same bytes can only fail the same way. A 429 carrying Retry-After
-// waits exactly that long.
+// caller) is terminal: the coordinator rejected the payload itself, and
+// retrying the same bytes can only fail the same way.
 func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string, r sweep.Result) error {
 	var err error
-	var hint time.Duration
 	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
-			pause := reportTransport.Pause(attempt - 1)
-			if errors.Is(err, errRateLimited) {
-				pause = reportRate.PauseHint(attempt-1, hint)
-			}
-			if !w.sleep(ctx, pause) {
-				return ctx.Err()
-			}
+		if attempt > 0 && !w.sleep(ctx, reportRetry.pause(attempt-1)) {
+			return ctx.Err()
 		}
 		var status int
-		var hdr http.Header
-		status, hdr, err = w.post(ctx, client, "/v1/result", ResultRequest{LeaseID: leaseID, Result: r}, nil)
+		status, err = w.post(ctx, client, "/v1/result", ResultRequest{LeaseID: leaseID, Result: r}, nil)
 		if err != nil {
 			continue
 		}
@@ -508,11 +446,6 @@ func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string
 			return nil
 		case status == http.StatusConflict:
 			return fmt.Errorf("result: lease %s no longer valid", leaseID)
-		case status == http.StatusTooManyRequests:
-			err, hint = errRateLimited, retryAfter(hdr)
-			if w.Metrics != nil {
-				w.Metrics.Backoff429.Inc()
-			}
 		case status >= 400 && status < 500:
 			return fmt.Errorf("result: permanently rejected with status %d", status)
 		default:
@@ -525,8 +458,8 @@ func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string
 // post sends one JSON request and decodes a JSON body into out (when non-nil
 // and the status is 200). Every request carries the worker identity header,
 // which ties the worker's lease loops together for the holder rule.
-func (w *Worker) post(ctx context.Context, client *http.Client, path string, in, out any) (int, http.Header, error) {
-	return doJSONAs(ctx, client, http.MethodPost, w.Coordinator+path, w.Token, w.ID, in, out)
+func (w *Worker) post(ctx context.Context, client *http.Client, path string, in, out any) (int, error) {
+	return doJSON(ctx, client, http.MethodPost, w.Coordinator+path, w.Token, w.ID, in, out)
 }
 
 // sleep waits d or until ctx is done, reporting whether the full wait
@@ -540,4 +473,17 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
+}
+
+// backoff is a capped doubling retry schedule.
+type backoff struct{ Base, Cap time.Duration }
+
+// pause returns the wait before retry attempt (0-based): Base doubled once
+// per attempt, never above Cap.
+func (b backoff) pause(attempt int) time.Duration {
+	d := b.Base
+	for i := 0; i < attempt && d < b.Cap; i++ {
+		d *= 2
+	}
+	return min(d, b.Cap)
 }

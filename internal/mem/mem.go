@@ -241,11 +241,13 @@ func (m *Memory) spares(words int) *[][]int64 {
 type Image struct {
 	// slots is the number of allocated regions.
 	slots int
-	// frames lists every region that is not an all-zero data frame, in slot
-	// order; the regions it omits read as zeroFrame. Stored frames are
-	// interned, so Images share every frame whose content they have in
-	// common: the page tables of programs with one layout (a kernel under
-	// different seeds) and data such as a kernel's jump table.
+	// frames lists, in slot order, every region except the shared zero
+	// frame and all-zero frames the memory owned; the regions it omits
+	// read as zeroFrame. Frames the memory owned are interned, so Images
+	// share every such frame whose content they have in common: the page
+	// tables of programs with one layout (a kernel under different seeds)
+	// and written data. Borrowed frames (a program's pages) are stored as
+	// they are.
 	frames             []imageFrame
 	rootPA, nextFreePA uint64
 }
@@ -256,7 +258,7 @@ type imageFrame struct {
 	*frozen
 }
 
-// frozen holds the words of an interned frame, which never change. Images
+// frozen holds the words of a stored frame, which never change. Images
 // point to it so the intern table can hold it weakly.
 type frozen struct{ words []int64 }
 
@@ -267,16 +269,22 @@ var zeroFrame [PageSize / 8]int64
 // Freeze snapshots m into an Image. m keeps its content but no longer owns
 // any frame: from now on it reads through the Image and copies on write,
 // exactly like FromImage(img). Images store frames without copying them:
-// a page passed to SharePage (or an equal frame interned before it) becomes
-// part of the image, so it must stay unchanged for as long as the image
-// lives.
+// a page passed to SharePage becomes part of the image, so it must stay
+// unchanged for as long as the image lives. Only frames m owns — page
+// tables and written pages — are interned: a borrowed page is already
+// held by whoever lent it, so interning it could save no memory and would
+// only cost a hash of its words.
 func (m *Memory) Freeze() *Image {
 	img := &Image{slots: len(m.frames), rootPA: m.rootPA, nextFreePA: m.nextFreePA}
 	for slot, f := range m.frames {
-		if len(f) == len(zeroFrame) && (&f[0] == &zeroFrame[0] || slices.Equal(f, zeroFrame[:])) {
-			continue
+		switch {
+		case !m.owned[slot]:
+			if &f[0] != &zeroFrame[0] {
+				img.frames = append(img.frames, imageFrame{slot: slot, frozen: &frozen{words: f}})
+			}
+		case len(f) != len(zeroFrame) || !slices.Equal(f, zeroFrame[:]):
+			img.frames = append(img.frames, imageFrame{slot: slot, frozen: intern(f)})
 		}
-		img.frames = append(img.frames, imageFrame{slot: slot, frozen: intern(f)})
 	}
 	clear(m.owned)
 	m.Load(img)
