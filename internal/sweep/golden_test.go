@@ -121,3 +121,24 @@ func TestGoldenQuickJobHashes(t *testing.T) {
 		t.Fatalf("Quick-matrix job hashes diverged from pre-refactor golden:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }
+
+// goldenQuickThreads2 pins the Quick matrix at two hardware threads, so the
+// SMT path (per-thread retirement counters, sibling shadow state, the
+// shared front end) is held byte-identical the way the single-thread
+// goldens hold Threads=1.
+const goldenQuickThreads2 = "testdata/quick_threads2.jsonl"
+
+// TestGoldenQuickThreads2JSONLByteIdentity runs the Quick matrix at
+// Threads=2 and requires its JSONL to match the pinned stream.
+func TestGoldenQuickThreads2JSONLByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full Quick matrix at two threads")
+	}
+	m := sweep.Quick()
+	m.Threads = []int{2}
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenJSONL(t, jobs, goldenQuickThreads2)
+}
