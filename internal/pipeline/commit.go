@@ -3,11 +3,7 @@ package pipeline
 import (
 	"safespec/internal/isa"
 	"safespec/internal/mem"
-	"safespec/internal/shadow"
 )
-
-// shadowZero is the invalid shadow handle.
-var shadowZero shadow.Handle
 
 // commit retires finished instructions from thread t's ROB head, in order.
 // budget is the remaining CommitWidth shared across threads this cycle; one
@@ -54,10 +50,8 @@ func (c *CPU) commit(t *thread, budget *int) {
 				panic("pipeline: committed store to unmapped frame")
 			}
 			t.ms.Hier.FillData(e.pa)
-			c.St.CommittedStores++
 			t.st.CommittedStores++
 		case isa.ClassLoad:
-			c.St.CommittedLoads++
 			t.st.CommittedLoads++
 		case isa.ClassFlush:
 			// clflush takes effect at commit so that squashed flushes leave
@@ -72,9 +66,9 @@ func (c *CPU) commit(t *thread, budget *int) {
 
 		// SafeSpec state motion: WFC moves at commit; under WFB anything
 		// already moved at issue/resolution leaves nothing behind and this
-		// call is a no-op (moveShadow is idempotent).
+		// call is a no-op (commit empties the handle set).
 		if c.cfg.Mode.SafeSpec() {
-			c.moveShadow(t, e)
+			e.sh.commit(t.ms)
 		}
 
 		if e.isLoad {
@@ -97,7 +91,6 @@ func (c *CPU) commit(t *thread, budget *int) {
 
 		t.head = (t.head + 1) % len(t.rob)
 		t.count--
-		c.St.Committed++
 		t.st.Committed++
 		*budget--
 
@@ -112,7 +105,6 @@ func (c *CPU) commit(t *thread, budget *int) {
 // Meltdown under WFC), and t's front end vectors to the program's trap
 // handler. Sibling threads are unaffected: faults are a per-context event.
 func (c *CPU) trap(t *thread, e *entry) {
-	c.St.Faults++
 	t.st.Faults++
 	handler := c.prog.TrapHandler
 
@@ -122,51 +114,13 @@ func (c *CPU) trap(t *thread, e *entry) {
 		in.SquashedByTrap += uint64(t.count) - 1 // minus the faulting instruction, matching Stats.Squashed
 	}
 	c.squashAll(t)
-	c.St.Squashed-- // the faulting instruction counts as a fault, not a squash
-	t.st.Squashed--
+	t.st.Squashed-- // the faulting instruction counts as a fault, not a squash
 
 	if handler < 0 {
 		t.halted = true
 		return
 	}
-	c.St.Traps++
 	t.st.Traps++
 	t.fenceActive = 0
 	c.flushFetch(t, handler)
-}
-
-// moveShadow transfers e's shadow state to the committed structures: cache
-// lines to the cache hierarchy, translations to the TLBs (the "update
-// committed state" arrow of Figure 3). Shared entries are force-freed: once
-// the state is committed, remaining speculative references would hit the
-// committed structures anyway.
-func (c *CPU) moveShadow(t *thread, e *entry) {
-	ms := t.ms
-	if !c.cfg.Mode.SafeSpec() {
-		return
-	}
-	for _, h := range e.dhs() {
-		if ms.ShD.StillValid(h) {
-			line := ms.ShD.ForceFree(h, true)
-			ms.Hier.FillData(line)
-		}
-	}
-	e.nDH = 0
-	if e.dtlbHandle.Valid() && ms.ShDTLB.StillValid(e.dtlbHandle) {
-		pl := ms.ShDTLB.PayloadOf(e.dtlbHandle)
-		vpage := ms.ShDTLB.ForceFree(e.dtlbHandle, true)
-		ms.DTLB.Fill(vpage, pl.Frame, mem.Perm(pl.Perm))
-	}
-	e.dtlbHandle = shadowZero
-	if e.iHandle.Valid() && ms.ShI.StillValid(e.iHandle) {
-		line := ms.ShI.ForceFree(e.iHandle, true)
-		ms.Hier.FillInstr(line)
-	}
-	e.iHandle = shadowZero
-	if e.itlbHandle.Valid() && ms.ShITLB.StillValid(e.itlbHandle) {
-		pl := ms.ShITLB.PayloadOf(e.itlbHandle)
-		vpage := ms.ShITLB.ForceFree(e.itlbHandle, true)
-		ms.ITLB.Fill(vpage, pl.Frame, mem.Perm(pl.Perm))
-	}
-	e.itlbHandle = shadowZero
 }

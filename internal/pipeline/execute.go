@@ -174,10 +174,10 @@ func (c *CPU) issueLoad(t *thread, idx int, e *entry, v1 int64) issueOutcome {
 		return issueBlocked
 	}
 	c.St.DReads++
-	switch {
-	case res.shadowHit:
+	switch res.src {
+	case srcShadow:
 		c.St.DReadShadowHits++
-	case res.l1Hit:
+	case srcL1:
 		c.St.DReadL1Hits++
 	default:
 		c.St.DReadMisses++
@@ -185,8 +185,7 @@ func (c *CPU) issueLoad(t *thread, idx int, e *entry, v1 int64) issueOutcome {
 	e.val = res.value
 	e.pa = res.pa
 	e.fault = res.fault
-	e.addDHs(res.dhs()) // keep fetch-attributed PTE handles
-	e.dtlbHandle = res.dtlbHandle
+	e.sh.take(&res.sh) // joins the fetch-attributed PTE handles
 	e.state = stExec
 	e.completeAt = c.cycle + uint64(isa.Latency(e.in.Op)) + uint64(res.latency)
 	t.iqCount--
@@ -202,7 +201,8 @@ func (c *CPU) issueLoad(t *thread, idx int, e *entry, v1 int64) issueOutcome {
 // itself happens at commit (TSO).
 func (c *CPU) issueStore(t *thread, idx int, e *entry, v1, v2 int64) issueOutcome {
 	va := uint64(v1 + e.in.Imm)
-	res := t.ms.StoreAccess(va, e.seq, e.mask)
+	var res accessResult
+	t.ms.resolveData(va, e.seq, e.mask, &res)
 	if res.blocked {
 		return issueBlocked
 	}
@@ -212,8 +212,7 @@ func (c *CPU) issueStore(t *thread, idx int, e *entry, v1, v2 int64) issueOutcom
 	e.sdata = v2
 	e.addrReady = true
 	c.wakeWaiters(t, idx) // loads parked on this store's address
-	e.addDHs(res.dhs())
-	e.dtlbHandle = res.dtlbHandle
+	e.sh.take(&res.sh)
 	e.state = stExec
 	e.completeAt = c.cycle + uint64(isa.Latency(e.in.Op))
 	t.iqCount--
@@ -244,7 +243,7 @@ func (c *CPU) writeback(t *thread, idx int, e *entry) bool {
 // load's side effects have no branch to wait for.
 func (c *CPU) wfbMoveIfSafe(t *thread, e *entry) {
 	if c.cfg.Mode == ModeWFB && e.mask == 0 {
-		c.moveShadow(t, e)
+		e.sh.commit(t.ms)
 	}
 }
 
@@ -282,7 +281,6 @@ func (c *CPU) resolveBranch(t *thread, idx int, e *entry) bool {
 	if c.tracing() {
 		c.tracef("MISPRED %s predicted=%d actual=%d", traceEntry(e), e.predTarget, e.actualTarget)
 	}
-	c.St.Mispredicts++
 	t.st.Mispredicts++
 	if in := c.intro; in != nil {
 		in.MispredictSquashes++
@@ -357,7 +355,6 @@ func (c *CPU) squashAll(t *thread) {
 func (c *CPU) squashEntry(t *thread, idx int) {
 	e := &t.rob[idx]
 	c.schedSquash(t, idx)
-	c.St.Squashed++
 	t.st.Squashed++
 	if e.state == stWait {
 		t.iqCount--
@@ -375,32 +372,7 @@ func (c *CPU) squashEntry(t *thread, idx int) {
 		t.fenceActive--
 	}
 	t.releaseRASSnap(e)
-	c.releaseShadow(t, e, false)
-}
-
-// releaseShadow drops all shadow handles of e with the given disposition.
-func (c *CPU) releaseShadow(t *thread, e *entry, committed bool) {
-	ms := t.ms
-	if ms.ShD != nil {
-		for _, h := range e.dhs() {
-			if ms.ShD.StillValid(h) {
-				ms.ShD.Release(h, committed)
-			}
-		}
-	}
-	e.nDH = 0
-	if ms.ShDTLB != nil && e.dtlbHandle.Valid() && ms.ShDTLB.StillValid(e.dtlbHandle) {
-		ms.ShDTLB.Release(e.dtlbHandle, committed)
-	}
-	e.dtlbHandle = shadowZero
-	if ms.ShI != nil && e.iHandle.Valid() && ms.ShI.StillValid(e.iHandle) {
-		ms.ShI.Release(e.iHandle, committed)
-	}
-	e.iHandle = shadowZero
-	if ms.ShITLB != nil && e.itlbHandle.Valid() && ms.ShITLB.StillValid(e.itlbHandle) {
-		ms.ShITLB.Release(e.itlbHandle, committed)
-	}
-	e.itlbHandle = shadowZero
+	e.sh.annul(t.ms)
 }
 
 // evalALU computes the result of an ALU-class operation.

@@ -14,6 +14,10 @@ import (
 // the differential tests pin both schedulers to identical statistics.
 func (c *CPU) SetReferenceScheduler(on bool) { c.refSched = on }
 
+// Committed returns the instructions retired so far, the count Run's loop
+// condition tests (St.Committed holds it only once Run returns).
+func (c *CPU) Committed() uint64 { return c.committed() }
+
 // CheckSchedInvariants reports the first violated event-scheduler invariant
 // on c's running threads, meant to be checked between Steps:
 //

@@ -4,7 +4,6 @@ import (
 	"safespec/internal/cache"
 	"safespec/internal/isa"
 	"safespec/internal/mem"
-	"safespec/internal/shadow"
 )
 
 // fetch runs the front end of thread t for one cycle: up to FetchWidth
@@ -58,30 +57,20 @@ func (c *CPU) fetch(t *thread) {
 				return
 			}
 			c.St.IFetches++
-			switch {
-			case res.shadowHit:
+			switch res.src {
+			case srcShadow:
 				c.St.IFetchShadowHits++
-			case res.l1Hit:
+			case srcL1:
 				c.St.IFetchL1Hits++
 			default:
 				c.St.IFetchMisses++
 			}
 			t.lastFetchLine = lineVA
-			t.lastFetchPALine = res.paLine
-			if res.iHandle.Valid() {
-				t.releasePendingIH()
-				t.pendingIH = res.iHandle
-			}
-			if res.itlbHandle.Valid() {
-				t.releasePendingITLBH()
-				t.pendingITLBH = res.itlbHandle
-			}
-			if res.nDH > 0 {
-				t.releasePendingDH()
-				t.pendingDH, t.nPendingDH = res.dHandles, res.nDH
-			}
-			if res.stall > 0 {
-				t.fetchStallUntil = c.cycle + uint64(res.stall)
+			t.lastFetchPALine = res.pa
+			t.pending.annul(t.ms)
+			t.pending.take(&res.sh)
+			if res.latency > 0 {
+				t.fetchStallUntil = c.cycle + uint64(res.latency)
 				return
 			}
 		}
@@ -93,16 +82,7 @@ func (c *CPU) fetch(t *thread) {
 		rec.in = in
 		// The first instruction fetched after a line fill owns that line's
 		// shadow entries.
-		if t.pendingIH.Valid() {
-			rec.iHandle, t.pendingIH = t.pendingIH, shadow.Handle{}
-		}
-		if t.pendingITLBH.Valid() {
-			rec.itlbHandle, t.pendingITLBH = t.pendingITLBH, shadow.Handle{}
-		}
-		if t.nPendingDH > 0 {
-			rec.dHandles, rec.nDH = t.pendingDH, t.nPendingDH
-			t.nPendingDH = 0
-		}
+		rec.sh.take(&t.pending)
 
 		redirected := false
 		switch isa.ClassOf(in.Op) {
@@ -219,9 +199,9 @@ func (c *CPU) dispatch(t *thread, budget *int) {
 		e := &t.rob[idx]
 		// Field-by-field reset instead of `*e = entry{...}`: the composite
 		// literal zero-fills the whole slot — dominated by the 96-byte
-		// inline handle array — on every dispatch. Stale dHandles contents
-		// are unreachable behind nDH = 0; every other field is (re)assigned
-		// here or below.
+		// inline handle array — on every dispatch. sh.reset leaves stale
+		// handles unreachable behind nD = 0; every other field is
+		// (re)assigned here or below.
 		e.seq = t.seqCtr
 		e.pc = rec.pc
 		e.in = rec.in
@@ -243,11 +223,8 @@ func (c *CPU) dispatch(t *thread, budget *int) {
 		e.va, e.pa = 0, 0
 		e.sdata = 0
 		e.fault = mem.FaultNone
-		e.nDH = 0
-		e.dtlbHandle = shadowZero
-		e.iHandle = rec.iHandle
-		e.itlbHandle = rec.itlbHandle
-		e.addDHs(rec.dHandles[:rec.nDH])
+		e.sh.reset()
+		e.sh.take(&rec.sh)
 		if tagBit != 0 {
 			t.activeTags |= tagBit
 		}
@@ -271,7 +248,6 @@ func (c *CPU) dispatch(t *thread, budget *int) {
 		if rec.in.Op == isa.OpFence {
 			t.fenceActive++
 		}
-		c.St.Dispatched++
 		t.st.Dispatched++
 		c.active = true
 		t.fbPop()
@@ -322,53 +298,17 @@ func (c *CPU) freeTag(t *thread) uint64 {
 	return 0
 }
 
-// releasePendingIH frees an unattached fetch-line shadow handle.
-func (t *thread) releasePendingIH() {
-	if t.pendingIH.Valid() && t.ms.ShI != nil && t.ms.ShI.StillValid(t.pendingIH) {
-		t.ms.ShI.Release(t.pendingIH, false)
-	}
-	t.pendingIH = shadow.Handle{}
-}
-
-func (t *thread) releasePendingITLBH() {
-	if t.pendingITLBH.Valid() && t.ms.ShITLB != nil && t.ms.ShITLB.StillValid(t.pendingITLBH) {
-		t.ms.ShITLB.Release(t.pendingITLBH, false)
-	}
-	t.pendingITLBH = shadow.Handle{}
-}
-
-func (t *thread) releasePendingDH() {
-	for _, h := range t.pendingDH[:t.nPendingDH] {
-		if t.ms.ShD != nil && t.ms.ShD.StillValid(h) {
-			t.ms.ShD.Release(h, false)
-		}
-	}
-	t.nPendingDH = 0
-}
-
 // flushFetch clears thread t's fetch buffer and any pending shadow handles,
 // then redirects its front end to pc.
 func (c *CPU) flushFetch(t *thread, pc int) {
 	for i := 0; i < t.fbLen; i++ {
 		rec := &t.fetchBuf[(t.fbHead+i)%len(t.fetchBuf)]
-		if rec.iHandle.Valid() && t.ms.ShI != nil && t.ms.ShI.StillValid(rec.iHandle) {
-			t.ms.ShI.Release(rec.iHandle, false)
-		}
-		if rec.itlbHandle.Valid() && t.ms.ShITLB != nil && t.ms.ShITLB.StillValid(rec.itlbHandle) {
-			t.ms.ShITLB.Release(rec.itlbHandle, false)
-		}
-		for _, h := range rec.dHandles[:rec.nDH] {
-			if t.ms.ShD != nil && t.ms.ShD.StillValid(h) {
-				t.ms.ShD.Release(h, false)
-			}
-		}
+		rec.sh.annul(t.ms)
 		t.putRASBuf(rec.rasSnap)
 		*rec = fetchRec{}
 	}
 	t.fbHead, t.fbLen = 0, 0
-	t.releasePendingIH()
-	t.releasePendingITLBH()
-	t.releasePendingDH()
+	t.pending.annul(t.ms)
 	t.fetchPC = pc
 	t.fetchValid = pc >= 0 && pc < len(c.prog.Code)
 	t.fetchStallUntil = c.cycle + uint64(c.cfg.RedirectPenalty)

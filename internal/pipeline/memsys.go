@@ -71,57 +71,147 @@ type MemSystem struct {
 // slices — the access path runs allocation-free.
 const maxAccessDH = 3
 
-// loadResult is the outcome of a data-side access.
-type loadResult struct {
+// shadowHandles is the shadow state one owner holds: a ROB entry, a fetched
+// instruction not yet dispatched, a thread's line fill not yet attached to
+// an instruction, or one access in progress. Every entry it names leaves
+// through one of two doors, the two arrows of paper Figure 3: commit moves
+// it to the committed cache or TLB at the owner's visibility point, annul
+// frees it in place when the owner is squashed. d[:nD] holds shadow
+// D-cache lines — at most one fetch-transferred set (iTLB-walk PTE lines)
+// plus one data access's worth, inline so dispatch and issue never
+// allocate — and the other three hold at most one entry each.
+type shadowHandles struct {
+	d             [2 * maxAccessDH]shadow.Handle
+	nD            int
+	dtlb, i, itlb shadow.Handle
+}
+
+// addD records an acquired shadow D-cache handle.
+func (s *shadowHandles) addD(h shadow.Handle) {
+	s.d[s.nD] = h
+	s.nD++
+}
+
+// take moves o's handles into s and empties o. Each dTLB, I-cache or iTLB
+// handle o holds lands in a slot s leaves empty.
+func (s *shadowHandles) take(o *shadowHandles) {
+	s.nD += copy(s.d[s.nD:], o.d[:o.nD])
+	if o.dtlb.Valid() {
+		s.dtlb = o.dtlb
+	}
+	if o.i.Valid() {
+		s.i = o.i
+	}
+	if o.itlb.Valid() {
+		s.itlb = o.itlb
+	}
+	o.reset()
+}
+
+// reset forgets every handle. Stale d slots past nD are unreachable, so the
+// inline array is not zero-filled.
+func (s *shadowHandles) reset() {
+	s.nD = 0
+	s.dtlb, s.i, s.itlb = shadow.Handle{}, shadow.Handle{}, shadow.Handle{}
+}
+
+// annul releases every held entry as squashed, in place (the "annul update
+// to the shadow state" arrow). An entry some other path already freed — it
+// moved, was replaced or was flushed — is skipped. Baseline mode holds no
+// handles, so its nil shadow structures are never dereferenced.
+func (s *shadowHandles) annul(ms *MemSystem) {
+	for _, h := range s.d[:s.nD] {
+		if ms.ShD.StillValid(h) {
+			ms.ShD.Release(h, false)
+		}
+	}
+	if ms.ShDTLB.StillValid(s.dtlb) {
+		ms.ShDTLB.Release(s.dtlb, false)
+	}
+	if ms.ShI.StillValid(s.i) {
+		ms.ShI.Release(s.i, false)
+	}
+	if ms.ShITLB.StillValid(s.itlb) {
+		ms.ShITLB.Release(s.itlb, false)
+	}
+	s.reset()
+}
+
+// commit moves every held entry to the committed structures: cache lines to
+// the cache hierarchy, translations to the TLBs (the "update committed
+// state" arrow). Shared entries are force-freed: once the state is
+// committed, remaining speculative references would hit the committed
+// structures anyway. A second commit finds nothing left to move.
+func (s *shadowHandles) commit(ms *MemSystem) {
+	for _, h := range s.d[:s.nD] {
+		if ms.ShD.StillValid(h) {
+			ms.Hier.FillData(ms.ShD.ForceFree(h, true))
+		}
+	}
+	if ms.ShDTLB.StillValid(s.dtlb) {
+		pl := ms.ShDTLB.PayloadOf(s.dtlb)
+		ms.DTLB.Fill(ms.ShDTLB.ForceFree(s.dtlb, true), pl.Frame, mem.Perm(pl.Perm))
+	}
+	if ms.ShI.StillValid(s.i) {
+		ms.Hier.FillInstr(ms.ShI.ForceFree(s.i, true))
+	}
+	if ms.ShITLB.StillValid(s.itlb) {
+		pl := ms.ShITLB.PayloadOf(s.itlb)
+		ms.ITLB.Fill(ms.ShITLB.ForceFree(s.itlb, true), pl.Frame, mem.Perm(pl.Perm))
+	}
+	s.reset()
+}
+
+// lineSrc classifies where a line lookup hit (Figures 12-15 statistics).
+type lineSrc uint8
+
+const (
+	srcMiss   lineSrc = iota // neither; filled from further out
+	srcL1                    // the committed L1
+	srcShadow                // the thread's shadow structure
+)
+
+// accessResult is the outcome of one data-side or instruction-side access.
+type accessResult struct {
+	// latency is the access time; the front end stalls for it.
 	latency int
 	fault   mem.Fault
 	value   int64
 	pa      uint64
 	blocked bool
-	// l1Hit / shadowHit classify where the *data line* lookup hit
-	// (for the Figure 12/13 statistics).
-	l1Hit, shadowHit, anyMiss bool
-	// dHandles[:nDH] are shadow D-cache handles acquired (data line + PTE
-	// lines).
-	dHandles [maxAccessDH]shadow.Handle
-	nDH      int
-	// dtlbHandle is the shadow dTLB handle acquired, if any.
-	dtlbHandle shadow.Handle
+	// src is where the data or instruction line itself was found.
+	src lineSrc
+	// sh holds the shadow entries the access acquired: PTE lines and the
+	// new translation, plus the data or instruction line.
+	sh shadowHandles
 }
 
-// addDH records an acquired shadow D-cache handle.
-func (r *loadResult) addDH(h shadow.Handle) {
-	r.dHandles[r.nDH] = h
-	r.nDH++
-}
-
-// dhs returns the acquired handles as a slice view.
-func (r *loadResult) dhs() []shadow.Handle { return r.dHandles[:r.nDH] }
-
-// translateData translates va on the data side, charging PTE reads to the
-// D-cache path. owner tags shadow allocations with the requesting
-// instruction's sequence number.
-func (ms *MemSystem) translateData(va uint64, owner, part uint64, res *loadResult) (frame uint64, perm mem.Perm, ok bool) {
+// translate maps va through the committed TLB tb, then the shadow TLB stlb,
+// walking the page table on a miss. PTE reads go through the D-cache path
+// and charge res. The walked translation fills tb (baseline) or a new stlb
+// entry whose handle lands in *hold (SafeSpec). A blocked access gives back
+// what it acquired, so the retry starts clean.
+func (ms *MemSystem) translate(tb *tlb.TLB, stlb *shadow.Structure, hold *shadow.Handle, va, owner, part uint64, res *accessResult) (frame uint64, perm mem.Perm, ok bool) {
 	vpage := va &^ uint64(mem.PageMask)
-	if f, p, hit := ms.DTLB.Lookup(va); hit {
+	if f, p, hit := tb.Lookup(va); hit {
 		return f, p, true
 	}
 	if ms.Mode.SafeSpec() {
-		if h, hit := ms.ShDTLB.Lookup(vpage); hit {
-			pl := ms.ShDTLB.PayloadOf(h)
+		if h, hit := stlb.Lookup(vpage); hit {
+			pl := stlb.PayloadOf(h)
 			return pl.Frame, mem.Perm(pl.Perm), true
 		}
 	}
-	// Page walk.
 	res.latency += ms.WalkerLatency
 	tr := ms.Walk.Walk(va)
 	for _, step := range tr.Steps {
 		if step.PA == 0 {
 			continue
 		}
-		lat, blocked := ms.pteRead(step.PA, owner, part, res)
+		lat, _, blocked := ms.readLine(step.PA, owner, part, res)
 		if blocked {
 			res.blocked = true
+			res.sh.annul(ms)
 			return 0, 0, false
 		}
 		res.latency += lat
@@ -130,270 +220,139 @@ func (ms *MemSystem) translateData(va uint64, owner, part uint64, res *loadResul
 		res.fault = tr.Fault
 		return 0, 0, false
 	}
-	// Install the translation: committed dTLB in baseline, shadow otherwise.
-	if ms.Mode.SafeSpec() {
-		h, ok, blocked := ms.ShDTLB.Alloc(vpage, owner, part, shadow.Payload{Frame: tr.Frame, Perm: uint8(tr.Perm)})
-		if blocked {
-			res.blocked = true
-			return 0, 0, false
-		}
-		if ok {
-			res.dtlbHandle = h
-		}
-	} else {
-		ms.DTLB.Fill(va, tr.Frame, tr.Perm)
+	if !ms.Mode.SafeSpec() {
+		tb.Fill(va, tr.Frame, tr.Perm)
+		return tr.Frame, tr.Perm, true
+	}
+	h, ok, blocked := stlb.Alloc(vpage, owner, part, shadow.Payload{Frame: tr.Frame, Perm: uint8(tr.Perm)})
+	if blocked {
+		res.blocked = true
+		res.sh.annul(ms)
+		return 0, 0, false
+	}
+	if ok {
+		*hold = h
 	}
 	return tr.Frame, tr.Perm, true
 }
 
-// pteRead charges one page-table-entry read to the D-cache path, filling the
-// shadow D-cache (SafeSpec) or the committed hierarchy (baseline) on a miss.
-func (ms *MemSystem) pteRead(pa uint64, owner, part uint64, res *loadResult) (latency int, blocked bool) {
+// readLine charges one read of the D-cache line holding pa — a PTE or a
+// load's data line — and reports where it hit. A shadow hit takes a
+// reference on the shared entry and costs the L1 hit time (conservatively);
+// a miss fills the shadow D-cache (SafeSpec) or the committed hierarchy
+// (baseline).
+func (ms *MemSystem) readLine(pa, owner, part uint64, res *accessResult) (latency int, src lineSrc, blocked bool) {
 	line := cache.LineAddr(pa)
 	if ms.Mode.SafeSpec() {
 		if _, hit := ms.ShD.Lookup(line); hit {
-			// Shadow access time is conservatively the L1 hit time.
-			if hh, ok, _ := ms.ShD.Alloc(line, owner, part, shadow.Payload{}); ok {
-				res.addDH(hh)
+			if h, ok, _ := ms.ShD.Alloc(line, owner, part, shadow.Payload{}); ok {
+				res.sh.addD(h)
 			}
-			return ms.Hier.L1D.HitLatency(), false
+			return ms.Hier.L1D.HitLatency(), srcShadow, false
 		}
 	}
 	lat, level := ms.Hier.AccessData(pa)
 	if level == cache.LevelL1 {
-		return lat, false
+		return lat, srcL1, false
 	}
-	if ms.Mode.SafeSpec() {
-		h, ok, blk := ms.ShD.Alloc(line, owner, part, shadow.Payload{})
-		if blk {
-			return 0, true
-		}
-		if ok {
-			res.addDH(h)
-		}
-	} else {
+	if !ms.Mode.SafeSpec() {
 		ms.Hier.FillData(pa)
+		return lat, srcMiss, false
 	}
-	return lat, false
+	h, ok, blk := ms.ShD.Alloc(line, owner, part, shadow.Payload{})
+	if blk {
+		return 0, srcMiss, true
+	}
+	if ok {
+		res.sh.addD(h)
+	}
+	return lat, srcMiss, false
 }
 
-// LoadAccess performs the full data-side access for a load to va: dTLB
-// (with page walk on miss), permission check, semantic read, and the data
-// cache lookup/fill. It never mutates architectural memory.
-func (ms *MemSystem) LoadAccess(va uint64, owner, part uint64) loadResult {
-	var res loadResult
-	frame, perm, ok := ms.translateData(va, owner, part, &res)
-	if res.blocked {
-		ms.releaseAll(&res)
-		return res
-	}
+// resolveData performs the address half of a data access: dTLB (with page
+// walk on miss) and the user-mode permission check. It reports false when
+// the access must retry (res.blocked) or the walk faulted. A store stops
+// here: its data write and cache fill happen later, at commit (TSO).
+func (ms *MemSystem) resolveData(va, owner, part uint64, res *accessResult) bool {
+	frame, perm, ok := ms.translate(ms.DTLB, ms.ShDTLB, &res.sh.dtlb, va, owner, part, res)
 	if !ok {
-		// Unmapped (or walk fault): charge the wasted lookup time.
-		res.latency += ms.Hier.L1D.HitLatency()
-		res.anyMiss = true
+		return false
+	}
+	res.fault = mem.CheckAccess(mem.Translation{Frame: frame, Perm: perm}, false)
+	res.pa = frame + (va & uint64(mem.PageMask))
+	return true
+}
+
+// LoadAccess performs the full data-side access for a load to va: address
+// resolution, the semantic read, and the data cache lookup/fill. It never
+// mutates architectural memory.
+func (ms *MemSystem) LoadAccess(va uint64, owner, part uint64) accessResult {
+	var res accessResult
+	if !ms.resolveData(va, owner, part, &res) {
+		if !res.blocked {
+			// Unmapped (or walk fault): charge the wasted lookup time.
+			res.latency += ms.Hier.L1D.HitLatency()
+		}
 		return res
 	}
-	// Permission check: user-mode access.
-	tr := mem.Translation{Frame: frame, Perm: perm}
-	res.fault = mem.CheckAccess(tr, false)
-	res.pa = frame + (va & uint64(mem.PageMask))
 	if res.fault == mem.FaultNone || ms.FaultsReturnData {
 		if v, err := ms.Mem.ReadPhys(res.pa); err == nil {
 			res.value = v
 		}
 	}
-	// Data-line timing.
-	line := cache.LineAddr(res.pa)
-	if ms.Mode.SafeSpec() {
-		if _, hit := ms.ShD.Lookup(line); hit {
-			res.latency += ms.Hier.L1D.HitLatency()
-			res.shadowHit = true
-			if h, ok, _ := ms.ShD.Alloc(line, owner, part, shadow.Payload{}); ok {
-				res.addDH(h)
-			}
-			return res
-		}
-		lat, level := ms.Hier.AccessData(res.pa)
-		res.latency += lat
-		if level == cache.LevelL1 {
-			res.l1Hit = true
-			return res
-		}
-		res.anyMiss = true
-		h, ok, blk := ms.ShD.Alloc(line, owner, part, shadow.Payload{})
-		if blk {
-			res.blocked = true
-			ms.releaseAll(&res)
-			return res
-		}
-		if ok {
-			res.addDH(h)
-		}
+	lat, src, blocked := ms.readLine(res.pa, owner, part, &res)
+	if blocked {
+		res.blocked = true
+		res.sh.annul(ms)
 		return res
 	}
-	lat, level := ms.Hier.AccessData(res.pa)
 	res.latency += lat
-	if level == cache.LevelL1 {
-		res.l1Hit = true
-	} else {
-		res.anyMiss = true
-		ms.Hier.FillData(res.pa)
-	}
+	res.src = src
 	return res
-}
-
-// StoreAccess resolves a store's address: dTLB/walk and permission check.
-// The data write and the cache fill happen later, at commit (TSO).
-func (ms *MemSystem) StoreAccess(va uint64, owner, part uint64) loadResult {
-	var res loadResult
-	frame, perm, ok := ms.translateData(va, owner, part, &res)
-	if res.blocked {
-		ms.releaseAll(&res)
-		return res
-	}
-	if !ok {
-		return res
-	}
-	tr := mem.Translation{Frame: frame, Perm: perm}
-	res.fault = mem.CheckAccess(tr, false)
-	res.pa = frame + (va & uint64(mem.PageMask))
-	return res
-}
-
-// releaseAll frees handles acquired by a blocked access so the retry starts
-// clean.
-func (ms *MemSystem) releaseAll(res *loadResult) {
-	for _, h := range res.dhs() {
-		if ms.ShD.StillValid(h) {
-			ms.ShD.Release(h, false)
-		}
-	}
-	res.nDH = 0
-	if res.dtlbHandle.Valid() && ms.ShDTLB.StillValid(res.dtlbHandle) {
-		ms.ShDTLB.Release(res.dtlbHandle, false)
-		res.dtlbHandle = shadow.Handle{}
-	}
-}
-
-// fetchResult is the outcome of an instruction-side line access.
-type fetchResult struct {
-	// stall is how many cycles fetch must wait (0 on L1/shadow hits).
-	stall                  int
-	blocked                bool
-	l1Hit, shadowHit, miss bool
-	iHandle                shadow.Handle
-	itlbHandle             shadow.Handle
-	// dHandles[:nDH] are shadow D-cache entries allocated by the iTLB
-	// walk's PTE reads; they follow the same ownership path as the I-side
-	// handles.
-	dHandles [maxAccessDH]shadow.Handle
-	nDH      int
-	// paLine is the physical line address fetched (0 on fault), used by
-	// the front end to classify same-line reuse fetches.
-	paLine uint64
 }
 
 // FetchAccess performs the instruction-side access for the line at lineVA:
 // iTLB (with walk on miss; PTE reads through the D-cache path) and the
-// I-cache lookup/fill.
-func (ms *MemSystem) FetchAccess(lineVA uint64, owner, part uint64) fetchResult {
-	var fres fetchResult
-	var dres loadResult
-
-	frame, _, ok := ms.translateInstr(lineVA, owner, part, &dres, &fres)
-	fres.stall += dres.latency
-	fres.dHandles, fres.nDH = dres.dHandles, dres.nDH
-	if fres.blocked || dres.blocked {
-		fres.blocked = true
-		ms.releaseAll(&dres)
-		fres.nDH = 0
-		return fres
+// I-cache lookup/fill. res.latency is how many cycles fetch must wait (0
+// on L1/shadow hits) and res.pa the physical line (0 on a fault).
+func (ms *MemSystem) FetchAccess(lineVA uint64, owner, part uint64) accessResult {
+	var res accessResult
+	frame, _, ok := ms.translate(ms.ITLB, ms.ShITLB, &res.sh.itlb, lineVA, owner, part, &res)
+	if res.blocked {
+		return res
 	}
 	if !ok {
 		// Unmapped code page: treat as a long stall; the front end will be
 		// redirected before this matters in practice.
-		fres.stall += ms.Hier.Config().MemLatency
-		fres.miss = true
-		return fres
+		res.latency += ms.Hier.Config().MemLatency
+		return res
 	}
-	pa := frame + (lineVA & uint64(mem.PageMask))
-	line := cache.LineAddr(pa)
-	fres.paLine = line
+	res.pa = frame + (lineVA & uint64(mem.PageMask))
 	if ms.Mode.SafeSpec() {
-		if _, hit := ms.ShI.Lookup(line); hit {
-			fres.shadowHit = true
-			return fres
+		if _, hit := ms.ShI.Lookup(res.pa); hit {
+			res.src = srcShadow
+			return res
 		}
-		lat, level := ms.Hier.AccessInstr(pa)
-		if level == cache.LevelL1 {
-			fres.l1Hit = true
-			return fres
-		}
-		fres.miss = true
-		fres.stall += lat
-		h, okAlloc, blk := ms.ShI.Alloc(line, owner, part, shadow.Payload{})
-		if blk {
-			fres.blocked = true
-			return fres
-		}
-		if okAlloc {
-			fres.iHandle = h
-		}
-		return fres
 	}
-	lat, level := ms.Hier.AccessInstr(pa)
+	lat, level := ms.Hier.AccessInstr(res.pa)
 	if level == cache.LevelL1 {
-		fres.l1Hit = true
-		return fres
+		res.src = srcL1
+		return res
 	}
-	fres.miss = true
-	fres.stall += lat
-	ms.Hier.FillInstr(pa)
-	return fres
-}
-
-// translateInstr translates an instruction address through the iTLB,
-// walking on a miss. PTE reads are charged to the D-cache path (dres).
-func (ms *MemSystem) translateInstr(va uint64, owner, part uint64, dres *loadResult, fres *fetchResult) (frame uint64, perm mem.Perm, ok bool) {
-	vpage := va &^ uint64(mem.PageMask)
-	if f, p, hit := ms.ITLB.Lookup(va); hit {
-		return f, p, true
+	res.latency += lat
+	if !ms.Mode.SafeSpec() {
+		ms.Hier.FillInstr(res.pa)
+		return res
 	}
-	if ms.Mode.SafeSpec() {
-		if h, hit := ms.ShITLB.Lookup(vpage); hit {
-			pl := ms.ShITLB.PayloadOf(h)
-			return pl.Frame, mem.Perm(pl.Perm), true
-		}
+	h, ok, blk := ms.ShI.Alloc(res.pa, owner, part, shadow.Payload{})
+	if blk {
+		res.blocked = true
+		return res
 	}
-	dres.latency += ms.WalkerLatency
-	tr := ms.Walk.Walk(va)
-	for _, step := range tr.Steps {
-		if step.PA == 0 {
-			continue
-		}
-		lat, blocked := ms.pteRead(step.PA, owner, part, dres)
-		if blocked {
-			dres.blocked = true
-			return 0, 0, false
-		}
-		dres.latency += lat
+	if ok {
+		res.sh.i = h
 	}
-	if tr.Fault != mem.FaultNone {
-		return 0, 0, false
-	}
-	if ms.Mode.SafeSpec() {
-		h, okAlloc, blocked := ms.ShITLB.Alloc(vpage, owner, part, shadow.Payload{Frame: tr.Frame, Perm: uint8(tr.Perm)})
-		if blocked {
-			fres.blocked = true
-			return 0, 0, false
-		}
-		if okAlloc {
-			fres.itlbHandle = h
-		}
-	} else {
-		ms.ITLB.Fill(va, tr.Frame, tr.Perm)
-	}
-	return tr.Frame, tr.Perm, true
+	return res
 }
 
 // ClassifyILine reports where the given physical instruction line currently

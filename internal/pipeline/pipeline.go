@@ -28,6 +28,7 @@ import (
 	"safespec/internal/isa"
 	"safespec/internal/mem"
 	"safespec/internal/shadow"
+	"safespec/internal/stats"
 	"safespec/internal/tlb"
 )
 
@@ -214,22 +215,8 @@ type entry struct {
 	// Fault raised at commit.
 	fault mem.Fault
 
-	// Shadow handles owned by this instruction: dHandles[:nDH] holds at
-	// most one fetch-transferred set (iTLB-walk PTE lines) plus one data
-	// access's worth, inline so dispatch/issue never allocate.
-	dHandles   [2 * maxAccessDH]shadow.Handle
-	nDH        int
-	dtlbHandle shadow.Handle
-	iHandle    shadow.Handle
-	itlbHandle shadow.Handle
-}
-
-// dhs returns the owned shadow D-cache handles as a slice view.
-func (e *entry) dhs() []shadow.Handle { return e.dHandles[:e.nDH] }
-
-// addDHs appends acquired shadow D-cache handles to the entry's inline set.
-func (e *entry) addDHs(hs []shadow.Handle) {
-	e.nDH += copy(e.dHandles[e.nDH:], hs)
+	// sh holds the shadow entries this instruction owns.
+	sh shadowHandles
 }
 
 // fetchRec is one fetched-but-not-dispatched instruction.
@@ -242,12 +229,10 @@ type fetchRec struct {
 	histSnap   uint64
 	rasTop     int
 	rasSnap    []int
-	iHandle    shadow.Handle
-	itlbHandle shadow.Handle
-	// dHandles[:nDH] holds shadow D-cache entries from the line's iTLB-walk
-	// PTE reads; they transfer to the first dispatched instruction.
-	dHandles [maxAccessDH]shadow.Handle
-	nDH      int
+	// sh holds the shadow entries of the line fill this instruction was
+	// the first fetched from (I-cache line, iTLB entry, iTLB-walk PTE
+	// lines); they transfer to the ROB entry at dispatch.
+	sh shadowHandles
 }
 
 // thread holds all core state that is architecturally private to one
@@ -294,10 +279,9 @@ type thread struct {
 	fbHead, fbLen   int
 	lastFetchLine   uint64
 	lastFetchPALine uint64
-	pendingIH       shadow.Handle
-	pendingITLBH    shadow.Handle
-	pendingDH       [maxAccessDH]shadow.Handle
-	nPendingDH      int
+	// pending holds the last line fill's shadow entries until the first
+	// instruction fetched from the line takes them.
+	pending shadowHandles
 
 	// rasFree recycles RAS snapshot buffers (one live per in-flight
 	// predicted branch), so prediction allocates nothing in steady state.
@@ -329,8 +313,8 @@ type thread struct {
 	// in a SafeSpec mode).
 	detD, detDTLB *shadow.Detector
 
-	// st accumulates this thread's share of the run statistics (exported
-	// via Stats.PerThread for SMT runs).
+	// st is where this thread's retirement counters are booked, and the
+	// only place: finalizeStats derives the core-wide totals from it.
 	st ThreadStats
 }
 
@@ -359,7 +343,9 @@ type CPU struct {
 	// trace, when non-nil, receives per-event debug lines.
 	trace io.Writer
 
-	// St accumulates run statistics across all threads.
+	// St accumulates run statistics across all threads. Its retirement
+	// counters are summed from the threads' own (see finalizeStats), so
+	// they hold the totals once Run returns.
 	St Stats
 
 	// sampleOcc enables per-cycle shadow occupancy sampling.
@@ -468,14 +454,7 @@ func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {
 	*ms.Walk = tlb.Walker{Mem: m, BaseLatency: cfg.WalkerLatency}
 	ms.FaultsReturnData = cfg.FaultsReturnData
 	ms.WalkerLatency = cfg.WalkerLatency
-	if cfg.Mode.SafeSpec() {
-		ms.ShD = resetShadow(ms.ShD, cfg.ShadowD)
-		ms.ShI = resetShadow(ms.ShI, cfg.ShadowI)
-		ms.ShDTLB = resetShadow(ms.ShDTLB, cfg.ShadowDTLB)
-		ms.ShITLB = resetShadow(ms.ShITLB, cfg.ShadowITLB)
-	} else {
-		ms.ShD, ms.ShI, ms.ShDTLB, ms.ShITLB = nil, nil, nil, nil
-	}
+	ms.resetShadows(cfg)
 
 	if c.bp != nil && old.Bpred == cfg.Bpred {
 		c.bp.Reset()
@@ -489,10 +468,10 @@ func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {
 	// Static partition: each thread owns ROBSize/n ROB slots and 1/n of the
 	// IQ/LSQ/checkpoint capacity. For one thread these are the full sizes.
 	robPer := cfg.ROBSize / nT
-	iqPer := maxInt(cfg.IQSize/nT, 1)
-	ldqPer := maxInt(cfg.LDQSize/nT, 1)
-	stqPer := maxInt(cfg.STQSize/nT, 1)
-	tagsPer := maxInt(cfg.MaxBranchTags/nT, 1)
+	iqPer := max(cfg.IQSize/nT, 1)
+	ldqPer := max(cfg.LDQSize/nT, 1)
+	stqPer := max(cfg.STQSize/nT, 1)
+	tagsPer := max(cfg.MaxBranchTags/nT, 1)
 	fbCap := 2*cfg.DispatchWidth + cfg.FetchWidth
 	c.cfg = cfg
 
@@ -551,8 +530,7 @@ func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {
 		t.fbHead, t.fbLen = 0, 0
 		t.lastFetchLine = ^uint64(0)
 		t.lastFetchPALine = 0
-		t.pendingIH, t.pendingITLBH = shadow.Handle{}, shadow.Handle{}
-		t.pendingDH, t.nPendingDH = [maxAccessDH]shadow.Handle{}, 0
+		t.pending = shadowHandles{}
 		t.halted = false
 		t.st = ThreadStats{}
 
@@ -575,13 +553,6 @@ func (c *CPU) Reset(cfg Config, prog *isa.Program, m *mem.Memory) {
 	c.intro = nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // resetSiblingMS (re)builds a sibling hardware thread's memory-system view:
 // the committed structures — memory, cache hierarchy, TLBs, page walker —
 // are shared with the primary view, while the shadow structures are private
@@ -598,15 +569,21 @@ func resetSiblingMS(t *MemSystem, primary *MemSystem, cfg Config) *MemSystem {
 	t.Walk = primary.Walk
 	t.FaultsReturnData = primary.FaultsReturnData
 	t.WalkerLatency = primary.WalkerLatency
-	if cfg.Mode.SafeSpec() {
-		t.ShD = resetShadow(t.ShD, cfg.ShadowD)
-		t.ShI = resetShadow(t.ShI, cfg.ShadowI)
-		t.ShDTLB = resetShadow(t.ShDTLB, cfg.ShadowDTLB)
-		t.ShITLB = resetShadow(t.ShITLB, cfg.ShadowITLB)
-	} else {
-		t.ShD, t.ShI, t.ShDTLB, t.ShITLB = nil, nil, nil, nil
-	}
+	t.resetShadows(cfg)
 	return t
+}
+
+// resetShadows (re)builds ms's private shadow structures for cfg; a
+// baseline core has none.
+func (ms *MemSystem) resetShadows(cfg Config) {
+	if cfg.Mode.SafeSpec() {
+		ms.ShD = resetShadow(ms.ShD, cfg.ShadowD)
+		ms.ShI = resetShadow(ms.ShI, cfg.ShadowI)
+		ms.ShDTLB = resetShadow(ms.ShDTLB, cfg.ShadowDTLB)
+		ms.ShITLB = resetShadow(ms.ShITLB, cfg.ShadowITLB)
+	} else {
+		ms.ShD, ms.ShI, ms.ShDTLB, ms.ShITLB = nil, nil, nil, nil
+	}
 }
 
 // resetShadow clears s in place when its policy matches, detaching any
@@ -683,7 +660,7 @@ func (c *CPU) EnableOccupancySampling() {
 // Run executes until the program halts or a run limit is reached. It
 // returns the accumulated statistics.
 func (c *CPU) Run() *Stats {
-	for !c.halted && c.cycle < c.cfg.MaxCycles && c.St.Committed < c.cfg.MaxInstrs {
+	for !c.halted && c.cycle < c.cfg.MaxCycles && c.committed() < c.cfg.MaxInstrs {
 		c.Step()
 	}
 	c.finalizeStats()
@@ -878,7 +855,7 @@ func (c *CPU) skipTo(next uint64) {
 
 func attach(s *shadow.Structure) {
 	if s.Occupancy == nil {
-		s.Occupancy = newOccHist(s.Policy().Entries)
+		s.Occupancy = stats.NewHistogram(s.Policy().Entries)
 	}
 }
 
@@ -1018,5 +995,5 @@ func (c *CPU) String() string {
 		robCap += len(c.ths[i].rob)
 	}
 	return fmt.Sprintf("cpu{cycle=%d threads=%d rob=%d/%d fetchPC=%d committed=%d}",
-		c.cycle, len(c.ths), rob, robCap, c.ths[0].fetchPC, c.St.Committed)
+		c.cycle, len(c.ths), rob, robCap, c.ths[0].fetchPC, c.committed())
 }

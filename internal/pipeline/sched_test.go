@@ -58,7 +58,7 @@ func diffRun(t *testing.T, name string, cfg pipeline.Config, prog *isa.Program,
 // invariants after every Step, failing the test at the first violation.
 func stepChecked(t *testing.T, name string, cpu *pipeline.CPU, cfg pipeline.Config) {
 	t.Helper()
-	for !cpu.Halted() && cpu.Cycle() < cfg.MaxCycles && cpu.St.Committed < cfg.MaxInstrs {
+	for !cpu.Halted() && cpu.Cycle() < cfg.MaxCycles && cpu.Committed() < cfg.MaxInstrs {
 		cpu.Step()
 		if err := cpu.CheckSchedInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)

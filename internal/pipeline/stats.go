@@ -8,9 +8,6 @@ import (
 	"safespec/internal/tlb"
 )
 
-// newOccHist builds an occupancy histogram covering [0, capacity].
-func newOccHist(capacity int) *stats.Histogram { return stats.NewHistogram(capacity) }
-
 // ThreadStats is one hardware thread's share of the retirement-side
 // counters. For SMT runs Stats.PerThread carries one per thread; the
 // aggregate Stats fields always hold the core-wide totals.
@@ -23,6 +20,18 @@ type ThreadStats struct {
 	Mispredicts     uint64
 	Faults          uint64
 	Traps           uint64
+}
+
+// add accumulates o into s.
+func (s *ThreadStats) add(o ThreadStats) {
+	s.Committed += o.Committed
+	s.CommittedLoads += o.CommittedLoads
+	s.CommittedStores += o.CommittedStores
+	s.Dispatched += o.Dispatched
+	s.Squashed += o.Squashed
+	s.Mispredicts += o.Mispredicts
+	s.Faults += o.Faults
+	s.Traps += o.Traps
 }
 
 // Stats collects everything the paper's figures need from one run.
@@ -99,10 +108,19 @@ func (s *Stats) IShadowHitShare() float64 {
 	return stats.Rate(s.IFetchShadowHits, s.IFetchShadowHits+s.IFetchL1Hits)
 }
 
+// committed returns the instructions retired so far on every thread.
+func (c *CPU) committed() uint64 {
+	var n uint64
+	for i := range c.ths {
+		n += c.ths[i].st.Committed
+	}
+	return n
+}
+
 // finalizeStats snapshots subsystem counters into St. Shared structures
-// (caches, TLBs) snapshot directly; per-thread structures (predictor views,
-// shadow structures, occupancy histograms) are summed across threads for
-// SMT runs.
+// (caches, TLBs) snapshot directly; per-thread state (retirement counters,
+// predictor views, shadow structures, occupancy histograms) is summed
+// across threads, however many there are.
 func (c *CPU) finalizeStats() {
 	c.St.L1I = c.ms.Hier.L1I.Stats
 	c.St.L1D = c.ms.Hier.L1D.Stats
@@ -110,26 +128,13 @@ func (c *CPU) finalizeStats() {
 	c.St.L3 = c.ms.Hier.L3.Stats
 	c.St.ITLB = c.ms.ITLB.Stats
 	c.St.DTLB = c.ms.DTLB.Stats
-	if len(c.ths) == 1 {
-		c.St.Bpred = c.bp.Stats
-		if c.cfg.Mode.SafeSpec() {
-			c.St.ShD = c.ms.ShD.Stats
-			c.St.ShI = c.ms.ShI.Stats
-			c.St.ShDTLB = c.ms.ShDTLB.Stats
-			c.St.ShITLB = c.ms.ShITLB.Stats
-			c.St.OccD = c.ms.ShD.Occupancy
-			c.St.OccI = c.ms.ShI.Occupancy
-			c.St.OccDTLB = c.ms.ShDTLB.Occupancy
-			c.St.OccITLB = c.ms.ShITLB.Occupancy
-		}
-		return
-	}
-
+	var ret ThreadStats
 	c.St.Bpred = bpred.Stats{}
 	c.St.ShD, c.St.ShI = shadow.Stats{}, shadow.Stats{}
 	c.St.ShDTLB, c.St.ShITLB = shadow.Stats{}, shadow.Stats{}
 	for i := range c.ths {
 		t := &c.ths[i]
+		ret.add(t.st)
 		c.St.Bpred.Add(t.bp.Stats)
 		if c.cfg.Mode.SafeSpec() {
 			c.St.ShD.Add(t.ms.ShD.Stats)
@@ -138,6 +143,10 @@ func (c *CPU) finalizeStats() {
 			c.St.ShITLB.Add(t.ms.ShITLB.Stats)
 		}
 	}
+	c.St.Committed, c.St.CommittedLoads = ret.Committed, ret.CommittedLoads
+	c.St.CommittedStores, c.St.Dispatched = ret.CommittedStores, ret.Dispatched
+	c.St.Squashed, c.St.Mispredicts = ret.Squashed, ret.Mispredicts
+	c.St.Faults, c.St.Traps = ret.Faults, ret.Traps
 	if c.cfg.Mode.SafeSpec() && c.sampleOcc {
 		// Aggregated histograms allocate at finalize time only — never on
 		// the per-cycle path.
@@ -146,9 +155,11 @@ func (c *CPU) finalizeStats() {
 		c.St.OccDTLB = mergeOcc(c.ths, func(ms *MemSystem) *shadow.Structure { return ms.ShDTLB })
 		c.St.OccITLB = mergeOcc(c.ths, func(ms *MemSystem) *shadow.Structure { return ms.ShITLB })
 	}
-	c.St.PerThread = make([]ThreadStats, len(c.ths))
-	for i := range c.ths {
-		c.St.PerThread[i] = c.ths[i].st
+	if len(c.ths) > 1 {
+		c.St.PerThread = make([]ThreadStats, len(c.ths))
+		for i := range c.ths {
+			c.St.PerThread[i] = c.ths[i].st
+		}
 	}
 }
 
@@ -161,7 +172,7 @@ func mergeOcc(ths []thread, pick func(*MemSystem) *shadow.Structure) *stats.Hist
 			cap = s.Policy().Entries
 		}
 	}
-	h := newOccHist(cap)
+	h := stats.NewHistogram(cap)
 	for i := range ths {
 		if s := pick(ths[i].ms); s != nil {
 			h.Merge(s.Occupancy)

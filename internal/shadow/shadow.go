@@ -370,11 +370,7 @@ func (s *Structure) Alloc(key uint64, owner uint64, partition uint64, payload Pa
 				s.Stats.DroppedFull++
 				return Handle{}, false, false
 			}
-			s.idxDelete(s.entries[victim].key)
-			s.entries[victim].valid = false
-			s.gens[victim]++
-			s.free = append(s.free, victim)
-			s.nValid--
+			s.freeSlot(victim)
 			s.Stats.Replaced++
 		}
 	}
@@ -424,16 +420,7 @@ func (s *Structure) Release(h Handle, committed bool) (key uint64, freed bool) {
 		// referencing instruction; intermediate releases only drop refs.
 		return key, false
 	}
-	s.idxDelete(key)
-	e.valid = false
-	s.gens[h.idx]++
-	s.free = append(s.free, h.idx)
-	s.nValid--
-	if committed {
-		s.Stats.Committed++
-	} else {
-		s.Stats.Squashed++
-	}
+	s.dispose(h.idx, committed)
 	return key, true
 }
 
@@ -445,19 +432,30 @@ func (s *Structure) Release(h Handle, committed bool) (key uint64, freed bool) {
 // entry's key.
 func (s *Structure) ForceFree(h Handle, committed bool) uint64 {
 	s.check(h)
-	e := &s.entries[h.idx]
-	key := e.key
-	s.idxDelete(key)
-	e.valid = false
-	s.gens[h.idx]++
-	s.free = append(s.free, h.idx)
-	s.nValid--
+	key := s.entries[h.idx].key
+	s.dispose(h.idx, committed)
+	return key
+}
+
+// dispose frees entry slot i and tallies its disposition: moved to the
+// committed structures, or annulled in place.
+func (s *Structure) dispose(i int, committed bool) {
+	s.freeSlot(i)
 	if committed {
 		s.Stats.Committed++
 	} else {
 		s.Stats.Squashed++
 	}
-	return key
+}
+
+// freeSlot invalidates the valid entry in slot i and returns the slot to
+// the free list. Bumping its generation makes every handle to it stale.
+func (s *Structure) freeSlot(i int) {
+	s.idxDelete(s.entries[i].key)
+	s.entries[i].valid = false
+	s.gens[i]++
+	s.free = append(s.free, i)
+	s.nValid--
 }
 
 // InvalidateKey removes the entry with the given key regardless of
@@ -469,11 +467,7 @@ func (s *Structure) InvalidateKey(key uint64) bool {
 	if i < 0 {
 		return false
 	}
-	s.idxDelete(key)
-	s.entries[i].valid = false
-	s.gens[i]++
-	s.free = append(s.free, i)
-	s.nValid--
+	s.freeSlot(i)
 	s.Stats.Flushes++
 	return true
 }
