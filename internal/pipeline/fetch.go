@@ -75,11 +75,14 @@ func (c *CPU) fetch(t *thread) {
 			}
 		}
 		in := c.prog.Code[t.fetchPC]
-		// Build the record directly in the (pre-zeroed) ring slot; fbCommit
-		// publishes it. No abort path runs between here and the commit.
+		// Build the record directly in the ring slot; fbCommit publishes it.
+		// No abort path runs between here and the commit. The slot is not
+		// zero-filled (see fbPop), so every field is set here or below.
 		rec := t.fbNext()
 		rec.pc = t.fetchPC
 		rec.in = in
+		rec.predicted, rec.predTaken, rec.predTarget = false, false, 0
+		rec.histSnap, rec.rasTop, rec.rasSnap = 0, 0, nil
 		// The first instruction fetched after a line fill owns that line's
 		// shadow entries.
 		rec.sh.take(&t.pending)

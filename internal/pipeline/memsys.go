@@ -95,7 +95,9 @@ func (s *shadowHandles) addD(h shadow.Handle) {
 // take moves o's handles into s and empties o. Each dTLB, I-cache or iTLB
 // handle o holds lands in a slot s leaves empty.
 func (s *shadowHandles) take(o *shadowHandles) {
-	s.nD += copy(s.d[s.nD:], o.d[:o.nD])
+	if o.nD > 0 {
+		s.nD += copy(s.d[s.nD:], o.d[:o.nD])
+	}
 	if o.dtlb.Valid() {
 		s.dtlb = o.dtlb
 	}

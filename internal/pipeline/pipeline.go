@@ -859,9 +859,9 @@ func attach(s *shadow.Structure) {
 	}
 }
 
-// fbNext returns the next free fetch-buffer ring slot (zeroed by the pop
-// that vacated it) for in-place construction; fbCommit publishes it. The
-// ring is sized so the front end can never overflow it.
+// fbNext returns the next free fetch-buffer ring slot, holding no shadow
+// handles, for in-place construction; fbCommit publishes it. The ring is
+// sized so the front end can never overflow it.
 func (t *thread) fbNext() *fetchRec {
 	s := t.fbHead + t.fbLen
 	if n := len(t.fetchBuf); s >= n {
@@ -876,9 +876,13 @@ func (t *thread) fbCommit() { t.fbLen++ }
 // fbFront returns the oldest buffered fetch record.
 func (t *thread) fbFront() *fetchRec { return &t.fetchBuf[t.fbHead] }
 
-// fbPop discards the oldest buffered fetch record.
+// fbPop discards the oldest buffered fetch record. Dispatch has taken its
+// shadow handles and its RAS snapshot, whose reference is dropped here so
+// the buffer keeps one owner. The rest of the slot is left as it is:
+// zero-filling the whole record on every dispatch costs more than fetch
+// setting each field when it reuses the slot.
 func (t *thread) fbPop() {
-	t.fetchBuf[t.fbHead] = fetchRec{}
+	t.fetchBuf[t.fbHead].rasSnap = nil
 	t.fbHead = (t.fbHead + 1) % len(t.fetchBuf)
 	t.fbLen--
 }
