@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Paired performance gate. Runs the eval-full benchmark in two checkouts,
-# alternating which goes first, and fails when HEAD is reliably slower or
-# reliably uses more memory:
+# Paired performance gate. Runs one benchmark workload (eval-full unless a
+# third argument names another) in two checkouts, alternating which goes
+# first, and fails when HEAD is reliably slower or reliably uses more
+# memory:
 #
-#   bash .github/perfgate.sh BASE_DIR HEAD_DIR
+#   bash .github/perfgate.sh BASE_DIR HEAD_DIR [WORKLOAD]
 #
-# Each pair runs `bash benchmark/run.sh --workload eval-full --seed 1
+# Each pair runs `bash benchmark/run.sh --workload WORKLOAD --seed 1
 # --seconds RUN_SECONDS --trace 0` once in each checkout, back to back, so
 # host drift lands on both sides of a pair. The speed rule fires when HEAD
 # has lower cells_per_s in at least MIN_LOSSES of the PAIRS pairs AND the
@@ -28,18 +29,19 @@ MIN_LOSSES=7
 MAX_DROP=0.08
 MAX_RSS_GROWTH=0.10
 
-if [ $# -ne 2 ]; then
-  echo "usage: $0 BASE_DIR HEAD_DIR" >&2
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+  echo "usage: $0 BASE_DIR HEAD_DIR [WORKLOAD]" >&2
   exit 2
 fi
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
+workload=${3:-eval-full}
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 # run DIR FILE: one benchmark run; its stdout (a JSON line last) goes to FILE.
 run() {
-  if ! (cd "$1" && bash benchmark/run.sh --workload eval-full --seed 1 \
+  if ! (cd "$1" && bash benchmark/run.sh --workload "$workload" --seed 1 \
       --seconds "$RUN_SECONDS" --trace 0) > "$2" 2> "$2.err"; then
     echo "perfgate: benchmark run in $1 failed:" >&2
     cat "$2.err" >&2

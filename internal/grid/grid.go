@@ -16,6 +16,7 @@
 //
 //	POST   /v1/lease                   LeaseRequest    -> 200 LeaseResponse | 204 (no work)
 //	POST   /v1/result                  ResultRequest   -> 200 | 409 (lease unknown or expired)
+//	                                   (no job: the leased one is recorded; a sent job is ignored)
 //	POST   /v1/incident                IncidentRequest -> 200 | 409 (lease unknown)
 //	GET    /v1/stats                                   -> 200 ServerSnapshot
 //	POST   /v1/sweeps                  SubmitRequest   -> 200 SubmitResponse
@@ -65,7 +66,9 @@ type LeaseResponse struct {
 }
 
 // ResultRequest reports a finished lease. Result carries the job's error
-// (if any) as a string; it is a final outcome, not a retry trigger.
+// (if any) as a string; it is a final outcome, not a retry trigger. A
+// worker leaves Result.Job zero, so the job is not sent; the coordinator
+// records the job it leased and ignores one an older worker still sends.
 type ResultRequest struct {
 	LeaseID string       `json:"lease_id"`
 	Result  sweep.Result `json:"result"`
@@ -712,7 +715,29 @@ func writeJSON(w http.ResponseWriter, v any) {
 		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, b)
+}
+
+// writeBody sends b, already encoded JSON, with its checksum header.
+func writeBody(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(sumHeader, bodySum(b))
 	w.Write(b)
+}
+
+// encodeResult is the one encoding of a delivered result; calling
+// MarshalJSON skips the compacting re-scan json.Marshal adds. A result that
+// cannot be encoded is delivered as an error saying why.
+func encodeResult(r sweep.Result) json.RawMessage {
+	b, err := r.MarshalJSON()
+	if err != nil {
+		b, _ = sweep.Result{Index: r.Index, Job: r.Job, Err: fmt.Errorf("grid: encode result: %w", err)}.MarshalJSON()
+	}
+	return b
+}
+
+// quote is s as a JSON string, as json.Marshal writes it.
+func quote(s string) []byte {
+	q, _ := json.Marshal(s)
+	return q
 }

@@ -70,6 +70,9 @@ type journalRecord struct {
 	Worker  string `json:"worker,omitempty"`
 	Kind    string `json:"kind,omitempty"`
 	Message string `json:"message,omitempty"`
+	// enc, when set, is an opResult's result already encoded; append
+	// writes it in place of Result, byte for byte as encoding Result would.
+	enc json.RawMessage
 }
 
 // stateSnapshot is the snapshot.json format.
@@ -82,11 +85,12 @@ type stateSnapshot struct {
 // submitted jobs, and the completion log in completion order (the order
 // client result cursors index into).
 type sweepSnapshot struct {
-	ID     string         `json:"id"`
-	Nonce  string         `json:"nonce,omitempty"`
-	Tenant string         `json:"tenant,omitempty"`
-	Jobs   []jobEntry     `json:"jobs"`
-	Log    []sweep.Result `json:"log"`
+	ID     string     `json:"id"`
+	Nonce  string     `json:"nonce,omitempty"`
+	Tenant string     `json:"tenant,omitempty"`
+	Jobs   []jobEntry `json:"jobs"`
+	// Log holds each result as encoded on delivery; replay decodes them.
+	Log []json.RawMessage `json:"log"`
 	// Incidents is the contained-failure history of jobs not yet
 	// completed, feeding the quarantine threshold across restarts (history
 	// for completed jobs is dropped at compaction).
@@ -176,7 +180,10 @@ func openState(dir string) (*stateStore, []recoveredSweep, int, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	recovered := replayState(snap, records)
+	recovered, err := replayState(snap, records)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("grid: corrupt snapshot %s: %w", spath, err)
+	}
 
 	st := &stateStore{dir: dir}
 	// Compact: the merged state becomes the new baseline snapshot, and the
@@ -231,8 +238,9 @@ func readJournal(path string) ([]journalRecord, int, error) {
 // replayState applies the journal on top of the snapshot, idempotently:
 // duplicate opens, job re-adds and result re-deliveries (the crash window
 // between snapshot rename and journal truncation replays records the
-// snapshot already holds) coalesce to one copy, in original order.
-func replayState(snap stateSnapshot, records []journalRecord) []recoveredSweep {
+// snapshot already holds) coalesce to one copy, in original order. It fails
+// only on a snapshot result that does not decode.
+func replayState(snap stateSnapshot, records []journalRecord) ([]recoveredSweep, error) {
 	byID := make(map[string]*recoveredSweep)
 	var order []string
 	add := func(id, nonce, tenant string) *recoveredSweep {
@@ -251,7 +259,11 @@ func replayState(snap stateSnapshot, records []journalRecord) []recoveredSweep {
 		for _, je := range ss.Jobs {
 			rs.Jobs[je.Index] = je.Job
 		}
-		for _, res := range ss.Log {
+		for _, enc := range ss.Log {
+			var res sweep.Result
+			if err := json.Unmarshal(enc, &res); err != nil {
+				return nil, err
+			}
 			if !rs.logged[res.Index] {
 				rs.logged[res.Index] = true
 				rs.Log = append(rs.Log, res)
@@ -299,7 +311,7 @@ func replayState(snap stateSnapshot, records []journalRecord) []recoveredSweep {
 			out = append(out, *rs)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // recoveredSnapshots renders recovered sweeps back into snapshot form,
@@ -307,7 +319,10 @@ func replayState(snap stateSnapshot, records []journalRecord) []recoveredSweep {
 func recoveredSnapshots(recovered []recoveredSweep) []sweepSnapshot {
 	out := make([]sweepSnapshot, 0, len(recovered))
 	for _, rs := range recovered {
-		ss := sweepSnapshot{ID: rs.ID, Nonce: rs.Nonce, Tenant: rs.Tenant, Log: rs.Log}
+		ss := sweepSnapshot{ID: rs.ID, Nonce: rs.Nonce, Tenant: rs.Tenant}
+		for _, res := range rs.Log {
+			ss.Log = append(ss.Log, encodeResult(res))
+		}
 		for idx, j := range rs.Jobs {
 			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: j})
 		}
@@ -337,13 +352,18 @@ func recoveredSnapshots(recovered []recoveredSweep) []sweepSnapshot {
 // log; the in-memory state is already authoritative, so a failed append
 // degrades durability, not correctness of the running process.
 func (st *stateStore) append(rec journalRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("grid: journal encode: %w", err)
+	frame := make([]byte, 8, 64+len(rec.Sweep)+len(rec.enc))
+	if rec.enc != nil {
+		frame = fmt.Appendf(frame, `{"op":%s,"sweep":%s,"result":%s}`, quote(rec.Op), quote(rec.Sweep), rec.enc)
+	} else {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("grid: journal encode: %w", err)
+		}
+		frame = append(frame, payload...)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-8))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -352,10 +372,7 @@ func (st *stateStore) append(rec journalRecord) error {
 	// One Write call per frame: short writes on a local file are I/O
 	// errors, not partial successes, and frame+payload going down together
 	// keeps a concurrent append from interleaving mid-frame.
-	buf := make([]byte, 0, 8+len(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	if _, err := st.f.Write(buf); err != nil {
+	if _, err := st.f.Write(frame); err != nil {
 		return fmt.Errorf("grid: journal append: %w", err)
 	}
 	return nil

@@ -173,9 +173,12 @@ func TestReplayIdempotent(t *testing.T) {
 	snap := stateSnapshot{Version: stateFormatVersion, Sweeps: []sweepSnapshot{{
 		ID: "s-aaaa", Nonce: "n-1", Tenant: "anonymous",
 		Jobs: []jobEntry{{Index: 0, Job: jobs[0]}, {Index: 1, Job: jobs[1]}},
-		Log:  []sweep.Result{{Index: 1, Job: jobs[1], Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}}},
+		Log:  []json.RawMessage{encodeResult(sweep.Result{Index: 1, Job: jobs[1], Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}})},
 	}}}
-	recovered := replayState(snap, recs)
+	recovered, err := replayState(snap, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recovered) != 1 {
 		t.Fatalf("recovered %d sweeps, want 1 (s-bbbb was closed)", len(recovered))
 	}
@@ -310,7 +313,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				t.Fatalf("recovered %d results, only %d were delivered", len(st.log), len(resultOrder))
 			}
 			seen := make(map[int]bool)
-			for i, res := range st.log {
+			for i, res := range decodeLog(t, st.log) {
 				if res.Index != resultOrder[i] {
 					t.Fatalf("log[%d] = index %d, want %d (order not preserved)", i, res.Index, resultOrder[i])
 				}
@@ -326,7 +329,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			// job must be exactly one of the two.
 			completed, pending := 0, 0
 			for idx, sl := range st.slots {
-				if sl.res != nil {
+				if sl.done {
 					completed++
 					if !seen[idx] {
 						t.Fatalf("slot %d completed but absent from the log", idx)
@@ -499,10 +502,10 @@ func sweepsDigest(t *testing.T, s *Server) string {
 	for _, st := range s.sweeps {
 		st.mu.Lock()
 		d := sweepDigest{ID: st.id, Nonce: st.nonce, Tenant: st.tenant.Name,
-			Jobs: make(map[int]sweep.Job), Log: st.log, Incidents: make(map[int][]taskIncident)}
+			Jobs: make(map[int]sweep.Job), Log: decodeLog(t, st.log), Incidents: make(map[int][]taskIncident)}
 		for idx, sl := range st.slots {
 			d.Jobs[idx] = sl.job
-			if sl.res == nil && sl.task != nil {
+			if !sl.done && sl.task != nil {
 				hist := s.coord.incidentHistory(sl.task)
 				sort.Slice(hist, func(i, j int) bool {
 					a, b := hist[i], hist[j]
@@ -521,4 +524,16 @@ func sweepsDigest(t *testing.T, s *Server) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// decodeLog decodes a completion log of encoded results.
+func decodeLog(t *testing.T, log []json.RawMessage) []sweep.Result {
+	t.Helper()
+	out := make([]sweep.Result, len(log))
+	for i, enc := range log {
+		if err := json.Unmarshal(enc, &out[i]); err != nil {
+			t.Fatalf("log[%d]: %v", i, err)
+		}
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -166,8 +167,8 @@ type sweepState struct {
 
 	mu        sync.Mutex
 	slots     map[int]*slot
-	log       []sweep.Result // completed results in completion order
-	logGrew   chan struct{}  // closed and replaced on every log append
+	log       []json.RawMessage // completed results in completion order, encoded on delivery
+	logGrew   chan struct{}     // closed and replaced on every log append
 	completed int
 	spans     sweep.Timing // summed Timing across the timed results
 	timed     int          // results that carried a Timing
@@ -176,12 +177,12 @@ type sweepState struct {
 	closed    bool
 }
 
-// slot is one job of a sweep: its queued task while live, its result once
-// delivered. job is retained for the status page after the task is gone.
+// slot is one job of a sweep: its queued task while live, done once its
+// result is logged. job is retained for the status page after the task is gone.
 type slot struct {
 	job  sweep.Job
 	task *task
-	res  *sweep.Result
+	done bool
 }
 
 // maxPollWait caps the long-poll duration a client may request.
@@ -273,10 +274,9 @@ func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 		lastSeen: now,
 	}
 	st.mu.Lock()
-	for i := range rs.Log {
-		res := rs.Log[i]
-		st.slots[res.Index] = &slot{job: res.Job, res: &res}
-		st.log = append(st.log, res)
+	for _, res := range rs.Log {
+		st.slots[res.Index] = &slot{job: res.Job, done: true}
+		st.log = append(st.log, encodeResult(res))
 		st.completed++
 		if res.Timing != nil {
 			st.spans.Add(*res.Timing)
@@ -329,10 +329,10 @@ func (s *Server) CloseState() error {
 	for _, st := range s.sweeps {
 		st.mu.Lock()
 		ss := sweepSnapshot{ID: st.id, Nonce: st.nonce, Tenant: st.tenant.Name,
-			Log: append([]sweep.Result(nil), st.log...)}
+			Log: append([]json.RawMessage(nil), st.log...)}
 		for idx, sl := range st.slots {
 			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: sl.job})
-			if sl.res == nil && sl.task != nil {
+			if !sl.done && sl.task != nil {
 				// Unfinished jobs carry their incident history forward, so a
 				// graceful restart cannot reset a poison job's quarantine
 				// progress.
@@ -541,17 +541,11 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		if len(st.log) > after || time.Now().After(deadline) || wait <= 0 || s.draining.Load() {
-			batch := ResultBatch{
-				SweepID:   st.id,
-				Next:      len(st.log),
-				Results:   st.log[after:len(st.log):len(st.log)],
-				Submitted: len(st.slots),
-				Completed: st.completed,
-				Done:      len(st.slots) > 0 && st.completed == len(st.slots),
-			}
+			results := st.log[after:len(st.log):len(st.log)]
+			batch := batchJSON(st.id, len(st.log), results, len(st.slots), st.completed)
 			st.mu.Unlock()
-			s.resultsStreamed.Add(uint64(len(batch.Results)))
-			writeJSON(w, batch)
+			s.resultsStreamed.Add(uint64(len(results)))
+			writeBody(w, batch)
 			return
 		}
 		grew := st.logGrew
@@ -568,6 +562,28 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
+}
+
+// batchJSON writes the ResultBatch of results that are already encoded,
+// byte for byte as json.Marshal of the decoded batch, without encoding any
+// result again. A nil results (nothing logged yet) is null, as json.Marshal
+// writes a nil slice.
+func batchJSON(id string, next int, results []json.RawMessage, submitted, completed int) []byte {
+	b := fmt.Appendf(nil, `{"sweep_id":%s,"next":%d,"results":`, quote(id), next)
+	if results == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, r := range results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, r...)
+		}
+		b = append(b, ']')
+	}
+	return fmt.Appendf(b, `,"submitted":%d,"completed":%d,"done":%t}`,
+		submitted, completed, submitted > 0 && completed == submitted)
 }
 
 // parseWait parses a long-poll duration, reporting (0, false) after writing
@@ -652,25 +668,25 @@ func (s *Server) addJob(st *sweepState, index int, job sweep.Job) bool {
 }
 
 // enqueueSlotLocked creates the slot for one job and queues it on the
-// shared coordinator. Caller holds st.mu. The delivery closure journals
-// the result inside the same st.mu critical section that appends it to
-// the in-memory completion log, so journal order always equals log order
-// and a cursor a client held before a crash indexes the recovered log
-// identically.
+// shared coordinator. Caller holds st.mu. The delivery closure encodes
+// the result once, then journals those bytes inside the same st.mu
+// critical section that appends them to the in-memory completion log, so
+// journal order always equals log order and a cursor a client held before
+// a crash indexes the recovered log identically.
 func (s *Server) enqueueSlotLocked(st *sweepState, index int, job sweep.Job) {
 	sl := &slot{job: job}
 	st.slots[index] = sl
 	sl.task = s.coord.enqueue(index, job, st.id, func(out outcome) {
-		res := &sweep.Result{Index: index, Job: job, Res: out.res, Err: out.err, Timing: out.timing}
+		enc := encodeResult(sweep.Result{Index: index, Job: job, Res: out.res, Err: out.err, Timing: out.timing})
 		st.mu.Lock()
-		sl.res = res
+		sl.done = true
 		st.completed++
 		if out.timing != nil {
 			st.spans.Add(*out.timing)
 			st.timed++
 		}
-		s.journal(journalRecord{Op: opResult, Sweep: st.id, Result: res})
-		st.log = append(st.log, *res)
+		s.journal(journalRecord{Op: opResult, Sweep: st.id, enc: enc})
+		st.log = append(st.log, enc)
 		if st.logGrew != nil {
 			close(st.logGrew) // wake every batch long-poll
 			st.logGrew = make(chan struct{})
@@ -687,7 +703,7 @@ func (s *Server) abandonSweep(st *sweepState) (submitted, completed int) {
 	st.closed = true
 	var live []*task
 	for _, sl := range st.slots {
-		if sl.res == nil && sl.task != nil {
+		if !sl.done && sl.task != nil {
 			live = append(live, sl.task)
 		}
 	}

@@ -139,7 +139,7 @@ func (s *Server) WriteStatus(w io.Writer) {
 			}
 			c := cells[sl.job.Bench][sl.job.Mode]
 			c.total++
-			if sl.res != nil {
+			if sl.done {
 				c.done++
 			}
 		}

@@ -215,7 +215,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		}
 
 		start := time.Now()
-		out := sweep.Result{Index: lease.Index, Job: lease.Job}
+		out := sweep.Result{Index: lease.Index} // the job stays off the wire: the coordinator holds it
 		got, inc := w.execContained(ctx, lease, exec)
 		if inc != nil {
 			// The job was contained (panic, watchdog, memory guard): the

@@ -348,7 +348,10 @@ func (ms *MemSystem) FetchAccess(lineVA uint64, owner, part uint64) accessResult
 	}
 	h, ok, blk := ms.ShI.Alloc(res.pa, owner, part, shadow.Payload{})
 	if blk {
+		// Give back the iTLB entry and PTE lines the walk just took, as
+		// translate does, so the retry starts clean.
 		res.blocked = true
+		res.sh.annul(ms)
 		return res
 	}
 	if ok {

@@ -6,6 +6,7 @@ import (
 	"safespec/internal/asm"
 	"safespec/internal/core"
 	"safespec/internal/isa"
+	"safespec/internal/shadow"
 )
 
 // buildMispredictProbe returns a program whose mispredicted wrong path
@@ -107,6 +108,33 @@ func TestShadowDrainsAtHalt(t *testing.T) {
 				t.Errorf("%v: %s holds %d entries after halt (leaked handles)", mode, s.name, s.n)
 			}
 		}
+	}
+}
+
+// TestBlockedFetchReleasesWalk: when a full Block-policy shadow I-cache
+// turns a fetch away, the shadow iTLB entry its page walk just allocated is
+// annulled, not dropped. A straight-line program crossing six code pages
+// with a 1-entry shadow I-cache blocks at every page crossing; each
+// translation must end committed or squashed, none left live at halt.
+func TestBlockedFetchReleasesWalk(t *testing.T) {
+	b := asm.NewBuilder()
+	for i := 0; i < 6_000; i++ {
+		b.Addi(isa.T0, isa.T0, 1)
+	}
+	b.Halt()
+	cfg := core.WFC()
+	cfg.Pipeline.ShadowI = shadow.Policy{Name: "shadow-icache", Entries: 1, WhenFull: shadow.Block}
+	sim := core.New(cfg, b.MustBuild())
+	res := sim.Run()
+	if res.ShI.BlockedCycles == 0 {
+		t.Fatal("test setup: the shadow I-cache never blocked a fetch")
+	}
+	if n := sim.CPU().MemSys().ShITLB.Len(); n != 0 {
+		t.Errorf("shadow iTLB holds %d live entries after halt", n)
+	}
+	st := res.ShITLB
+	if st.Allocs != st.Committed+st.Squashed {
+		t.Errorf("shadow iTLB: allocs=%d, committed=%d + squashed=%d", st.Allocs, st.Committed, st.Squashed)
 	}
 }
 

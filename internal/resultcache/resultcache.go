@@ -68,28 +68,21 @@ type Stats struct {
 }
 
 // envelope is the on-disk entry format. Sum is a CRC32-IEEE checksum
-// (lowercase hex) over the result's canonical JSON encoding: a flipped bit
-// inside a numeric field still parses as valid JSON, and without the
+// (lowercase hex) over Res, the result's JSON encoding as stored: a flipped
+// bit inside a numeric field still parses as valid JSON, and without the
 // checksum it would silently poison every sweep that hits the entry.
 // Entries written before the field (empty Sum) are accepted unverified, so
 // FormatVersion stays 1.
 type envelope struct {
-	Version int           `json:"version"`
-	Key     string        `json:"key"`
-	Sum     string        `json:"sum,omitempty"`
-	Res     *core.Results `json:"res"`
+	Version int             `json:"version"`
+	Key     string          `json:"key"`
+	Sum     string          `json:"sum,omitempty"`
+	Res     json.RawMessage `json:"res"`
 }
 
-// resSum is the checksum stored in envelope.Sum: CRC32-IEEE over the
-// result's own JSON encoding (deterministic — all fields are ordered
-// struct members). Verification re-encodes the parsed result, so any
-// in-band damage that survived the JSON parse changes the digest.
-func resSum(res *core.Results) (string, error) {
-	b, err := json.Marshal(res)
-	if err != nil {
-		return "", err
-	}
-	return strconv.FormatUint(uint64(crc32.ChecksumIEEE(b)), 16), nil
+// resSum is the checksum stored in envelope.Sum.
+func resSum(b []byte) string {
+	return strconv.FormatUint(uint64(crc32.ChecksumIEEE(b)), 16)
 }
 
 // Open creates (or reuses) a cache directory, enforcing the format version.
@@ -144,25 +137,29 @@ func (c *Cache) Get(key string) (*core.Results, bool, error) {
 	if c.readFault != nil {
 		b = c.readFault(b)
 	}
+	// The result stays raw until its stored bytes have passed the checksum,
+	// so it is decoded once and never re-encoded.
 	var e envelope
 	if err := json.Unmarshal(b, &e); err != nil {
 		c.errs.Add(1)
 		return nil, false, fmt.Errorf("resultcache: corrupt entry %s: %w", key, err)
 	}
-	if e.Version != FormatVersion || e.Key != key || e.Res == nil {
+	if e.Version != FormatVersion || e.Key != key || len(e.Res) == 0 || string(e.Res) == "null" {
 		c.errs.Add(1)
 		return nil, false, fmt.Errorf("resultcache: entry %s does not match its address (version %d, key %q)",
 			key, e.Version, e.Key)
 	}
-	if e.Sum != "" {
-		sum, serr := resSum(e.Res)
-		if serr != nil || sum != e.Sum {
-			c.errs.Add(1)
-			return nil, false, fmt.Errorf("resultcache: entry %s failed its checksum (bit rot or damaged write)", key)
-		}
+	if e.Sum != "" && resSum(e.Res) != e.Sum {
+		c.errs.Add(1)
+		return nil, false, fmt.Errorf("resultcache: entry %s failed its checksum (bit rot or damaged write)", key)
+	}
+	res := new(core.Results)
+	if err := json.Unmarshal(e.Res, res); err != nil {
+		c.errs.Add(1)
+		return nil, false, fmt.Errorf("resultcache: corrupt entry %s: %w", key, err)
 	}
 	c.hits.Add(1)
-	return e.Res, true, nil
+	return res, true, nil
 }
 
 // Put stores res under key atomically. Only successful results are worth
@@ -174,12 +171,12 @@ func (c *Cache) Put(key string, res *core.Results) error {
 	if res == nil {
 		return fmt.Errorf("resultcache: refusing to store nil result under %s", key)
 	}
-	sum, err := resSum(res)
+	enc, err := json.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(envelope{Version: FormatVersion, Key: key, Sum: sum, Res: res}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(envelope{Version: FormatVersion, Key: key, Sum: resSum(enc), Res: enc}); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
 	dst := c.path(key)

@@ -261,8 +261,11 @@ func TestSumlessEntryAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	const key = "ef567890"
-	res := &core.Results{Stats: &pipeline.Stats{Committed: 42}}
-	old, err := json.Marshal(envelope{Version: FormatVersion, Key: key, Res: res})
+	enc, err := json.Marshal(&core.Results{Stats: &pipeline.Stats{Committed: 42}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(envelope{Version: FormatVersion, Key: key, Res: enc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,12 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Histogram counts integer-valued samples in [0, max]. It is used to record
@@ -194,22 +196,42 @@ type histogramJSON struct {
 }
 
 // MarshalJSON encodes the histogram for the sweep result cache and the grid
-// wire protocol.
+// wire protocol. The bytes equal json.Marshal(histogramJSON{Counts: counts}):
+// the counts are written with strconv rather than through reflection, since
+// they are more than half of an encoded result.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{Counts: h.counts})
+	if h.counts == nil {
+		return []byte(`{"counts":null}`), nil
+	}
+	b := make([]byte, 0, len(`{"counts":[]}`)+4*len(h.counts))
+	b = append(b, `{"counts":[`...)
+	for i, c := range h.counts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, c, 10)
+	}
+	return append(b, "]}"...), nil
 }
 
 // UnmarshalJSON decodes a histogram, recomputing the sample count, sum and
 // maximum from the counts. The round trip is exact: all fields are integers.
+// The canonical form MarshalJSON writes is parsed directly; any other input
+// goes through json.Unmarshal, so what is accepted and what it decodes to do
+// not depend on the fast path.
 func (h *Histogram) UnmarshalJSON(b []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
+	counts, ok := parseCanonicalCounts(b)
+	if !ok {
+		var w histogramJSON
+		if err := json.Unmarshal(b, &w); err != nil {
+			return err
+		}
+		counts = w.Counts
 	}
-	if len(w.Counts) == 0 {
-		w.Counts = make([]uint64, 1)
+	if len(counts) == 0 {
+		counts = make([]uint64, 1)
 	}
-	h.counts = w.Counts
+	h.counts = counts
 	h.n, h.sum, h.max = 0, 0, 0
 	for v, c := range h.counts {
 		if c == 0 {
@@ -220,6 +242,43 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 		h.max = v
 	}
 	return nil
+}
+
+// parseCanonicalCounts parses exactly `{"counts":[c0,c1,...]}` with each
+// count a decimal uint64 without sign, leading zero or exponent, and no
+// whitespace. It reports false for anything else, including overflow.
+func parseCanonicalCounts(b []byte) ([]uint64, bool) {
+	const head, tail = `{"counts":[`, "]}"
+	if len(b) < len(head)+len(tail) || string(b[:len(head)]) != head || string(b[len(b)-len(tail):]) != tail {
+		return nil, false
+	}
+	body := b[len(head) : len(b)-len(tail)]
+	counts := make([]uint64, 0, bytes.Count(body, []byte{','})+1)
+	if len(body) == 0 {
+		return counts, true
+	}
+	for {
+		var c uint64
+		i := 0
+		for ; i < len(body) && body[i] >= '0' && body[i] <= '9'; i++ {
+			d := uint64(body[i] - '0')
+			if c > (math.MaxUint64-d)/10 {
+				return nil, false
+			}
+			c = c*10 + d
+		}
+		if i == 0 || (i > 1 && body[0] == '0') {
+			return nil, false
+		}
+		counts = append(counts, c)
+		if i == len(body) {
+			return counts, true
+		}
+		if body[i] != ',' {
+			return nil, false
+		}
+		body = body[i+1:]
+	}
 }
 
 // tTable95 holds two-sided 95% Student's t critical values for 1..30 degrees

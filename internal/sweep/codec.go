@@ -47,8 +47,12 @@ func (j Job) Hash() (string, error) {
 // sink output computed from a decoded Result is byte-identical to the
 // original.
 type resultJSON struct {
-	Index  int           `json:"index"`
-	Job    Job           `json:"job"`
+	Index int `json:"index"`
+	// Job is left out when zero: a grid worker reports a result without
+	// the job it leased, which the coordinator already holds. Decoding a
+	// result without the field yields the zero Job, so the round trip stays
+	// exact.
+	Job    Job           `json:"job,omitzero"`
 	Res    *core.Results `json:"res,omitempty"`
 	Err    string        `json:"err,omitempty"`
 	WallNS int64         `json:"wall_ns,omitempty"`

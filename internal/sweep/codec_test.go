@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,6 +110,76 @@ func TestResultJSONRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestResultJSONZeroJobOmitted: a result whose Job is zero (a grid
+// worker's report) encodes without the job field and decodes back to the
+// zero Job; any other result still carries its job.
+func TestResultJSONZeroJobOmitted(t *testing.T) {
+	r := Result{Index: 3, Err: errors.New("boom"), Wall: time.Second}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"index":3,"err":"boom","wall_ns":1000000000}`; string(b) != want {
+		t.Fatalf("encoded %s, want %s", b, want)
+	}
+	var back Result
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Index != 3 || back.Job != (Job{}) || back.Err.Error() != "boom" || back.Wall != time.Second {
+		t.Errorf("round trip mutated: %+v", back)
+	}
+	r.Job = Job{Bench: "mcf"}
+	if b, err = json.Marshal(r); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"job":{"Bench":"mcf"`) {
+		t.Errorf("a non-zero job was left out: %s", b)
+	}
+}
+
+// BenchmarkResultCodec times one encode and one decode of a simulated
+// result with its occupancy histograms (about 4 KB of JSON), the unit of
+// work of every grid hop.
+func BenchmarkResultCodec(b *testing.B) {
+	spec := Quick()
+	spec.Benchmarks = []string{"exchange2"}
+	spec.Modes = []ModeSpec{{Name: "wfc", Config: core.WFC()}}
+	spec.Instructions = 2_000
+	jobs, err := spec.Jobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := Run(context.Background(), jobs, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := results[0]
+	enc, err := json.Marshal(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		for b.Loop() {
+			if _, err := json.Marshal(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(enc)))
+		for b.Loop() {
+			var back Result
+			if err := json.Unmarshal(enc, &back); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestResultJSONErrorPreserved is the error-serialization contract: an
