@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,9 +196,14 @@ func TestBatchJSONMatchesMarshal(t *testing.T) {
 // still sends it. Its report completes the lease, and the streamed result
 // carries the job the coordinator leased, not the one reported.
 func TestReportWithJobAccepted(t *testing.T) {
+	_, url := startServer(t, Options{})
+	ctx := context.Background()
 	jobs := smallJobs(t, "exchange2")[:1]
-	server, url := startServer(t, Options{})
-	done := runAsync(t, server, url, jobs)
+	var sub SubmitResponse
+	if _, err := doJSON(ctx, http.DefaultClient, http.MethodPost, url+"/v1/sweeps", "", "",
+		SubmitRequest{Jobs: jobs}, &sub); err != nil {
+		t.Fatal(err)
+	}
 	lease := leaseOne(t, url)
 	sent := lease.Job
 	sent.Mode = "reported"
@@ -213,13 +220,13 @@ func TestReportWithJobAccepted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("report with a job: status %d", resp.StatusCode)
 	}
-	select {
-	case results := <-done:
-		if results[0].Res == nil || results[0].Res.Committed != 5 || results[0].Job != jobs[0] {
-			t.Fatalf("streamed %+v, want the reported result under the leased job", results[0])
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("the sweep never completed")
+	var batch ResultBatch
+	if err := json.Unmarshal(getBody(t, url+"/v1/sweeps/"+sub.SweepID+"/results?after=0"), &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Results) != 1 || batch.Results[0].Res == nil || batch.Results[0].Res.Committed != 5 ||
+		batch.Results[0].Job != jobs[0] {
+		t.Fatalf("streamed %+v, want the reported result under the leased job", batch.Results)
 	}
 }
 
@@ -248,45 +255,71 @@ func TestMalformedReportRejected(t *testing.T) {
 
 // TestWorkerReportOmitsJob: the body a worker posts to /v1/result leaves
 // the job out, and decodes under ResultRequest, as any coordinator reads
-// it, to the reported index, res, err, wall and timing.
+// it, to the leased index and the job's res or err, wall and timing.
 func TestWorkerReportOmitsJob(t *testing.T) {
-	bodies := make(chan []byte, 2)
+	good := smallJobs(t, "exchange2")[1]
+	bad := good
+	bad.Bench = "no-such-bench"
+	leases := []LeaseResponse{
+		{LeaseID: "L-1", Index: 1, Job: good, TTLMS: 60_000},
+		{LeaseID: "L-2", Index: 2, Job: bad, TTLMS: 60_000},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	var bodies [][]byte
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		b, _ := io.ReadAll(req.Body)
-		bodies <- b
+		mu.Lock()
+		defer mu.Unlock()
+		switch req.URL.Path {
+		case "/v1/lease":
+			if len(leases) == 0 {
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
+			writeJSON(w, leases[0])
+			leases = leases[1:]
+		case "/v1/result":
+			b, _ := io.ReadAll(req.Body)
+			if bodies = append(bodies, b); len(bodies) == 2 {
+				cancel()
+			}
+		}
 	}))
 	defer srv.Close()
-	ctx := context.Background()
-	job := smallJobs(t, "exchange2")[1]
-	res, timing, err := sweep.LocalExecutor{}.ExecuteTimed(ctx, 1, job)
+	w := &Worker{Coordinator: srv.URL, ID: "w", Parallel: 1, Poll: time.Millisecond}
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep.LocalExecutor{}.Execute(context.Background(), 1, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &Worker{Coordinator: srv.URL, ID: "w"}
-	for _, r := range []sweep.Result{
-		{Index: 1, Res: res, Wall: 3 * time.Millisecond, Timing: timing},
-		{Index: 2, Err: errors.New("boom"), Wall: time.Millisecond},
-	} {
-		if err := w.report(ctx, srv.Client(), "w/0-1", r); err != nil {
-			t.Fatal(err)
-		}
-		body := <-bodies
+	if len(bodies) != 2 {
+		t.Fatalf("worker reported %d results, want 2", len(bodies))
+	}
+	for i, body := range bodies {
 		var raw struct{ Result map[string]json.RawMessage }
 		if err := json.Unmarshal(body, &raw); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := raw.Result["job"]; ok {
-			t.Errorf("report sends the job: %s", body)
+			t.Errorf("report %d sends the job: %s", i, body)
 		}
 		var rr ResultRequest
 		if err := json.Unmarshal(body, &rr); err != nil {
 			t.Fatal(err)
 		}
 		got := rr.Result
-		if rr.LeaseID != "w/0-1" || got.Index != r.Index || got.Job != (sweep.Job{}) || got.Wall != r.Wall ||
-			!reflect.DeepEqual(got.Res, r.Res) || !reflect.DeepEqual(got.Timing, r.Timing) ||
-			(got.Err == nil) != (r.Err == nil) || (r.Err != nil && got.Err.Error() != r.Err.Error()) {
-			t.Errorf("report decodes to %+v, want %+v", got, r)
+		if rr.LeaseID != fmt.Sprintf("L-%d", i+1) || got.Index != i+1 || got.Job != (sweep.Job{}) ||
+			got.Wall <= 0 || got.Timing == nil {
+			t.Errorf("report %d decodes to %+v", i, rr)
+		}
+		if i == 0 && (got.Err != nil || !reflect.DeepEqual(got.Res, want)) {
+			t.Errorf("report 0 carries err %v and a result equal to a local run: %v", got.Err, reflect.DeepEqual(got.Res, want))
+		}
+		if i == 1 && (got.Err == nil || got.Res != nil) {
+			t.Errorf("report 1 carries err %v and res %v, want the job's error", got.Err, got.Res)
 		}
 	}
 }
