@@ -282,9 +282,10 @@ func buildExecutor(o options, log *slog.Logger) (exec sweep.Executor, finish fun
 	switch {
 	case o.serve != "":
 		server := grid.NewServer(grid.ServerOptions{
-			Token: o.token,
-			Lease: grid.Options{LeaseTTL: o.leaseTTL, MaxAttempts: o.retries},
-			Log:   log,
+			Token:       o.token,
+			LeaseTTL:    o.leaseTTL,
+			MaxAttempts: o.retries,
+			Log:         log,
 		})
 		ln, lerr := net.Listen("tcp", o.serve)
 		if lerr != nil {

@@ -50,7 +50,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	// A short lease TTL bounds how long a lease grant lost to a dropped
 	// response stays stuck; generous MaxAttempts keeps repeated bad luck on
 	// one job from converting into an error row.
-	server := NewServer(ServerOptions{Lease: Options{LeaseTTL: time.Second, MaxAttempts: 10}})
+	server := NewServer(ServerOptions{LeaseTTL: time.Second, MaxAttempts: 10})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 

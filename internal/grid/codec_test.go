@@ -196,7 +196,7 @@ func TestBatchJSONMatchesMarshal(t *testing.T) {
 // still sends it. Its report completes the lease, and the streamed result
 // carries the job the coordinator leased, not the one reported.
 func TestReportWithJobAccepted(t *testing.T) {
-	_, url := startServer(t, Options{})
+	_, url := startServer(t, ServerOptions{})
 	ctx := context.Background()
 	jobs := smallJobs(t, "exchange2")[:1]
 	var sub SubmitResponse
@@ -234,7 +234,7 @@ func TestReportWithJobAccepted(t *testing.T) {
 // is refused with 400, like one with neither res nor err.
 func TestMalformedReportRejected(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	server, url := startServer(t, Options{})
+	server, url := startServer(t, ServerOptions{})
 	runAsync(t, server, url, jobs)
 	lease := leaseOne(t, url)
 	for _, body := range []string{

@@ -16,11 +16,11 @@ import (
 	"safespec/internal/sweep"
 )
 
-// startServer serves a fresh Server with the given lease options over
-// loopback HTTP, closed when the test ends.
-func startServer(t testing.TB, lease Options) (*Server, string) {
+// startServer serves a fresh Server with the given options over loopback
+// HTTP, closed when the test ends.
+func startServer(t testing.TB, opts ServerOptions) (*Server, string) {
 	t.Helper()
-	server := NewServer(ServerOptions{Lease: lease})
+	server := NewServer(opts)
 	srv := httptest.NewServer(server.Handler())
 	t.Cleanup(srv.Close)
 	return server, srv.URL
@@ -129,7 +129,7 @@ func TestGridEndToEnd(t *testing.T) {
 
 	local, localAgg := runWith(nil, 0)
 
-	server, url := startServer(t, Options{})
+	server, url := startServer(t, ServerOptions{})
 	stop := startWorkers(t, url, 2)
 	defer stop()
 
@@ -155,7 +155,7 @@ func TestGridJobErrorTravels(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")
 	jobs = append(jobs, sweep.Job{Bench: "no-such-bench", Mode: "baseline"})
 
-	_, url := startServer(t, Options{})
+	_, url := startServer(t, ServerOptions{})
 	stop := startWorkers(t, url, 1)
 	defer stop()
 
@@ -206,7 +206,7 @@ func leaseOne(t *testing.T, url string) LeaseResponse {
 func TestLeaseLostRequeues(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
 
-	server, url := startServer(t, Options{LeaseTTL: 50 * time.Millisecond})
+	server, url := startServer(t, ServerOptions{LeaseTTL: 50 * time.Millisecond})
 	done := runAsync(t, server, url, jobs)
 
 	// The crasher steals the job, then a healthy worker joins: it must get
@@ -251,7 +251,7 @@ func TestLeaseLostRequeues(t *testing.T) {
 // forever.
 func TestLeaseExhaustionFailsJob(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	server, url := startServer(t, Options{LeaseTTL: time.Millisecond, MaxAttempts: 2})
+	server, url := startServer(t, ServerOptions{LeaseTTL: time.Millisecond, MaxAttempts: 2})
 	done := runAsync(t, server, url, jobs)
 
 	// Keep stealing leases without ever reporting until the coordinator
@@ -286,7 +286,7 @@ func TestLeaseExhaustionFailsJob(t *testing.T) {
 // the job from the coordinator, and a worker reporting the abandoned lease
 // is turned away.
 func TestExecuteCancellation(t *testing.T) {
-	server, url := startServer(t, Options{})
+	server, url := startServer(t, ServerOptions{})
 	re := remoteExec(t, url)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -323,7 +323,7 @@ func TestExecuteCancellation(t *testing.T) {
 // nil dereference in the sinks.
 func TestEmptyResultRejected(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	server, url := startServer(t, Options{})
+	server, url := startServer(t, ServerOptions{})
 	done := runAsync(t, server, url, jobs)
 	lease := leaseOne(t, url)
 	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{Index: lease.Index, Job: lease.Job}})
@@ -338,12 +338,11 @@ func TestEmptyResultRejected(t *testing.T) {
 	// The lease stays live; a healthy worker completes the job normally.
 	stop := startWorkers(t, url, 1)
 	defer stop()
-	coord := server.coord
-	coord.mu.Lock()
-	if t2, ok := coord.leases[lease.LeaseID]; ok {
+	server.mu.Lock()
+	if t2, ok := server.leases[lease.LeaseID]; ok {
 		t2.deadline = time.Now() // hand it over immediately
 	}
-	coord.mu.Unlock()
+	server.mu.Unlock()
 	select {
 	case results := <-done:
 		if results[0].Err != nil || results[0].Res == nil {

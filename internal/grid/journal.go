@@ -59,20 +59,19 @@ const (
 // journalRecord is one journal frame's payload. Exactly the fields for its
 // Op are set; the rest stay at their zero values and are omitted.
 type journalRecord struct {
-	Op     string        `json:"op"`
-	Sweep  string        `json:"sweep"`
-	Nonce  string        `json:"nonce,omitempty"`
-	Tenant string        `json:"tenant,omitempty"`
-	Index  int           `json:"index,omitempty"`
-	Job    *sweep.Job    `json:"job,omitempty"`
-	Result *sweep.Result `json:"result,omitempty"`
+	Op     string     `json:"op"`
+	Sweep  string     `json:"sweep"`
+	Nonce  string     `json:"nonce,omitempty"`
+	Tenant string     `json:"tenant,omitempty"`
+	Index  int        `json:"index,omitempty"`
+	Job    *sweep.Job `json:"job,omitempty"`
+	// Result is an opResult's result, encoded once when it was logged;
+	// replay decodes it.
+	Result json.RawMessage `json:"result,omitempty"`
 	// Worker, Kind and Message carry an opIncident's taskIncident.
 	Worker  string `json:"worker,omitempty"`
 	Kind    string `json:"kind,omitempty"`
 	Message string `json:"message,omitempty"`
-	// enc, when set, is an opResult's result already encoded; append
-	// writes it in place of Result, byte for byte as encoding Result would.
-	enc json.RawMessage
 }
 
 // stateSnapshot is the snapshot.json format.
@@ -122,11 +121,10 @@ type recoveredSweep struct {
 }
 
 // stateStore journals sweep mutations under a state directory. Its mutex
-// is the innermost lock in the server: appends happen while holding
-// Server.mu and/or sweepState.mu, never the other way around — in
-// particular a result is journaled inside the same sweepState.mu critical
-// section that appends it to the in-memory completion log, so journal
-// order always equals log order and recovered cursors stay valid.
+// is the only lock taken while holding Server.mu: a result is journaled
+// inside the same Server.mu critical section that appends it to the
+// in-memory completion log, so journal order always equals log order and
+// recovered cursors stay valid.
 type stateStore struct {
 	dir string
 
@@ -239,7 +237,8 @@ func readJournal(path string) ([]journalRecord, int, error) {
 // duplicate opens, job re-adds and result re-deliveries (the crash window
 // between snapshot rename and journal truncation replays records the
 // snapshot already holds) coalesce to one copy, in original order. It fails
-// only on a snapshot result that does not decode.
+// only on a snapshot result that does not decode; a journal result that
+// does not decode ends replay there, like a corrupt frame.
 func replayState(snap stateSnapshot, records []journalRecord) ([]recoveredSweep, error) {
 	byID := make(map[string]*recoveredSweep)
 	var order []string
@@ -274,6 +273,7 @@ func replayState(snap stateSnapshot, records []journalRecord) ([]recoveredSweep,
 				taskIncident{Worker: ie.Worker, Kind: ie.Kind, Message: ie.Message})
 		}
 	}
+replay:
 	for _, rec := range records {
 		switch rec.Op {
 		case opOpen:
@@ -285,11 +285,13 @@ func replayState(snap stateSnapshot, records []journalRecord) ([]recoveredSweep,
 				}
 			}
 		case opResult:
-			if rs, ok := byID[rec.Sweep]; ok && rec.Result != nil {
-				if !rs.logged[rec.Result.Index] {
-					rs.logged[rec.Result.Index] = true
-					rs.Log = append(rs.Log, *rec.Result)
-				}
+			var res *sweep.Result
+			if rec.Result != nil && json.Unmarshal(rec.Result, &res) != nil {
+				break replay
+			}
+			if rs, ok := byID[rec.Sweep]; ok && res != nil && !rs.logged[res.Index] {
+				rs.logged[res.Index] = true
+				rs.Log = append(rs.Log, *res)
 			}
 		case opIncident:
 			// Quarantine counts DISTINCT workers, so the duplicate entries a
@@ -352,9 +354,11 @@ func recoveredSnapshots(recovered []recoveredSweep) []sweepSnapshot {
 // log; the in-memory state is already authoritative, so a failed append
 // degrades durability, not correctness of the running process.
 func (st *stateStore) append(rec journalRecord) error {
-	frame := make([]byte, 8, 64+len(rec.Sweep)+len(rec.enc))
-	if rec.enc != nil {
-		frame = fmt.Appendf(frame, `{"op":%s,"sweep":%s,"result":%s}`, quote(rec.Op), quote(rec.Sweep), rec.enc)
+	frame := make([]byte, 8, 64+len(rec.Sweep)+len(rec.Result))
+	if rec.Result != nil {
+		// The one-encode path: frame the logged bytes as they are, byte for
+		// byte as json.Marshal of the record would write them.
+		frame = fmt.Appendf(frame, `{"op":%s,"sweep":%s,"result":%s}`, quote(rec.Op), quote(rec.Sweep), rec.Result)
 	} else {
 		payload, err := json.Marshal(rec)
 		if err != nil {

@@ -42,10 +42,10 @@ func scriptRecords(t testing.TB) []journalRecord {
 	// Two results for the first sweep, delivered out of index order (the
 	// completion log is completion-ordered, not index-ordered).
 	for _, idx := range []int{1, 0} {
-		recs = append(recs, journalRecord{Op: opResult, Sweep: "s-aaaa", Result: &sweep.Result{
+		recs = append(recs, journalRecord{Op: opResult, Sweep: "s-aaaa", Result: encodeResult(sweep.Result{
 			Index: idx, Job: jobs[idx],
 			Res: &core.Results{Stats: &pipeline.Stats{Committed: uint64(idx + 1)}},
-		}})
+		})})
 	}
 	recs = append(recs, journalRecord{Op: opClose, Sweep: "s-bbbb"})
 	return recs
@@ -268,7 +268,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		case opJob:
 			jobCount++
 		case opResult:
-			resultOrder = append(resultOrder, rec.Result.Index)
+			resultOrder = append(resultOrder, decodeLog(t, []json.RawMessage{rec.Result})[0].Index)
 		}
 	}
 
@@ -287,13 +287,12 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			defer server.CloseState()
 
 			server.mu.Lock()
+			defer server.mu.Unlock()
 			st := server.sweeps["s-aaaa"]
 			nonceID := server.byNonce["n-1"]
 			if _, ghost := server.sweeps["s-bbbb"]; ghost && cut == len(wal) {
-				server.mu.Unlock()
 				t.Fatal("closed sweep s-bbbb resurrected by full replay")
 			}
-			server.mu.Unlock()
 			if st == nil {
 				// The opOpen frame itself was torn off: an empty recovery is
 				// the consistent outcome.
@@ -306,8 +305,6 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				t.Fatalf("nonce table inconsistent: n-1 -> %q", nonceID)
 			}
 
-			st.mu.Lock()
-			defer st.mu.Unlock()
 			// Completion log must be a prefix of the delivery order.
 			if len(st.log) > len(resultOrder) {
 				t.Fatalf("recovered %d results, only %d were delivered", len(st.log), len(resultOrder))
@@ -328,8 +325,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			// No job may be both completed and pending, and every recovered
 			// job must be exactly one of the two.
 			completed, pending := 0, 0
-			for idx, sl := range st.slots {
-				if sl.done {
+			for idx, tk := range st.slots {
+				if tk.logged {
 					completed++
 					if !seen[idx] {
 						t.Fatalf("slot %d completed but absent from the log", idx)
@@ -500,13 +497,12 @@ func sweepsDigest(t *testing.T, s *Server) string {
 	s.mu.Lock()
 	var out []sweepDigest
 	for _, st := range s.sweeps {
-		st.mu.Lock()
 		d := sweepDigest{ID: st.id, Nonce: st.nonce, Tenant: st.tenant.Name,
 			Jobs: make(map[int]sweep.Job), Log: decodeLog(t, st.log), Incidents: make(map[int][]taskIncident)}
-		for idx, sl := range st.slots {
-			d.Jobs[idx] = sl.job
-			if !sl.done && sl.task != nil {
-				hist := s.coord.incidentHistory(sl.task)
+		for idx, tk := range st.slots {
+			d.Jobs[idx] = tk.job
+			if !tk.logged {
+				hist := append([]taskIncident(nil), tk.incidents...)
 				sort.Slice(hist, func(i, j int) bool {
 					a, b := hist[i], hist[j]
 					return a.Worker+"\x00"+a.Kind+"\x00"+a.Message < b.Worker+"\x00"+b.Kind+"\x00"+b.Message
@@ -514,7 +510,6 @@ func sweepsDigest(t *testing.T, s *Server) string {
 				d.Incidents[idx] = hist
 			}
 		}
-		st.mu.Unlock()
 		out = append(out, d)
 	}
 	s.mu.Unlock()

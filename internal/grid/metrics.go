@@ -9,12 +9,18 @@ import (
 	"safespec/internal/sweep"
 )
 
-// newRegistry builds the server's /metrics registry. The counter and gauge
-// families mirror the accounting snapshot at scrape time — one Stats()
-// call per scrape, through the registry's OnCollect hook — so their values
-// are exactly what /v1/stats reports. The span histograms are live: the
-// coordinator's completion path observes every reported job's Timing, and
-// it also wires that path up here (via coordinator.observe).
+// spanHistograms are the live per-job span histograms, observed on every
+// accepted result that carries a Timing.
+type spanHistograms struct {
+	queueWait, cacheTime, simTime, reportOverhead *obs.Histogram
+}
+
+// newRegistry builds the server's /metrics registry and its span
+// histograms. The counter and gauge families mirror the accounting
+// snapshot at scrape time — one Stats() call per scrape, through the
+// registry's OnCollect hook — so their values are exactly what /v1/stats
+// reports. The span histograms are live: report observes every accepted
+// job's stamped Timing (see observe).
 func (s *Server) newRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 
@@ -38,14 +44,16 @@ func (s *Server) newRegistry() *obs.Registry {
 
 	tenantReqs := reg.CounterVec("safespec_tenant_requests_total", "Authenticated requests per tenant.", "tenant")
 
-	queueWait := reg.Histogram("safespec_job_queue_wait_seconds",
-		"Per-job wait between enqueue and the completing lease grant.", nil)
-	cacheTime := reg.Histogram("safespec_job_cache_lookup_seconds",
-		"Per-job worker-side result-cache lookup and store time.", nil)
-	simTime := reg.Histogram("safespec_job_simulate_seconds",
-		"Per-job worker-side simulation time.", nil)
-	reportOverhead := reg.Histogram("safespec_job_report_overhead_seconds",
-		"Per-job report overhead: lease round trip net of worker-accounted time.", nil)
+	s.spans = spanHistograms{
+		queueWait: reg.Histogram("safespec_job_queue_wait_seconds",
+			"Per-job wait between enqueue and the completing lease grant.", nil),
+		cacheTime: reg.Histogram("safespec_job_cache_lookup_seconds",
+			"Per-job worker-side result-cache lookup and store time.", nil),
+		simTime: reg.Histogram("safespec_job_simulate_seconds",
+			"Per-job worker-side simulation time.", nil),
+		reportOverhead: reg.Histogram("safespec_job_report_overhead_seconds",
+			"Per-job report overhead: lease round trip net of worker-accounted time.", nil),
+	}
 
 	reg.OnCollect(func() {
 		snap := s.Stats()
@@ -69,22 +77,24 @@ func (s *Server) newRegistry() *obs.Registry {
 		}
 	})
 
-	s.coord.observe = func(r sweep.Result) {
-		if r.Timing == nil {
-			return
-		}
-		sec := func(ns int64) float64 { return time.Duration(ns).Seconds() }
-		queueWait.Observe(sec(r.Timing.QueueNS))
-		if r.Timing.CacheNS > 0 {
-			cacheTime.Observe(sec(r.Timing.CacheNS))
-		}
-		if r.Timing.SimulateNS > 0 {
-			simTime.Observe(sec(r.Timing.SimulateNS))
-		}
-		reportOverhead.Observe(sec(r.Timing.ReportNS))
-	}
-
 	return reg
+}
+
+// observe records one accepted result's stamped span breakdown (nil when
+// the worker sent none) in the span histograms.
+func (s *Server) observe(tm *sweep.Timing) {
+	if tm == nil {
+		return
+	}
+	sec := func(ns int64) float64 { return time.Duration(ns).Seconds() }
+	s.spans.queueWait.Observe(sec(tm.QueueNS))
+	if tm.CacheNS > 0 {
+		s.spans.cacheTime.Observe(sec(tm.CacheNS))
+	}
+	if tm.SimulateNS > 0 {
+		s.spans.simTime.Observe(sec(tm.SimulateNS))
+	}
+	s.spans.reportOverhead.Observe(sec(tm.ReportNS))
 }
 
 // OpsHandler returns the unauthenticated operations surface mounted on the

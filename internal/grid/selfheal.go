@@ -18,8 +18,8 @@ import (
 // tail leases (see maybeHedgeLocked in grid.go) duplicate a slow one. A
 // retried job — after an incident, an expiry or a hedge — must not go back
 // to the worker that last held it while another worker is live, so the
-// coordinator keeps each worker's last-contact time — and nothing else —
-// to answer "is anyone else live?".
+// server keeps each worker's last-contact time — and nothing else — to
+// answer "is anyone else live?".
 
 // Incident kinds a worker reports. The taxonomy is closed: the coordinator
 // rejects other kinds so a typo'd client cannot grow unbounded label sets.
@@ -63,7 +63,7 @@ type IncidentRequest struct {
 
 // taskIncident is one incident recorded against a job, the unit of the
 // quarantine decision (distinct Worker values are counted against
-// Options.QuarantineAfter).
+// ServerOptions.QuarantineAfter).
 type taskIncident struct {
 	Worker, Kind, Message string
 }
@@ -75,29 +75,29 @@ const workerLiveWindow = time.Minute
 
 // touchLocked records a contact from a worker id and forgets, at most once
 // a minute, every worker silent past the live window, so a persistent
-// coordinator's map holds steady across fleet churn. Caller holds c.mu; an
+// server's map holds steady across fleet churn. Caller holds s.mu; an
 // empty id (a client that predates the worker header and sent no worker
 // label) is not tracked.
-func (c *coordinator) touchLocked(id string, now time.Time) {
+func (s *Server) touchLocked(id string, now time.Time) {
 	if id == "" {
 		return
 	}
-	c.seen[id] = now
-	if now.Sub(c.lastPrune) < time.Minute {
+	s.seen[id] = now
+	if now.Sub(s.lastPrune) < time.Minute {
 		return
 	}
-	c.lastPrune = now
-	for w, last := range c.seen {
+	s.lastPrune = now
+	for w, last := range s.seen {
 		if now.Sub(last) > workerLiveWindow {
-			delete(c.seen, w)
+			delete(s.seen, w)
 		}
 	}
 }
 
 // anyOtherLiveLocked reports whether a worker other than except has made
-// contact within the live window. Caller holds c.mu.
-func (c *coordinator) anyOtherLiveLocked(except string, now time.Time) bool {
-	for id, last := range c.seen {
+// contact within the live window. Caller holds s.mu.
+func (s *Server) anyOtherLiveLocked(except string, now time.Time) bool {
+	for id, last := range s.seen {
 		if id != except && now.Sub(last) <= workerLiveWindow {
 			return true
 		}
@@ -105,10 +105,10 @@ func (c *coordinator) anyOtherLiveLocked(except string, now time.Time) bool {
 	return false
 }
 
-// distinctIncidentWorkersLocked counts how many distinct workers have
-// reported an incident against t — the quarantine measure. Duplicate
-// reports from one worker (or a replayed journal) cannot inflate it.
-func distinctIncidentWorkersLocked(t *task) int {
+// distinctIncidentWorkers counts how many distinct workers have reported
+// an incident against t — the quarantine measure. Duplicate reports from
+// one worker (or a replayed journal) cannot inflate it.
+func distinctIncidentWorkers(t *task) int {
 	seen := make(map[string]struct{}, len(t.incidents))
 	for _, inc := range t.incidents {
 		seen[inc.Worker] = struct{}{}

@@ -111,9 +111,9 @@ func TestPoisonJobQuarantine(t *testing.T) {
 	local := localJSONL(t, jobs)
 	seed, poisonIdx := poisonSeed(t, jobs, chaos.JobFaults{Panic: 0.1})
 
-	server := NewServer(ServerOptions{Lease: Options{
+	server := NewServer(ServerOptions{
 		LeaseTTL: 5 * time.Second, MaxAttempts: 10, QuarantineAfter: 2,
-	}})
+	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
@@ -189,9 +189,9 @@ func TestWorkerSlotContainment(t *testing.T) {
 	local := localJSONL(t, jobs)
 	seed, poisonIdx := poisonSeed(t, jobs, chaos.JobFaults{Panic: 0.2})
 
-	server := NewServer(ServerOptions{Lease: Options{
+	server := NewServer(ServerOptions{
 		LeaseTTL: 5 * time.Second, MaxAttempts: 10, QuarantineAfter: 1,
-	}})
+	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
@@ -233,10 +233,10 @@ func TestHedgedTailLease(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")
 	local := localJSONL(t, jobs)
 
-	server := NewServer(ServerOptions{Lease: Options{
+	server := NewServer(ServerOptions{
 		LeaseTTL: 30 * time.Second, MaxAttempts: 10,
 		HedgeAfter: 150 * time.Millisecond,
-	}})
+	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
@@ -302,10 +302,10 @@ func TestIncidentTimeoutWatchdog(t *testing.T) {
 		t.Skip("watchdog e2e waits out a stall")
 	}
 	jobs := smallJobs(t, "exchange2")[:1]
-	server := NewServer(ServerOptions{Lease: Options{
+	server := NewServer(ServerOptions{
 		LeaseTTL: 500 * time.Millisecond, MaxAttempts: 5,
 		QuarantineAfter: 1, HedgeAfter: -1,
-	}})
+	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
@@ -332,10 +332,10 @@ func TestIncidentMemoryGuard(t *testing.T) {
 		t.Skip("memory-guard e2e allocates a large buffer")
 	}
 	jobs := smallJobs(t, "exchange2")[:1]
-	server := NewServer(ServerOptions{Lease: Options{
+	server := NewServer(ServerOptions{
 		LeaseTTL: 10 * time.Second, MaxAttempts: 5,
 		QuarantineAfter: 1, HedgeAfter: -1,
-	}})
+	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
@@ -377,11 +377,11 @@ func TestHedgeSkipsHolder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := &fakeClock{now: time.Unix(1_000, 0)}
-			c := newCoordinator(Options{LeaseTTL: time.Hour, HedgeAfter: time.Second, now: clk.Now})
+			c := NewServer(ServerOptions{LeaseTTL: time.Hour, HedgeAfter: time.Second, now: clk.Now})
 			if _, ok := c.lease("other/0", "other"); ok { // registers "other" as live
 				t.Fatal("empty queue granted a lease")
 			}
-			c.enqueue(0, sweep.Job{Bench: "exchange2", Mode: "baseline"}, "s", func(outcome) {})
+			queueOne(c)
 			held, ok := c.lease("holder/0", "holder")
 			if !ok {
 				t.Fatal("holder not granted the job")
@@ -479,9 +479,9 @@ func TestQuarantineHistorySurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	jobs := smallJobs(t, "exchange2")
-	opts := ServerOptions{Lease: Options{
+	opts := ServerOptions{
 		LeaseTTL: time.Minute, MaxAttempts: 10, QuarantineAfter: 2, HedgeAfter: -1,
-	}}
+	}
 
 	first := NewServer(opts)
 	if err := first.OpenState(dir); err != nil {

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -15,10 +16,10 @@ import (
 	"safespec/internal/sweep"
 )
 
-// Server is a persistent grid coordinator: it owns a coordinator for the
-// worker fleet and adds a sweep-submission API, so many sequential (or
-// concurrent) sweeps can share one long-lived worker fleet across
-// safespec-bench restarts. Every /v1/* endpoint — worker- and
+// Server is a persistent grid coordinator: the one owner of a job's life
+// — submit, queue, lease, report and completion log — under one mutex, so
+// many sequential (or concurrent) sweeps can share one long-lived worker
+// fleet across safespec-bench restarts. Every /v1/* endpoint — worker- and
 // client-facing alike — is guarded by bearer auth: each token resolves (in
 // constant time) to a named tenant, and an unknown token gets 401.
 //
@@ -31,36 +32,64 @@ import (
 // tenants' requests for its id get 404, indistinguishable from a sweep
 // that never existed. A sweep whose client stops polling (a crashed
 // bench process) is abandoned after SweepTTL: its unfinished jobs are
-// withdrawn from the queue and all of its state — including the
-// coordinator's expired-lease entries — is freed, so the server holds
-// steady memory over days of operation.
+// withdrawn from the queue and all of its state — including its
+// expired-lease entries — is freed, so the server holds steady memory over
+// days of operation.
 type Server struct {
-	opts  ServerOptions
-	coord *coordinator
-	auth  *authenticator
-	// reg renders /metrics: registry-owned histograms observe live job
-	// timing, while the counter/gauge families mirror Stats() at scrape
-	// time through an OnCollect hook.
-	reg *obs.Registry
+	opts ServerOptions
+	auth *authenticator
+	// reg renders /metrics: the span histograms observe live job timing,
+	// while the counter/gauge families mirror Stats() at scrape time
+	// through an OnCollect hook.
+	reg   *obs.Registry
+	spans spanHistograms
 
 	// store, when non-nil, journals every sweep mutation so a restart
 	// resumes where this process left off. Set once by OpenState before
-	// Handler serves; handlers read it without s.mu.
+	// Handler serves. Its mutex is the only lock taken under s.mu.
 	store *stateStore
-	// draining flips on Drain(): leases stop, long-polls return
-	// immediately, and drainCh wakes parked result polls.
+	// draining flips on Drain(): leases stop (workers see an empty queue
+	// and idle, while results for granted leases are still accepted),
+	// long-polls return immediately, and drainCh wakes parked result polls.
 	draining atomic.Bool
 	drainCh  chan struct{}
 
 	authFailures    atomic.Uint64
 	resultsStreamed atomic.Uint64
+	// lastGC is the unix-nano time of the last abandoned-sweep scan; it is
+	// read without s.mu so requests between scans never take the lock for
+	// gc.
+	lastGC atomic.Int64
 
 	mu        sync.Mutex
 	sweeps    map[string]*sweepState
 	byNonce   map[string]string // submission nonce -> sweep id, for retried POSTs
-	lastGC    time.Time
 	submitted uint64
 	abandoned uint64
+
+	pending *list.List       // *task FIFO; retried jobs go to the front
+	leases  map[string]*task // leaseID -> task, active leases
+	expired map[string]*task // leaseID -> task for timed-out leases: a slow
+	// worker's late result is still this job's deterministic result, so it
+	// is accepted as long as the job has not completed elsewhere
+	seq uint64 // lease id counter
+
+	granted, completed, requeued, failed uint64
+	incidents, quarantined, hedged       uint64
+
+	// seen is each worker's last contact (see selfheal.go); lastPrune
+	// rate-limits its idle-entry sweep.
+	seen      map[string]time.Time
+	lastPrune time.Time
+
+	// durs is a ring of recent lease durations (grant to accepted result)
+	// feeding the adaptive hedge threshold; hedgeThr/hedgeThrAt cache the
+	// computed quantile for a second so lease polls stay O(1).
+	durs       [256]time.Duration
+	durN       int // filled entries (caps at len(durs))
+	durIdx     int // next write position
+	hedgeThr   time.Duration
+	hedgeThrAt time.Time
 }
 
 // ServerOptions configures a Server.
@@ -73,8 +102,24 @@ type ServerOptions struct {
 	// Tenants maps per-client tokens to named tenants (see Tenant and
 	// LoadTenants).
 	Tenants []Tenant
-	// Lease configures the embedded coordinator (TTL, attempt bound).
-	Lease Options
+	// LeaseTTL is how long a worker may hold a job before it is re-queued
+	// (default 2 minutes; shorten it in tests to exercise the retry path).
+	LeaseTTL time.Duration
+	// MaxAttempts bounds how many times one job may be leased before its
+	// lost leases are converted into a job error (default 5).
+	MaxAttempts int
+	// QuarantineAfter quarantines a job once incidents have been reported
+	// against it from this many distinct workers (default 2, so one
+	// worker's local trouble never condemns a job; 1 quarantines on the
+	// first incident).
+	QuarantineAfter int
+	// HedgeAfter tunes tail-lease hedging: once the queue is empty and a
+	// remaining lease is older than this, a duplicate hedge lease is issued
+	// to the next poller. 0 (the default) adapts the threshold to
+	// the fleet — twice the p95 of observed lease durations, at least
+	// 500ms, once 8 completions have been sampled; negative disables
+	// hedging entirely.
+	HedgeAfter time.Duration
 	// SweepTTL abandons a sweep whose client has neither submitted jobs nor
 	// polled results for this long (default 10 minutes). Live clients
 	// long-poll far more often than that.
@@ -82,11 +127,11 @@ type ServerOptions struct {
 	// Log receives the server's structured progress records (nil discards
 	// them).
 	Log *slog.Logger
-	// now is a test seam for the sweep liveness clock.
+	// now is a test seam for the lease and sweep liveness clocks.
 	now func() time.Time
 }
 
-// ServerSnapshot extends the coordinator accounting with sweep-level state.
+// ServerSnapshot extends the lease accounting with sweep-level state.
 type ServerSnapshot struct {
 	Snapshot
 	// Sweeps counts sweeps currently held in memory.
@@ -156,33 +201,22 @@ type ResultBatch struct {
 	Done      bool `json:"done"`
 }
 
-// sweepState tracks one submitted sweep. Its mutex is ordered before the
-// coordinator's: handlers take sweepState.mu then enqueue/abandon (which
-// take coordinator.mu), while result delivery takes sweepState.mu only
-// after coordinator.mu has been released.
+// sweepState tracks one submitted sweep, guarded by Server.mu. Entries of
+// log are never changed once appended, so a log prefix sliced under the
+// lock can be read after it is released.
 type sweepState struct {
 	id     string
 	nonce  string       // submission nonce, purged from Server.byNonce with the sweep
 	tenant *tenantState // owner; foreign tenants get 404 for this id
 
-	mu        sync.Mutex
-	slots     map[int]*slot
-	log       []json.RawMessage // completed results in completion order, encoded on delivery
-	logGrew   chan struct{}     // closed and replaced on every log append
-	completed int
-	spans     sweep.Timing // summed Timing across the timed results
-	timed     int          // results that carried a Timing
-	created   time.Time
-	lastSeen  time.Time
-	closed    bool
-}
-
-// slot is one job of a sweep: its queued task while live, done once its
-// result is logged. job is retained for the status page after the task is gone.
-type slot struct {
-	job  sweep.Job
-	task *task
-	done bool
+	slots    map[int]*task
+	log      []json.RawMessage // completed results in completion order, encoded once
+	logGrew  chan struct{}     // closed and replaced on every log append
+	spans    sweep.Timing      // summed Timing across the timed results
+	timed    int               // results that carried a Timing
+	created  time.Time
+	lastSeen time.Time
+	closed   bool
 }
 
 // maxPollWait caps the long-poll duration a client may request.
@@ -190,6 +224,15 @@ const maxPollWait = time.Minute
 
 // NewServer builds a persistent coordinator server with defaults applied.
 func NewServer(opts ServerOptions) *Server {
+	if opts.LeaseTTL <= 0 {
+		opts.LeaseTTL = 2 * time.Minute
+	}
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = 5
+	}
+	if opts.QuarantineAfter <= 0 {
+		opts.QuarantineAfter = 2
+	}
 	if opts.SweepTTL <= 0 {
 		opts.SweepTTL = 10 * time.Minute
 	}
@@ -206,21 +249,23 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	s := &Server{
 		opts:    opts,
-		coord:   newCoordinator(opts.Lease),
 		auth:    newAuthenticator(tenants),
 		sweeps:  make(map[string]*sweepState),
 		byNonce: make(map[string]string),
 		drainCh: make(chan struct{}),
+		pending: list.New(),
+		leases:  make(map[string]*task),
+		expired: make(map[string]*task),
+		seen:    make(map[string]time.Time),
 	}
 	s.reg = s.newRegistry()
-	// Journal every accepted incident so a poison job's quarantine history
-	// survives a restart (hook runs under coordinator.mu; the store's mutex
-	// is the innermost lock, so the append is safe there).
-	s.coord.onIncident = func(sweepID string, index int, inc taskIncident) {
-		s.journal(journalRecord{Op: opIncident, Sweep: sweepID, Index: index,
-			Worker: inc.Worker, Kind: inc.Kind, Message: inc.Message})
-	}
 	return s
+}
+
+// newSweep builds an empty sweep's state.
+func newSweep(id, nonce string, tenant *tenantState, now time.Time) *sweepState {
+	return &sweepState{id: id, nonce: nonce, tenant: tenant, slots: make(map[int]*task),
+		logGrew: make(chan struct{}), created: now, lastSeen: now}
 }
 
 // OpenState attaches a durable state directory (safespec-coordinator
@@ -260,24 +305,13 @@ func (s *Server) OpenState(dir string) error {
 // adoptLocked rebuilds one recovered sweep's live state: logged results
 // become completed slots (the completion log in its original order so
 // client cursors keep indexing correctly), and jobs without a result
-// re-enter the coordinator queue — their leases died with the previous
-// process. Caller holds s.mu; returns the number of requeued jobs.
+// re-enter the queue — their leases died with the previous process.
+// Caller holds s.mu; returns the number of requeued jobs.
 func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
-	now := s.opts.now()
-	st := &sweepState{
-		id:       rs.ID,
-		nonce:    rs.Nonce,
-		tenant:   tenant,
-		slots:    make(map[int]*slot, len(rs.Jobs)),
-		logGrew:  make(chan struct{}),
-		created:  now,
-		lastSeen: now,
-	}
-	st.mu.Lock()
+	st := newSweep(rs.ID, rs.Nonce, tenant, s.opts.now())
 	for _, res := range rs.Log {
-		st.slots[res.Index] = &slot{job: res.Job, done: true}
+		st.slots[res.Index] = &task{index: res.Index, job: res.Job, st: st, completed: true, logged: true}
 		st.log = append(st.log, encodeResult(res))
-		st.completed++
 		if res.Timing != nil {
 			st.spans.Add(*res.Timing)
 			st.timed++
@@ -293,20 +327,13 @@ func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	// Requeued jobs inherit their journaled incident history; one whose
 	// history already crosses the quarantine threshold (the crash landed
 	// between the deciding incident and its result) is quarantined right
-	// here instead of burning a fresh set of workers. The finish must wait
-	// until st.mu is released: delivery takes it.
-	var quarantined []*task
+	// here instead of burning a fresh set of workers.
 	for _, idx := range requeue {
-		s.enqueueSlotLocked(st, idx, rs.Jobs[idx])
+		t := s.enqueueLocked(st, idx, rs.Jobs[idx])
 		if hist := rs.Incidents[idx]; len(hist) > 0 {
-			if t := st.slots[idx].task; s.coord.seedIncidents(t, hist) {
-				quarantined = append(quarantined, t)
-			}
+			t.incidents = hist
+			s.quarantineLocked(t)
 		}
-	}
-	st.mu.Unlock()
-	for _, t := range quarantined {
-		s.coord.quarantineFinish(t)
 	}
 	s.sweeps[st.id] = st
 	if st.nonce != "" {
@@ -327,22 +354,20 @@ func (s *Server) CloseState() error {
 	}
 	sweeps := make([]sweepSnapshot, 0, len(s.sweeps))
 	for _, st := range s.sweeps {
-		st.mu.Lock()
 		ss := sweepSnapshot{ID: st.id, Nonce: st.nonce, Tenant: st.tenant.Name,
 			Log: append([]json.RawMessage(nil), st.log...)}
-		for idx, sl := range st.slots {
-			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: sl.job})
-			if !sl.done && sl.task != nil {
+		for idx, t := range st.slots {
+			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: t.job})
+			if !t.logged {
 				// Unfinished jobs carry their incident history forward, so a
 				// graceful restart cannot reset a poison job's quarantine
 				// progress.
-				for _, ti := range s.coord.incidentHistory(sl.task) {
+				for _, ti := range t.incidents {
 					ss.Incidents = append(ss.Incidents, incidentEntry{
 						Index: idx, Worker: ti.Worker, Kind: ti.Kind, Message: ti.Message})
 				}
 			}
 		}
-		st.mu.Unlock()
 		sort.Slice(ss.Jobs, func(i, j int) bool { return ss.Jobs[i].Index < ss.Jobs[j].Index })
 		sort.Slice(ss.Incidents, func(i, j int) bool {
 			a, b := ss.Incidents[i], ss.Incidents[j]
@@ -370,25 +395,34 @@ func (s *Server) journal(rec journalRecord) {
 	}
 }
 
-// Drain puts the server into shutdown mode: the coordinator stops
-// granting leases (workers see an idle queue, not an error) and parked
-// result long-polls return their current batch immediately, so in-flight
-// client requests finish inside the drain deadline instead of holding the
-// HTTP server open for a full poll window.
+// Drain puts the server into shutdown mode: lease grants stop (workers see
+// an idle queue, not an error) and parked result long-polls return their
+// current batch immediately, so in-flight client requests finish inside
+// the drain deadline instead of holding the HTTP server open for a full
+// poll window.
 func (s *Server) Drain() {
 	if s.draining.CompareAndSwap(false, true) {
-		s.coord.drain()
 		close(s.drainCh)
 	}
 }
 
-// Stats snapshots the server and its embedded coordinator.
+// Stats snapshots the server's lease and sweep accounting.
 func (s *Server) Stats() ServerSnapshot {
-	snap := s.coord.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := ServerSnapshot{
-		Snapshot:        snap,
+		Snapshot: Snapshot{
+			Pending:     s.pending.Len(),
+			Leased:      len(s.leases),
+			Expired:     len(s.expired),
+			Granted:     s.granted,
+			Completed:   s.completed,
+			Requeued:    s.requeued,
+			Failed:      s.failed,
+			Incidents:   s.incidents,
+			Quarantined: s.quarantined,
+			Hedged:      s.hedged,
+		},
 		Sweeps:          len(s.sweeps),
 		SweepsSubmitted: s.submitted,
 		SweepsAbandoned: s.abandoned,
@@ -402,8 +436,8 @@ func (s *Server) Stats() ServerSnapshot {
 	return out
 }
 
-// Handler returns the full authenticated HTTP surface: the coordinator's
-// worker endpoints plus the sweep-submission API. Abandoned-sweep GC runs
+// Handler returns the full authenticated HTTP surface: the worker
+// endpoints plus the sweep-submission API. Abandoned-sweep GC runs
 // lazily on every request (workers poll /v1/lease continuously, so an idle
 // orphan sweep never outlives SweepTTL by much).
 func (s *Server) Handler() http.Handler {
@@ -441,10 +475,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			if prev := s.sweeps[id]; prev != nil && prev.tenant == tenant {
 				// A retried submission whose first attempt did land: hand
 				// back the existing sweep instead of double-running it.
-				prev.mu.Lock()
 				resp := SubmitResponse{SweepID: prev.id, Jobs: len(prev.slots)}
 				prev.lastSeen = s.opts.now()
-				prev.mu.Unlock()
 				s.mu.Unlock()
 				writeJSON(w, resp)
 				return
@@ -455,19 +487,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// coordinator restart must see its old sweep id stop resolving (404)
 	// rather than silently adopt a sweep the restarted process assigned to
 	// someone else.
-	now := s.opts.now()
-	st := &sweepState{
-		id:       "s-" + newNonce()[:16],
-		nonce:    sr.Nonce,
-		tenant:   tenant,
-		slots:    make(map[int]*slot, len(sr.Jobs)),
-		logGrew:  make(chan struct{}),
-		created:  now,
-		lastSeen: now,
-	}
+	st := newSweep("s-"+newNonce()[:16], sr.Nonce, tenant, s.opts.now())
 	s.journal(journalRecord{Op: opOpen, Sweep: st.id, Nonce: sr.Nonce, Tenant: tenant.Name})
 	for i, j := range sr.Jobs {
-		s.addJob(st, i, j)
+		s.addJobLocked(st, i, j)
 	}
 	s.submitted++
 	s.sweeps[st.id] = st
@@ -493,7 +516,10 @@ func (s *Server) handleJob(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "negative job index", http.StatusBadRequest)
 		return
 	}
-	if !s.addJob(st, jr.Index, jr.Job) {
+	s.mu.Lock()
+	added := s.addJobLocked(st, jr.Index, jr.Job)
+	s.mu.Unlock()
+	if !added {
 		// The sweep was closed or abandoned between lookup and enqueue; a
 		// 200 here would leave the client long-polling a job that will
 		// never run.
@@ -529,27 +555,26 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 	}
 	deadline := time.Now().Add(wait)
 	for {
-		st.mu.Lock()
-		if after > len(st.log) {
+		s.mu.Lock()
+		n := len(st.log)
+		if after > n {
 			// A cursor past the log cannot come from this sweep's own
 			// history (batches only ever advance Next to the log length):
 			// the client is confused, and silently waiting would hang it.
-			n := len(st.log)
-			st.mu.Unlock()
+			s.mu.Unlock()
 			http.Error(w, fmt.Sprintf("after cursor %d beyond completion log (%d results)", after, n),
 				http.StatusBadRequest)
 			return
 		}
-		if len(st.log) > after || time.Now().After(deadline) || wait <= 0 || s.draining.Load() {
-			results := st.log[after:len(st.log):len(st.log)]
-			batch := batchJSON(st.id, len(st.log), results, len(st.slots), st.completed)
-			st.mu.Unlock()
+		if n > after || time.Now().After(deadline) || wait <= 0 || s.draining.Load() {
+			results, submitted := st.log[after:n:n], len(st.slots)
+			s.mu.Unlock()
 			s.resultsStreamed.Add(uint64(len(results)))
-			writeBody(w, batch)
+			writeBody(w, batchJSON(st.id, n, results, submitted, n))
 			return
 		}
 		grew := st.logGrew
-		st.mu.Unlock()
+		s.mu.Unlock()
 		timer := time.NewTimer(time.Until(deadline))
 		select {
 		case <-grew:
@@ -605,29 +630,34 @@ func (s *Server) handleClose(w http.ResponseWriter, req *http.Request) {
 	tenant := requestTenant(req)
 	s.mu.Lock()
 	st, ok := s.sweeps[id]
-	if ok && st.tenant != tenant {
-		st, ok = nil, false // foreign sweep: indistinguishable from absent
-	}
-	if ok {
-		s.releaseLocked(st)
-	}
-	s.mu.Unlock()
-	if !ok {
+	if !ok || st.tenant != tenant {
+		s.mu.Unlock() // a foreign sweep is indistinguishable from an absent one
 		http.Error(w, "unknown sweep", http.StatusNotFound)
 		return
 	}
-	submitted, completed := s.abandonSweep(st)
+	s.abandonLocked(st)
+	submitted, completed := len(st.slots), len(st.log)
+	s.mu.Unlock()
 	s.opts.Log.Info("sweep closed", "sweep", id, "completed", completed, "submitted", submitted)
 	w.WriteHeader(http.StatusOK)
 }
 
-// releaseLocked removes a sweep from the server's indexes. Caller holds
-// s.mu.
-func (s *Server) releaseLocked(st *sweepState) {
+// abandonLocked releases a closed sweep: it leaves the server's indexes,
+// and its unfinished jobs are withdrawn from the queue, the lease table and
+// the expired-lease index, so a late worker report for one gets 409 and is
+// discarded. Caller holds s.mu.
+func (s *Server) abandonLocked(st *sweepState) {
 	s.journal(journalRecord{Op: opClose, Sweep: st.id})
 	delete(s.sweeps, st.id)
 	if st.nonce != "" {
 		delete(s.byNonce, st.nonce)
+	}
+	st.closed = true
+	for _, t := range st.slots {
+		if !t.completed {
+			t.cancelled = true
+			s.withdrawLocked(t)
+		}
 	}
 }
 
@@ -636,26 +666,19 @@ func (s *Server) releaseLocked(st *sweepState) {
 // unknown id gets — so sweep ids never leak across tenants.
 func (s *Server) lookup(id string, tenant *tenantState) *sweepState {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.sweeps[id]
-	if st != nil && st.tenant != tenant {
-		st = nil
+	if st == nil || st.tenant != tenant {
+		return nil
 	}
-	s.mu.Unlock()
-	if st != nil {
-		st.mu.Lock()
-		st.lastSeen = s.opts.now()
-		st.mu.Unlock()
-	}
+	st.lastSeen = s.opts.now()
 	return st
 }
 
-// addJob enqueues one job of a sweep onto the shared coordinator queue,
-// wiring its terminal outcome back into the sweep's slot and completion
-// log. It reports false when the sweep has been closed or abandoned in the
-// meantime — the caller must not tell the client the job was accepted.
-func (s *Server) addJob(st *sweepState, index int, job sweep.Job) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// addJobLocked journals and enqueues one job of a sweep. It reports false
+// when the sweep has been closed or abandoned in the meantime — the caller
+// must not tell the client the job was accepted. Caller holds s.mu.
+func (s *Server) addJobLocked(st *sweepState, index int, job sweep.Job) bool {
 	if st.closed {
 		return false
 	}
@@ -663,86 +686,63 @@ func (s *Server) addJob(st *sweepState, index int, job sweep.Job) bool {
 		return true // idempotent resubmission
 	}
 	s.journal(journalRecord{Op: opJob, Sweep: st.id, Index: index, Job: &job})
-	s.enqueueSlotLocked(st, index, job)
+	s.enqueueLocked(st, index, job)
 	return true
 }
 
-// enqueueSlotLocked creates the slot for one job and queues it on the
-// shared coordinator. Caller holds st.mu. The delivery closure encodes
-// the result once, then journals those bytes inside the same st.mu
-// critical section that appends them to the in-memory completion log, so
-// journal order always equals log order and a cursor a client held before
-// a crash indexes the recovered log identically.
-func (s *Server) enqueueSlotLocked(st *sweepState, index int, job sweep.Job) {
-	sl := &slot{job: job}
-	st.slots[index] = sl
-	sl.task = s.coord.enqueue(index, job, st.id, func(out outcome) {
-		enc := encodeResult(sweep.Result{Index: index, Job: job, Res: out.res, Err: out.err, Timing: out.timing})
-		st.mu.Lock()
-		sl.done = true
-		st.completed++
-		if out.timing != nil {
-			st.spans.Add(*out.timing)
-			st.timed++
-		}
-		s.journal(journalRecord{Op: opResult, Sweep: st.id, enc: enc})
-		st.log = append(st.log, enc)
-		if st.logGrew != nil {
-			close(st.logGrew) // wake every batch long-poll
-			st.logGrew = make(chan struct{})
-		}
-		st.mu.Unlock()
-	})
+// enqueueLocked creates the task for one job of a sweep and queues it for
+// the worker fleet. Caller holds s.mu.
+func (s *Server) enqueueLocked(st *sweepState, index int, job sweep.Job) *task {
+	t := &task{index: index, job: job, st: st, enqueued: s.opts.now()}
+	st.slots[index] = t
+	t.elem = s.pending.PushBack(t)
+	return t
 }
 
-// abandonSweep withdraws a sweep's unfinished jobs from the coordinator
-// (which also purges their expired-lease entries) and reports its final
-// submitted/completed counts.
-func (s *Server) abandonSweep(st *sweepState) (submitted, completed int) {
-	st.mu.Lock()
-	st.closed = true
-	var live []*task
-	for _, sl := range st.slots {
-		if !sl.done && sl.task != nil {
-			live = append(live, sl.task)
-		}
+// logLocked appends a completed task's encoded result to its sweep's
+// completion log and journals the same bytes, in one critical section, so
+// journal order always equals log order and a cursor a client held before a
+// crash indexes the recovered log identically. A sweep closed while the
+// result was being encoded drops it. Caller holds s.mu.
+func (s *Server) logLocked(t *task, enc json.RawMessage, tm *sweep.Timing) {
+	st := t.st
+	if st.closed {
+		return
 	}
-	submitted, completed = len(st.slots), st.completed
-	st.mu.Unlock()
-	for _, t := range live {
-		s.coord.abandon(t)
+	t.logged = true
+	if tm != nil {
+		st.spans.Add(*tm)
+		st.timed++
 	}
-	return submitted, completed
+	s.journal(journalRecord{Op: opResult, Sweep: st.id, Result: enc})
+	st.log = append(st.log, enc)
+	close(st.logGrew) // wake every batch long-poll
+	st.logGrew = make(chan struct{})
 }
 
 // gc abandons sweeps whose client has gone silent past SweepTTL. It runs
-// lazily on request arrival, mirroring the coordinator's lease expiry: an
-// orphan sweep only needs collecting while the server is alive to serve.
-// Scans are rate-limited to once per second — idle expiry is measured in
-// minutes, and the worker fleet's lease polls should not pay an O(sweeps)
-// lock walk each time.
+// lazily on request arrival, mirroring lease expiry: an orphan sweep only
+// needs collecting while the server is alive to serve. Scans are
+// rate-limited to once per second — idle expiry is measured in minutes,
+// and the worker fleet's lease polls should not pay an O(sweeps) walk, or
+// even the lock, each time.
 func (s *Server) gc(now time.Time) {
-	var drop []*sweepState
-	s.mu.Lock()
-	if now.Sub(s.lastGC) < time.Second {
-		s.mu.Unlock()
+	last := s.lastGC.Load()
+	if now.UnixNano()-last < int64(time.Second) || !s.lastGC.CompareAndSwap(last, now.UnixNano()) {
 		return
 	}
-	s.lastGC = now
+	var drop []*sweepState
+	s.mu.Lock()
 	for _, st := range s.sweeps {
-		st.mu.Lock()
-		idle := now.Sub(st.lastSeen)
-		st.mu.Unlock()
-		if idle > s.opts.SweepTTL {
-			s.releaseLocked(st)
+		if now.Sub(st.lastSeen) > s.opts.SweepTTL {
+			s.abandonLocked(st)
 			s.abandoned++
 			drop = append(drop, st)
 		}
 	}
 	s.mu.Unlock()
-	for _, st := range drop {
-		submitted, completed := s.abandonSweep(st)
+	for _, st := range drop { // a closed sweep no longer changes
 		s.opts.Log.Warn("sweep abandoned", "sweep", st.id, "idle", s.opts.SweepTTL.String(),
-			"completed", completed, "submitted", submitted)
+			"completed", len(st.log), "submitted", len(st.slots))
 	}
 }

@@ -205,7 +205,7 @@ func (b *blockUntilCancel) Execute(ctx context.Context, _ int, _ sweep.Job) (*co
 // job, so the sweep sees zero error rows.
 func TestCancelledWorkerJobRequeued(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	server, url := startServer(t, Options{LeaseTTL: 100 * time.Millisecond})
+	server, url := startServer(t, ServerOptions{LeaseTTL: 100 * time.Millisecond})
 	done := runAsync(t, server, url, jobs)
 
 	// The doomed worker takes the job and is cancelled mid-execution.
@@ -245,7 +245,7 @@ func TestCancelledWorkerJobRequeued(t *testing.T) {
 	}
 }
 
-// fakeClock drives the coordinator's lease clock by hand.
+// fakeClock drives the server's lease and sweep clock by hand.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -258,76 +258,79 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
+// queueOne opens a sweep on s holding one queued job, as a submission
+// would, and returns it so a test can read its completion log.
+func queueOne(s *Server) *sweepState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := newSweep("s-test", "", nil, s.opts.now())
+	s.sweeps[st.id] = st
+	s.enqueueLocked(st, 0, sweep.Job{Bench: "exchange2", Mode: "baseline"})
+	return st
+}
+
 // TestExpiredLeasesPurgedOnCompletion: the expired-lease index must shrink
 // back to zero when a job with timed-out leases finally completes.
 func TestExpiredLeasesPurgedOnCompletion(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := newCoordinator(Options{LeaseTTL: time.Minute, now: clk.Now})
-	ch := make(chan outcome, 1)
-	coord.enqueue(0, sweep.Job{Bench: "exchange2", Mode: "baseline"}, "", func(o outcome) { ch <- o })
+	s := NewServer(ServerOptions{LeaseTTL: time.Minute, now: clk.Now})
+	st := queueOne(s)
 
-	crash, ok := coord.lease("crasher", "crasher")
+	crash, ok := s.lease("crasher", "crasher")
 	if !ok {
 		t.Fatal("no lease granted")
 	}
 	clk.Advance(2 * time.Minute)
-	release, ok := coord.lease("healthy", "healthy") // triggers expiry + immediate re-grant
+	release, ok := s.lease("healthy", "healthy") // triggers expiry + immediate re-grant
 	if !ok {
 		t.Fatal("expired job not re-leased")
 	}
-	if s := coord.Stats(); s.Expired != 1 || s.Requeued != 1 {
-		t.Fatalf("expiry not indexed: %+v", s)
+	if snap := s.Stats(); snap.Expired != 1 || snap.Requeued != 1 {
+		t.Fatalf("expiry not indexed: %+v", snap)
 	}
-	if !coord.complete(release.LeaseID, sweep.Result{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
+	if !s.report(release.LeaseID, sweep.Result{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
 		t.Fatal("healthy completion rejected")
 	}
-	if s := coord.Stats(); s.Expired != 0 {
-		t.Errorf("expired entries leaked past completion: %+v", s)
+	if snap := s.Stats(); snap.Expired != 0 {
+		t.Errorf("expired entries leaked past completion: %+v", snap)
 	}
-	select {
-	case out := <-ch:
-		if out.err != nil || out.res == nil {
-			t.Errorf("wrong outcome: %+v", out)
-		}
-	default:
-		t.Error("outcome never delivered")
+	if out := decodeLog(t, st.log); len(out) != 1 || out[0].Err != nil || out[0].Res == nil {
+		t.Errorf("want one logged result, got %+v", out)
 	}
 	// The crasher's stale lease is gone from the index too: its late report
 	// is rejected rather than double-completing the job.
-	if coord.complete(crash.LeaseID, sweep.Result{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
+	if s.report(crash.LeaseID, sweep.Result{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
 		t.Error("purged expired lease still accepted a result")
 	}
 }
 
 // TestExpiredLeasesPurgedOnFailure: lease exhaustion must clear the failed
-// job's expired entries along with delivering the error.
+// job's expired entries along with logging the error.
 func TestExpiredLeasesPurgedOnFailure(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	coord := newCoordinator(Options{LeaseTTL: time.Minute, MaxAttempts: 2, now: clk.Now})
-	ch := make(chan outcome, 1)
-	coord.enqueue(0, sweep.Job{Bench: "exchange2", Mode: "baseline"}, "", func(o outcome) { ch <- o })
+	s := NewServer(ServerOptions{LeaseTTL: time.Minute, MaxAttempts: 2, now: clk.Now})
+	st := queueOne(s)
 
-	if _, ok := coord.lease("c1", "c1"); !ok {
+	if _, ok := s.lease("c1", "c1"); !ok {
 		t.Fatal("no first lease")
 	}
 	clk.Advance(2 * time.Minute)
-	if _, ok := coord.lease("c2", "c2"); !ok { // requeue + second (final) attempt
+	if _, ok := s.lease("c2", "c2"); !ok { // requeue + second (final) attempt
 		t.Fatal("no second lease")
 	}
 	clk.Advance(2 * time.Minute)
-	if _, ok := coord.lease("c3", "c3"); ok { // expiry exhausts the job; queue is empty
+	if _, ok := s.lease("c3", "c3"); ok { // expiry exhausts the job; queue is empty
 		t.Fatal("exhausted job leased again")
 	}
-	select {
-	case out := <-ch:
-		if out.err == nil || !strings.Contains(out.err.Error(), "lease lost") {
-			t.Errorf("want lease-exhaustion error, got %v", out.err)
-		}
-	default:
-		t.Fatal("exhaustion outcome never delivered")
+	out := decodeLog(t, st.log)
+	if len(out) != 1 {
+		t.Fatalf("want the exhaustion error logged once, got %d results", len(out))
 	}
-	if s := coord.Stats(); s.Expired != 0 || s.Failed != 1 {
-		t.Errorf("expired entries leaked past failure: %+v", s)
+	if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), "lease lost") {
+		t.Errorf("want lease-exhaustion error, got %v", out[0].Err)
+	}
+	if snap := s.Stats(); snap.Expired != 0 || snap.Failed != 1 {
+		t.Errorf("expired entries leaked past failure: %+v", snap)
 	}
 }
 
@@ -335,7 +338,7 @@ func TestExpiredLeasesPurgedOnFailure(t *testing.T) {
 // timed-out lease must clear that lease from the expired index.
 func TestExpiredLeasesPurgedOnAbandon(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000, 0)}
-	server := NewServer(ServerOptions{Lease: Options{LeaseTTL: time.Minute, now: clk.Now}, now: clk.Now})
+	server := NewServer(ServerOptions{LeaseTTL: time.Minute, now: clk.Now})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 	ctx := context.Background()
@@ -344,22 +347,130 @@ func TestExpiredLeasesPurgedOnAbandon(t *testing.T) {
 		SubmitRequest{Jobs: smallJobs(t, "exchange2")[:1]}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	coord := server.coord
-	if _, ok := coord.lease("crasher", "crasher"); !ok {
+	if _, ok := server.lease("crasher", "crasher"); !ok {
 		t.Fatal("no lease granted")
 	}
 	clk.Advance(2 * time.Minute)
-	if _, ok := coord.lease("w2", "w2"); !ok { // expiry + re-grant
+	if _, ok := server.lease("w2", "w2"); !ok { // expiry + re-grant
 		t.Fatal("expired job not re-leased")
 	}
-	if s := coord.Stats(); s.Expired != 1 {
+	if s := server.Stats(); s.Expired != 1 {
 		t.Fatalf("expiry not indexed: %+v", s)
 	}
 	if status, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+resp.SweepID, "", "", nil, nil); err != nil || status != http.StatusOK {
 		t.Fatalf("close sweep: status %d err %v", status, err)
 	}
-	if s := coord.Stats(); s.Expired != 0 || s.Leased != 0 || s.Pending != 0 {
-		t.Errorf("abandoned job left coordinator state behind: %+v", s)
+	if s := server.Stats(); s.Expired != 0 || s.Leased != 0 || s.Pending != 0 {
+		t.Errorf("abandoned job left lease state behind: %+v", s)
+	}
+}
+
+// cannedExec answers every job at once with the same small result.
+type cannedExec struct{}
+
+func (cannedExec) Execute(context.Context, int, sweep.Job) (*core.Results, error) {
+	return &core.Results{Stats: &pipeline.Stats{Committed: 1}}, nil
+}
+
+// statusRecorder remembers the status a handler wrote.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	r.status = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
+// TestCloseWhileReporting: a client closing its sweep while a worker is
+// reporting into it must leave nothing behind. Every report is answered
+// 200 (its lease resolved before the close) or 409 (the close withdrew the
+// lease), no index is logged twice, and the lease tables end empty.
+func TestCloseWhileReporting(t *testing.T) {
+	server := NewServer(ServerOptions{})
+	inner := server.Handler()
+	var mu sync.Mutex
+	statuses := make(map[int]int) // /v1/result status -> count
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		inner.ServeHTTP(rec, req)
+		if req.URL.Path == "/v1/result" {
+			mu.Lock()
+			statuses[rec.status]++
+			mu.Unlock()
+		}
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	worker := &Worker{Coordinator: srv.URL, ID: "w", Parallel: 2, Poll: time.Millisecond, Exec: cannedExec{}}
+	ran := make(chan error, 1)
+	go func() { ran <- worker.Run(ctx) }()
+
+	jobs := make([]sweep.Job, 16)
+	for i := range jobs {
+		jobs[i] = sweep.Job{Bench: "exchange2", Mode: "baseline", Seed: int64(i + 1)}
+	}
+	var sweeps []*sweepState
+	for round := 0; round < 24; round++ {
+		var resp SubmitResponse
+		if _, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps", "", "",
+			SubmitRequest{Jobs: jobs}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		server.mu.Lock()
+		st := server.sweeps[resp.SweepID]
+		server.mu.Unlock()
+		sweeps = append(sweeps, st)
+		// Close at a different point of the stream each round.
+		want := round % len(jobs)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			server.mu.Lock()
+			n := len(st.log)
+			server.mu.Unlock()
+			if n >= want {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d of %d results logged", round, n, want)
+			}
+		}
+		if status, err := doJSON(ctx, srv.Client(), http.MethodDelete, srv.URL+"/v1/sweeps/"+resp.SweepID,
+			"", "", nil, nil); err != nil || status != http.StatusOK {
+			t.Fatalf("round %d: close: status %d err %v", round, status, err)
+		}
+	}
+	cancel()
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	t.Logf("report statuses: %v", statuses)
+	for status, n := range statuses {
+		if status != http.StatusOK && status != http.StatusConflict {
+			t.Errorf("%d reports answered %d", n, status)
+		}
+	}
+	if statuses[http.StatusOK] == 0 {
+		t.Error("no report was accepted")
+	}
+	mu.Unlock()
+	server.mu.Lock()
+	for _, st := range sweeps {
+		seen := make(map[int]bool)
+		for _, res := range decodeLog(t, st.log) {
+			if seen[res.Index] {
+				t.Errorf("sweep %s logged index %d twice", st.id, res.Index)
+			}
+			seen[res.Index] = true
+		}
+	}
+	server.mu.Unlock()
+	if s := server.Stats(); s.Pending != 0 || s.Leased != 0 || s.Expired != 0 || s.Sweeps != 0 {
+		t.Errorf("closed sweeps left lease state behind: %+v", s)
 	}
 }
 
@@ -433,12 +544,15 @@ func TestSubmitRetriesServerErrors(t *testing.T) {
 // refused, not silently dropped while the handler reports acceptance.
 func TestAddJobClosedSweep(t *testing.T) {
 	s := NewServer(ServerOptions{})
-	st := &sweepState{id: "s-x", slots: map[int]*slot{}}
+	st := newSweep("s-x", "", nil, time.Now())
 	st.closed = true
-	if s.addJob(st, 0, sweep.Job{Bench: "exchange2", Mode: "baseline"}) {
+	s.mu.Lock()
+	added := s.addJobLocked(st, 0, sweep.Job{Bench: "exchange2", Mode: "baseline"})
+	s.mu.Unlock()
+	if added {
 		t.Fatal("closed sweep accepted a job")
 	}
-	if n := s.coord.Stats().Pending; n != 0 {
+	if n := s.Stats().Pending; n != 0 {
 		t.Fatalf("dropped job still queued: %d pending", n)
 	}
 }

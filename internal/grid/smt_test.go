@@ -42,7 +42,7 @@ func TestGridSMTEndToEnd(t *testing.T) {
 
 	local := runWith(nil, 0)
 
-	_, url := startServer(t, Options{})
+	_, url := startServer(t, ServerOptions{})
 	stop := startWorkers(t, url, 2)
 	defer stop()
 

@@ -91,7 +91,6 @@ func (s *Server) WriteStatus(w io.Writer) {
 	for _, st := range s.sweeps {
 		states = append(states, st)
 	}
-	s.mu.Unlock()
 	sort.Slice(states, func(i, j int) bool {
 		if !states[i].created.Equal(states[j].created) {
 			return states[i].created.Before(states[j].created)
@@ -100,13 +99,12 @@ func (s *Server) WriteStatus(w io.Writer) {
 	})
 
 	for _, st := range states {
-		st.mu.Lock()
 		sw := statusSweep{
 			ID:        st.id,
 			Age:       now.Sub(st.created).Round(time.Second).String(),
 			Submitted: len(st.slots),
-			Completed: st.completed,
-			Done:      len(st.slots) > 0 && st.completed == len(st.slots),
+			Completed: len(st.log),
+			Done:      len(st.slots) > 0 && len(st.log) == len(st.slots),
 		}
 		if st.tenant != nil {
 			sw.Tenant = st.tenant.Name
@@ -129,17 +127,17 @@ func (s *Server) WriteStatus(w io.Writer) {
 		type counts struct{ done, total int }
 		cells := make(map[string]map[string]*counts)
 		for _, i := range indices {
-			sl := st.slots[i]
-			if cells[sl.job.Bench] == nil {
-				sw.Benches = append(sw.Benches, sl.job.Bench)
-				cells[sl.job.Bench] = make(map[string]*counts)
+			t := st.slots[i]
+			if cells[t.job.Bench] == nil {
+				sw.Benches = append(sw.Benches, t.job.Bench)
+				cells[t.job.Bench] = make(map[string]*counts)
 			}
-			if cells[sl.job.Bench][sl.job.Mode] == nil {
-				cells[sl.job.Bench][sl.job.Mode] = &counts{}
+			if cells[t.job.Bench][t.job.Mode] == nil {
+				cells[t.job.Bench][t.job.Mode] = &counts{}
 			}
-			c := cells[sl.job.Bench][sl.job.Mode]
+			c := cells[t.job.Bench][t.job.Mode]
 			c.total++
-			if sl.done {
+			if t.logged {
 				c.done++
 			}
 		}
@@ -151,7 +149,6 @@ func (s *Server) WriteStatus(w io.Writer) {
 				sw.Modes = append(sw.Modes, m)
 			}
 		}
-		st.mu.Unlock()
 		sw.Cells = make([][]statusCell, len(sw.Benches))
 		for bi, b := range sw.Benches {
 			sw.Cells[bi] = make([]statusCell, len(sw.Modes))
@@ -166,5 +163,6 @@ func (s *Server) WriteStatus(w io.Writer) {
 		}
 		page.Sweeps = append(page.Sweeps, sw)
 	}
+	s.mu.Unlock() // render outside the lock: w may be a slow client
 	_ = statusTmpl.Execute(w, page)
 }

@@ -187,8 +187,8 @@ func TestStreamCoordinatorRestart(t *testing.T) {
 func TestStreamLateLeaseInterleave(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(50_000, 0)}
 	server := NewServer(ServerOptions{
-		Lease: Options{LeaseTTL: time.Minute, now: clk.Now},
-		now:   clk.Now,
+		LeaseTTL: time.Minute,
+		now:      clk.Now,
 	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()

@@ -22,8 +22,8 @@ import (
 func TestTimingRoundTripsWire(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(80_000, 0)}
 	server := NewServer(ServerOptions{
-		Lease: Options{LeaseTTL: time.Minute, now: clk.Now},
-		now:   clk.Now,
+		LeaseTTL: time.Minute,
+		now:      clk.Now,
 	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
@@ -186,7 +186,7 @@ func TestNoTimingPeerByteIdenticalSweep(t *testing.T) {
 
 	local := runWith(nil)
 
-	_, url := startServer(t, Options{})
+	_, url := startServer(t, ServerOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go oldPeerWorker(t, ctx, url)

@@ -16,9 +16,8 @@ import (
 )
 
 // WorkerMetrics is the instrument set a worker exposes on its -pprof/ops
-// listener. Register it once on a registry and share it across the
-// worker's lease loops; a nil *WorkerMetrics disables instrumentation (all
-// methods on the zero Worker still work).
+// listener. Register it once on a registry (NewWorkerMetrics) and share it
+// across the worker's lease loops.
 type WorkerMetrics struct {
 	// Leased/Completed/Failed/Requeued count job outcomes: leases obtained,
 	// results accepted by the coordinator, jobs whose execution returned an
@@ -79,7 +78,8 @@ type Worker struct {
 	// Log receives structured progress records (nil discards them). Job
 	// records carry sweep id, job hash, bench, mode and seed.
 	Log *slog.Logger
-	// Metrics, when non-nil, counts job outcomes and observes latencies.
+	// Metrics counts job outcomes and observes latencies (nil counts into
+	// a private registry nobody scrapes).
 	Metrics *WorkerMetrics
 	// MemLimit, when positive, arms a soft memory guard: while a job runs,
 	// the process heap is polled and a job observed past the limit is
@@ -143,10 +143,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	if loops <= 0 {
 		loops = runtime.GOMAXPROCS(0)
 	}
+	m := w.Metrics
+	if m == nil {
+		m = NewWorkerMetrics(obs.NewRegistry())
+	}
 	w.log().Info("worker polling", "worker", w.ID, "coordinator", w.Coordinator, "loops", loops)
 	defer w.ready.Store(false)
 	err := sweep.ForEach(ctx, loops, loops, func(ctx context.Context, loop int) error {
-		return w.loop(ctx, loop, client, exec, poll)
+		return w.loop(ctx, loop, client, exec, poll, m)
 	})
 	if ctx.Err() != nil {
 		return nil
@@ -156,7 +160,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // loop is one lease loop: lease, execute, report, repeat.
 func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
-	exec sweep.Executor, poll time.Duration) error {
+	exec sweep.Executor, poll time.Duration, m *WorkerMetrics) error {
 	log := w.log().With("worker", w.ID, "loop", loop)
 	// The lease backoff schedule: first retry after one poll interval,
 	// doubling to 16x. failures counts consecutive lease faults and resets
@@ -170,8 +174,8 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		}
 		leaseStart := time.Now()
 		lease, ok, err := w.lease(ctx, client, loop)
-		if err == nil && w.Metrics != nil {
-			w.Metrics.LeaseLatency.Observe(time.Since(leaseStart).Seconds())
+		if err == nil {
+			m.LeaseLatency.Observe(time.Since(leaseStart).Seconds())
 		}
 		// Readiness tracks reachability, not queue depth: any useful answer
 		// — including 204 (idle) — proves the coordinator is there;
@@ -205,9 +209,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			continue
 		}
 		unreachableSince, failures = time.Time{}, 0
-		if w.Metrics != nil {
-			w.Metrics.Leased.Inc()
-		}
+		m.Leased.Inc()
 		jlog := log.With("sweep", lease.SweepID, "bench", lease.Job.Bench,
 			"mode", lease.Job.Mode, "seed", lease.Job.Seed)
 		if hash, err := lease.Job.Hash(); err == nil {
@@ -222,9 +224,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			// slot survives and the incident — not a dead process — tells
 			// the coordinator, which requeues or quarantines the job.
 			inc.LeaseID, inc.Worker = lease.LeaseID, w.ID
-			if w.Metrics != nil && w.Metrics.Incidents != nil {
-				w.Metrics.Incidents.With(inc.Kind).Inc()
-			}
+			m.Incidents.With(inc.Kind).Inc()
 			jlog.Warn("job contained", "kind", inc.Kind, "msg", inc.Message)
 			w.reportIncident(ctx, client, *inc)
 			continue
@@ -237,21 +237,17 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			// merits. Reporting ctx.Err() would turn a recoverable worker
 			// crash into a permanent error row in the sweep; stay silent and
 			// let the lease TTL hand the job to a live worker instead.
-			if w.Metrics != nil {
-				w.Metrics.Requeued.Inc()
-			}
+			m.Requeued.Inc()
 			jlog.Warn("job abandoned on shutdown; lease TTL will requeue it")
 			return nil
 		}
 		out.Wall = time.Since(start)
 		out.Timing = timing
-		if w.Metrics != nil {
-			if jobErr != nil {
-				w.Metrics.Failed.Inc()
-			}
-			if timing != nil && timing.SimulateNS > 0 {
-				w.Metrics.SimulateTime.Observe(time.Duration(timing.SimulateNS).Seconds())
-			}
+		if jobErr != nil {
+			m.Failed.Inc()
+		}
+		if timing != nil && timing.SimulateNS > 0 {
+			m.SimulateTime.Observe(time.Duration(timing.SimulateNS).Seconds())
 		}
 		reportCtx, cancelReport := ctx, context.CancelFunc(func() {})
 		if ctx.Err() != nil {
@@ -266,15 +262,11 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		if err != nil {
 			// The lease expired or the coordinator re-queued the job; the
 			// authoritative copy is theirs now.
-			if w.Metrics != nil {
-				w.Metrics.Requeued.Inc()
-			}
+			m.Requeued.Inc()
 			jlog.Warn("result discarded", "err", err.Error())
 			continue
 		}
-		if w.Metrics != nil {
-			w.Metrics.Completed.Inc()
-		}
+		m.Completed.Inc()
 		jlog.Info("job done", "wall", out.Wall.Round(time.Millisecond).String())
 	}
 }
