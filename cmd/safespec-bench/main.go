@@ -291,7 +291,7 @@ func buildExecutor(o options, log *slog.Logger) (exec sweep.Executor, finish fun
 		if lerr != nil {
 			return nil, nil, fmt.Errorf("grid coordinator: %w", lerr)
 		}
-		srv := &http.Server{Handler: server.Handler()}
+		srv := &http.Server{Handler: server.Handler(), ErrorLog: slog.NewLogLogger(log.Handler(), slog.LevelWarn)}
 		go srv.Serve(ln)
 		fmt.Fprintf(o.info, "grid coordinator listening on http://%s (point safespec-worker -coordinator at it)\n", ln.Addr())
 		re := &grid.RemoteExecutor{URL: "http://" + ln.Addr().String(), Token: o.token, Log: log}

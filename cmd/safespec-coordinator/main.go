@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -167,7 +168,10 @@ func run(ctx context.Context, c config) error {
 	}
 	log.Info("coordinator listening", "url", fmt.Sprintf("%s://%s", scheme, ln.Addr()), "auth", auth)
 
-	srv := &http.Server{Handler: server.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	// net/http's own errors (TLS handshakes, malformed requests) go through
+	// the structured logger, so they follow -log-format and -log-level.
+	srv := &http.Server{Handler: server.Handler(), ReadHeaderTimeout: 10 * time.Second,
+		ErrorLog: slog.NewLogLogger(log.Handler(), slog.LevelWarn)}
 	errc := make(chan error, 1)
 	go func() {
 		if c.tlsCert != "" {

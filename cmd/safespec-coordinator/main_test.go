@@ -4,9 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/tls"
+	"crypto/x509"
+	"crypto/x509/pkix"
 	"encoding/json"
+	"encoding/pem"
 	"io"
+	"math/big"
+	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -216,5 +227,97 @@ func TestCoordinatorStateSurvivesRestart(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered sweep cursor: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestTLSHandshakeErrorLogged: net/http's own errors go through the
+// structured logger. A client that refuses the coordinator's self-signed
+// certificate leaves a JSON warning naming the failed handshake under
+// -log-format json, not a bare stderr line.
+func TestTLSHandshakeErrorLogged(t *testing.T) {
+	dir := t.TempDir()
+	certFile, keyFile := filepath.Join(dir, "cert.pem"), filepath.Join(dir, "key.pem")
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := &x509.Certificate{SerialNumber: big.NewInt(1), Subject: pkix.Name{CommonName: "safespec-test"},
+		NotBefore: time.Now().Add(-time.Hour), NotAfter: time.Now().Add(time.Hour),
+		IPAddresses: []net.IP{net.IPv4(127, 0, 0, 1)}}
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyDER, err := x509.MarshalPKCS8PrivateKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, block := range map[string]*pem.Block{certFile: {Type: "CERTIFICATE", Bytes: der},
+		keyFile: {Type: "PRIVATE KEY", Bytes: keyDER}} {
+		if err := os.WriteFile(file, pem.EncodeToMemory(block), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	infoR, infoW := io.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		err := run(ctx, config{listen: "127.0.0.1:0", tlsCert: certFile, tlsKey: keyFile,
+			logFormat: "json", info: infoW})
+		infoW.Close()
+		done <- err
+	}()
+	// The reader hands log lines over until the test stops listening, then
+	// drains the rest so the coordinator's log writes never block.
+	lines, stop := make(chan string), make(chan struct{})
+	go func() {
+		sc := bufio.NewScanner(infoR)
+		for sc.Scan() {
+			select {
+			case lines <- sc.Text():
+			case <-stop:
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		cancel()
+		<-done
+	}()
+	next := func() map[string]any {
+		t.Helper()
+		select {
+		case line := <-lines:
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log line is not JSON: %s", line)
+			}
+			return rec
+		case <-time.After(10 * time.Second):
+			t.Fatal("coordinator logged nothing more")
+			return nil
+		}
+	}
+	var addr string
+	for addr == "" {
+		if rec := next(); rec["msg"] == "coordinator listening" {
+			addr = strings.TrimPrefix(rec["url"].(string), "https://")
+		}
+	}
+	// The client trusts no root for the self-signed certificate, so it
+	// aborts the handshake with a bad-certificate alert.
+	if conn, err := tls.Dial("tcp", addr, &tls.Config{}); err == nil {
+		conn.Close()
+		t.Fatal("a client without the certificate completed the handshake")
+	}
+	for {
+		rec := next()
+		if msg, _ := rec["msg"].(string); strings.Contains(msg, "TLS handshake error") {
+			if rec["level"] != "WARN" {
+				t.Errorf("handshake error logged at level %v, want WARN: %v", rec["level"], rec)
+			}
+			return
+		}
 	}
 }

@@ -23,21 +23,33 @@ import (
 )
 
 // The state files as they were written when the server kept decoded
-// results: the same fields and tags, with the log as sweep.Result values.
+// results: the same fields and tags, with the log as sweep.WireResult
+// values.
 type (
 	decodedSweepSnapshot struct {
-		ID        string          `json:"id"`
-		Nonce     string          `json:"nonce,omitempty"`
-		Tenant    string          `json:"tenant,omitempty"`
-		Jobs      []jobEntry      `json:"jobs"`
-		Log       []sweep.Result  `json:"log"`
-		Incidents []incidentEntry `json:"incidents,omitempty"`
+		ID        string             `json:"id"`
+		Nonce     string             `json:"nonce,omitempty"`
+		Tenant    string             `json:"tenant,omitempty"`
+		Jobs      []jobEntry         `json:"jobs"`
+		Log       []sweep.WireResult `json:"log"`
+		Incidents []incidentEntry    `json:"incidents,omitempty"`
 	}
 	decodedStateSnapshot struct {
 		Version int                    `json:"version"`
 		Sweeps  []decodedSweepSnapshot `json:"sweeps"`
 	}
 )
+
+// legacyResult is a result as encoded before results dropped their job:
+// the fields and tags of the earlier sweep.Result wire form.
+type legacyResult struct {
+	Index  int           `json:"index"`
+	Job    sweep.Job     `json:"job,omitzero"`
+	Res    *core.Results `json:"res,omitempty"`
+	Err    string        `json:"err,omitempty"`
+	WallNS int64         `json:"wall_ns,omitempty"`
+	Timing *sweep.Timing `json:"timing,omitempty"`
+}
 
 // reencodes fails t unless b is exactly json.Marshal of b decoded into a
 // fresh *T: bytes written from encoded results must equal what encoding
@@ -116,7 +128,7 @@ func TestEncodedResultsByteIdentical(t *testing.T) {
 			r.Err, r.Timing = errors.New(`cell <failed> & "quoted"`), &sweep.Timing{CacheNS: 7}
 		}
 		if status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
-			ResultRequest{LeaseID: lease.LeaseID, Result: r}, nil); err != nil || status != http.StatusOK {
+			ResultRequest{LeaseID: lease.LeaseID, Result: r.Wire()}, nil); err != nil || status != http.StatusOK {
 			t.Fatalf("report %d: status %d, err %v", i, status, err)
 		}
 	}
@@ -162,16 +174,16 @@ func TestEncodedResultsByteIdentical(t *testing.T) {
 // ResultBatch field by field, including a nil log (results null) and an
 // empty tail (results []).
 func TestBatchJSONMatchesMarshal(t *testing.T) {
-	r := sweep.Result{Index: 4, Job: sweep.Job{Bench: "mcf", Mode: "wfc"},
-		Res: &core.Results{Stats: &pipeline.Stats{Committed: 9}}, Timing: &sweep.Timing{QueueNS: 1}}
+	r := sweep.WireResult{Index: 4, Res: &core.Results{Stats: &pipeline.Stats{Committed: 9}},
+		Timing: &sweep.Timing{QueueNS: 1}}
 	for _, tc := range []struct {
-		results              []sweep.Result
+		results              []sweep.WireResult
 		submitted, completed int
 	}{
 		{nil, 0, 0},
-		{[]sweep.Result{}, 3, 1},
-		{[]sweep.Result{r}, 5, 5},
-		{[]sweep.Result{r, {Index: 1, Err: errors.New("<x>")}}, 6, 2},
+		{[]sweep.WireResult{}, 3, 1},
+		{[]sweep.WireResult{r}, 5, 5},
+		{[]sweep.WireResult{r, {Index: 1, Err: "<x>"}}, 6, 2},
 	} {
 		var enc []json.RawMessage
 		if tc.results != nil {
@@ -193,10 +205,11 @@ func TestBatchJSONMatchesMarshal(t *testing.T) {
 }
 
 // TestReportWithJobAccepted: a worker built before reports dropped the job
-// still sends it. Its report completes the lease, and the streamed result
-// carries the job the coordinator leased, not the one reported.
+// still sends it. Its report completes the lease, the streamed result
+// carries no job at all, and the coordinator keeps the job it leased, not
+// the one reported.
 func TestReportWithJobAccepted(t *testing.T) {
-	_, url := startServer(t, ServerOptions{})
+	server, url := startServer(t, ServerOptions{})
 	ctx := context.Background()
 	jobs := smallJobs(t, "exchange2")[:1]
 	var sub SubmitResponse
@@ -207,8 +220,10 @@ func TestReportWithJobAccepted(t *testing.T) {
 	lease := leaseOne(t, url)
 	sent := lease.Job
 	sent.Mode = "reported"
-	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{Index: lease.Index, Job: sent,
-		Res: &core.Results{Stats: &pipeline.Stats{Committed: 5}}}})
+	body, _ := json.Marshal(struct {
+		LeaseID string       `json:"lease_id"`
+		Result  legacyResult `json:"result"`
+	}{lease.LeaseID, legacyResult{Index: lease.Index, Job: sent, Res: &core.Results{Stats: &pipeline.Stats{Committed: 5}}}})
 	if !bytes.Contains(body, []byte(`"job":`)) {
 		t.Fatal("test setup: the report carries no job")
 	}
@@ -220,13 +235,22 @@ func TestReportWithJobAccepted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("report with a job: status %d", resp.StatusCode)
 	}
+	streamed := getBody(t, url+"/v1/sweeps/"+sub.SweepID+"/results?after=0")
+	if bytes.Contains(streamed, []byte(`"job"`)) {
+		t.Errorf("the streamed result carries a job: %s", streamed)
+	}
 	var batch ResultBatch
-	if err := json.Unmarshal(getBody(t, url+"/v1/sweeps/"+sub.SweepID+"/results?after=0"), &batch); err != nil {
+	if err := json.Unmarshal(streamed, &batch); err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.Results) != 1 || batch.Results[0].Res == nil || batch.Results[0].Res.Committed != 5 ||
-		batch.Results[0].Job != jobs[0] {
-		t.Fatalf("streamed %+v, want the reported result under the leased job", batch.Results)
+	if len(batch.Results) != 1 || batch.Results[0].Res == nil || batch.Results[0].Res.Committed != 5 {
+		t.Fatalf("streamed %+v, want the reported result", batch.Results)
+	}
+	server.mu.Lock()
+	held := server.sweeps[sub.SweepID].slots[lease.Index].job
+	server.mu.Unlock()
+	if held != jobs[0] {
+		t.Errorf("the coordinator holds job %s after the report, want the leased %s", held, jobs[0])
 	}
 }
 
@@ -311,15 +335,14 @@ func TestWorkerReportOmitsJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := rr.Result
-		if rr.LeaseID != fmt.Sprintf("L-%d", i+1) || got.Index != i+1 || got.Job != (sweep.Job{}) ||
-			got.Wall <= 0 || got.Timing == nil {
+		if rr.LeaseID != fmt.Sprintf("L-%d", i+1) || got.Index != i+1 || got.WallNS <= 0 || got.Timing == nil {
 			t.Errorf("report %d decodes to %+v", i, rr)
 		}
-		if i == 0 && (got.Err != nil || !reflect.DeepEqual(got.Res, want)) {
-			t.Errorf("report 0 carries err %v and a result equal to a local run: %v", got.Err, reflect.DeepEqual(got.Res, want))
+		if i == 0 && (got.Err != "" || !reflect.DeepEqual(got.Res, want)) {
+			t.Errorf("report 0 carries err %q and a result equal to a local run: %v", got.Err, reflect.DeepEqual(got.Res, want))
 		}
-		if i == 1 && (got.Err == nil || got.Res != nil) {
-			t.Errorf("report 1 carries err %v and res %v, want the job's error", got.Err, got.Res)
+		if i == 1 && (got.Err == "" || got.Res != nil) {
+			t.Errorf("report 1 carries err %q and res %v, want the job's error", got.Err, got.Res)
 		}
 	}
 }

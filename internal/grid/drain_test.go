@@ -76,9 +76,9 @@ func TestDrain(t *testing.T) {
 
 	// The in-flight lease still lands its result.
 	status, err = doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
-		ResultRequest{LeaseID: inflight.LeaseID, Result: sweep.Result{
-			Index: inflight.Index, Job: inflight.Job,
-			Res: &core.Results{Stats: &pipeline.Stats{Committed: 3}},
+		ResultRequest{LeaseID: inflight.LeaseID, Result: sweep.WireResult{
+			Index: inflight.Index,
+			Res:   &core.Results{Stats: &pipeline.Stats{Committed: 3}},
 		}}, nil)
 	if err != nil {
 		t.Fatal(err)

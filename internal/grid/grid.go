@@ -16,7 +16,7 @@
 //
 //	POST   /v1/lease                   LeaseRequest    -> 200 LeaseResponse | 204 (no work)
 //	POST   /v1/result                  ResultRequest   -> 200 | 409 (lease unknown or expired)
-//	                                   (no job: the leased one is recorded; a sent job is ignored)
+//	                                   (no job: a sent one is ignored)
 //	POST   /v1/incident                IncidentRequest -> 200 | 409 (lease unknown)
 //	GET    /v1/stats                                   -> 200 ServerSnapshot
 //	POST   /v1/sweeps                  SubmitRequest   -> 200 SubmitResponse
@@ -25,7 +25,8 @@
 //	DELETE /v1/sweeps/{id}                             -> 200 (sweep state released)
 //
 // Job execution errors are final results (exactly as in a local run) and
-// travel as strings in the Result encoding; only lost leases retry.
+// travel as strings in sweep.WireResult; only lost leases retry. No result
+// carries its job: the sweep's job records hold it.
 package grid
 
 import (
@@ -63,12 +64,12 @@ type LeaseResponse struct {
 }
 
 // ResultRequest reports a finished lease. Result carries the job's error
-// (if any) as a string; it is a final outcome, not a retry trigger. A
-// worker leaves Result.Job zero, so the job is not sent; the server
-// records the job it leased and ignores one an older worker still sends.
+// (if any) as a string; it is a final outcome, not a retry trigger. The
+// job is not sent: the server holds the one it leased, and the "job" key
+// an older worker still sends is ignored.
 type ResultRequest struct {
-	LeaseID string       `json:"lease_id"`
-	Result  sweep.Result `json:"result"`
+	LeaseID string           `json:"lease_id"`
+	Result  sweep.WireResult `json:"result"`
 }
 
 // Snapshot is the lease accounting, served at /v1/stats. Expired counts
@@ -140,7 +141,7 @@ func (s *Server) withdrawLocked(t *task) {
 func (s *Server) failLocked(t *task, err error) {
 	t.completed = true
 	s.withdrawLocked(t)
-	s.logLocked(t, encodeResult(sweep.Result{Index: t.index, Job: t.job, Err: err}), nil)
+	s.logLocked(t, encodeResult(sweep.WireResult{Index: t.index, Err: err.Error()}), nil)
 }
 
 // requeueExpiredLocked re-queues every lease past its deadline, failing
@@ -339,13 +340,13 @@ func (s *Server) complete(leaseID string, tm *sweep.Timing, base string) (*task,
 // under s.mu, the result is encoded outside it, and the bytes are logged
 // and journaled under it again. It reports false when complete finds no
 // task.
-func (s *Server) report(leaseID string, r sweep.Result, base string) bool {
+func (s *Server) report(leaseID string, r sweep.WireResult, base string) bool {
 	t, tm := s.complete(leaseID, r.Timing, base)
 	if t == nil {
 		return false
 	}
 	s.observe(tm)
-	enc := encodeResult(sweep.Result{Index: t.index, Job: t.job, Res: r.Res, Err: r.Err, Timing: tm})
+	enc := encodeResult(sweep.WireResult{Index: t.index, Res: r.Res, Err: r.Err, Timing: tm})
 	s.mu.Lock()
 	s.logLocked(t, enc, tm)
 	s.mu.Unlock()
@@ -380,8 +381,8 @@ func (s *Server) incident(leaseID string, inc taskIncident) bool {
 	t.incidents = append(t.incidents, inc)
 	// Journal the incident so a poison job's quarantine history survives a
 	// restart.
-	s.journal(journalRecord{Op: opIncident, Sweep: t.st.id, Index: t.index,
-		Worker: inc.Worker, Kind: inc.Kind, Message: inc.Message})
+	s.journal(s.frames(journalRecord{Op: opIncident, Sweep: t.st.id, Index: t.index,
+		Worker: inc.Worker, Kind: inc.Kind, Message: inc.Message}))
 	if s.quarantineLocked(t) {
 		return true
 	}
@@ -449,7 +450,7 @@ func (s *Server) handleResult(w http.ResponseWriter, req *http.Request) {
 	if !decodeJSON(w, req, &rr) {
 		return
 	}
-	if rr.Result.Res == nil && rr.Result.Err == nil {
+	if rr.Result.Res == nil && rr.Result.Err == "" {
 		// A result must carry a payload or a cause; accepting neither
 		// would surface as a nil dereference in the sinks.
 		http.Error(w, "result carries neither res nor err", http.StatusBadRequest)
@@ -532,13 +533,12 @@ func writeBody(w http.ResponseWriter, b []byte) {
 	w.Write(b)
 }
 
-// encodeResult is the one encoding of a delivered result; calling
-// MarshalJSON skips the compacting re-scan json.Marshal adds. A result that
+// encodeResult is the one encoding of a delivered result. A result that
 // cannot be encoded is delivered as an error saying why.
-func encodeResult(r sweep.Result) json.RawMessage {
-	b, err := r.MarshalJSON()
+func encodeResult(r sweep.WireResult) json.RawMessage {
+	b, err := json.Marshal(r)
 	if err != nil {
-		b, _ = sweep.Result{Index: r.Index, Job: r.Job, Err: fmt.Errorf("grid: encode result: %w", err)}.MarshalJSON()
+		b, _ = json.Marshal(sweep.WireResult{Index: r.Index, Err: "grid: encode result: " + err.Error()})
 	}
 	return b
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -235,7 +234,7 @@ func TestLeaseLostRequeues(t *testing.T) {
 	// The crasher's stale lease must be rejected if it reports now (with a
 	// well-formed payload, so the lease check — not validation — rejects it).
 	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID,
-		Result: sweep.Result{Index: 0, Job: lease.Job, Err: errors.New("late crasher")}})
+		Result: sweep.WireResult{Index: 0, Err: "late crasher"}})
 	resp, err := http.Post(url+"/v1/result", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +306,7 @@ func TestExecuteCancellation(t *testing.T) {
 		t.Errorf("abandoned job still tracked: %+v", s)
 	}
 	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID,
-		Result: sweep.Result{Index: 0, Job: lease.Job, Err: errors.New("too late")}})
+		Result: sweep.WireResult{Index: 0, Err: "too late"}})
 	resp, err := http.Post(url+"/v1/result", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +325,7 @@ func TestEmptyResultRejected(t *testing.T) {
 	server, url := startServer(t, ServerOptions{})
 	done := runAsync(t, server, url, jobs)
 	lease := leaseOne(t, url)
-	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{Index: lease.Index, Job: lease.Job}})
+	body, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID, Result: sweep.WireResult{Index: lease.Index}})
 	resp, err := http.Post(url+"/v1/result", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,8 @@ type journalRecord struct {
 	Tenant string     `json:"tenant,omitempty"`
 	Index  int        `json:"index,omitempty"`
 	Job    *sweep.Job `json:"job,omitempty"`
-	// Result is an opResult's result, encoded once when it was logged;
-	// replay decodes it.
+	// Result is an opResult's sweep.WireResult, encoded once when it was
+	// logged; replay decodes it, ignoring the "job" key of older results.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Worker, Kind and Message carry an opIncident's taskIncident.
 	Worker  string `json:"worker,omitempty"`
@@ -88,7 +88,8 @@ type sweepSnapshot struct {
 	Nonce  string     `json:"nonce,omitempty"`
 	Tenant string     `json:"tenant,omitempty"`
 	Jobs   []jobEntry `json:"jobs"`
-	// Log holds each result as encoded on delivery; replay decodes them.
+	// Log holds each sweep.WireResult as encoded on delivery; replay
+	// decodes them. The jobs of logged results are in Jobs.
 	Log []json.RawMessage `json:"log"`
 	// Incidents is the contained-failure history of jobs not yet
 	// completed, feeding the quarantine threshold across restarts (history
@@ -115,7 +116,7 @@ type incidentEntry struct {
 type recoveredSweep struct {
 	ID, Nonce, Tenant string
 	Jobs              map[int]sweep.Job
-	Log               []sweep.Result
+	Log               []sweep.WireResult
 	Incidents         map[int][]taskIncident
 	logged            map[int]bool // indexes already in Log (replay dedupe)
 }
@@ -259,7 +260,7 @@ func replayState(snap stateSnapshot, records []journalRecord) ([]recoveredSweep,
 			rs.Jobs[je.Index] = je.Job
 		}
 		for _, enc := range ss.Log {
-			var res sweep.Result
+			var res sweep.WireResult
 			if err := json.Unmarshal(enc, &res); err != nil {
 				return nil, err
 			}
@@ -285,7 +286,7 @@ replay:
 				}
 			}
 		case opResult:
-			var res *sweep.Result
+			var res *sweep.WireResult
 			if rec.Result != nil && json.Unmarshal(rec.Result, &res) != nil {
 				break replay
 			}
@@ -316,8 +317,7 @@ replay:
 	return out, nil
 }
 
-// recoveredSnapshots renders recovered sweeps back into snapshot form,
-// with jobs sorted by index so compaction is deterministic.
+// recoveredSnapshots renders recovered sweeps back into snapshot form.
 func recoveredSnapshots(recovered []recoveredSweep) []sweepSnapshot {
 	out := make([]sweepSnapshot, 0, len(recovered))
 	for _, rs := range recovered {
@@ -326,57 +326,71 @@ func recoveredSnapshots(recovered []recoveredSweep) []sweepSnapshot {
 			ss.Log = append(ss.Log, encodeResult(res))
 		}
 		for idx, j := range rs.Jobs {
-			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: j})
+			ss.addJob(idx, j, rs.logged[idx], rs.Incidents[idx])
 		}
-		sort.Slice(ss.Jobs, func(i, j int) bool { return ss.Jobs[i].Index < ss.Jobs[j].Index })
-		for idx, hist := range rs.Incidents {
-			if rs.logged[idx] {
-				continue // the job completed; its incident history is spent
-			}
-			for _, ti := range hist {
-				ss.Incidents = append(ss.Incidents, incidentEntry{
-					Index: idx, Worker: ti.Worker, Kind: ti.Kind, Message: ti.Message})
-			}
-		}
-		sort.Slice(ss.Incidents, func(i, j int) bool {
-			a, b := ss.Incidents[i], ss.Incidents[j]
-			if a.Index != b.Index {
-				return a.Index < b.Index
-			}
-			return a.Worker < b.Worker
-		})
-		out = append(out, ss)
+		out = append(out, ss.sorted())
 	}
 	return out
 }
 
-// append journals one mutation. Failures are returned for the caller to
-// log; the in-memory state is already authoritative, so a failed append
-// degrades durability, not correctness of the running process.
-func (st *stateStore) append(rec journalRecord) error {
-	frame := make([]byte, 8, 64+len(rec.Sweep)+len(rec.Result))
+// addJob records one job of the sweep and, while the job is unfinished,
+// its incident history, so a restart cannot reset a poison job's
+// quarantine progress.
+func (ss *sweepSnapshot) addJob(idx int, job sweep.Job, done bool, hist []taskIncident) {
+	ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: job})
+	if done {
+		return // a completed job's incident history is spent
+	}
+	for _, ti := range hist {
+		ss.Incidents = append(ss.Incidents, incidentEntry{Index: idx, Worker: ti.Worker, Kind: ti.Kind, Message: ti.Message})
+	}
+}
+
+// sorted orders the jobs by index and the incidents by index and worker,
+// so equal states compact to equal snapshots.
+func (ss sweepSnapshot) sorted() sweepSnapshot {
+	sort.Slice(ss.Jobs, func(i, j int) bool { return ss.Jobs[i].Index < ss.Jobs[j].Index })
+	sort.Slice(ss.Incidents, func(i, j int) bool {
+		a, b := ss.Incidents[i], ss.Incidents[j]
+		if a.Index != b.Index {
+			return a.Index < b.Index
+		}
+		return a.Worker < b.Worker
+	})
+	return ss
+}
+
+// appendFrame appends rec's journal frame to b. A result is framed from
+// its logged bytes as they are, byte for byte as json.Marshal of the record
+// would write them. On an encoding failure b is returned unchanged.
+func appendFrame(b []byte, rec journalRecord) ([]byte, error) {
+	off := len(b)
+	b = append(b, make([]byte, 8)...)
 	if rec.Result != nil {
-		// The one-encode path: frame the logged bytes as they are, byte for
-		// byte as json.Marshal of the record would write them.
-		frame = fmt.Appendf(frame, `{"op":%s,"sweep":%s,"result":%s}`, quote(rec.Op), quote(rec.Sweep), rec.Result)
+		b = fmt.Appendf(b, `{"op":%s,"sweep":%s,"result":%s}`, quote(rec.Op), quote(rec.Sweep), rec.Result)
 	} else {
 		payload, err := json.Marshal(rec)
 		if err != nil {
-			return fmt.Errorf("grid: journal encode: %w", err)
+			return b[:off], fmt.Errorf("grid: journal encode: %w", err)
 		}
-		frame = append(frame, payload...)
+		b = append(b, payload...)
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-8))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
+	binary.BigEndian.PutUint32(b[off:], uint32(len(b)-off-8))
+	binary.BigEndian.PutUint32(b[off+4:], crc32.ChecksumIEEE(b[off+8:]))
+	return b, nil
+}
+
+// write appends frames built by appendFrame in one Write call, so no
+// concurrent write interleaves with them (a short write to a local file is
+// an I/O error). A failure degrades durability, not the running process,
+// whose in-memory state is authoritative; the caller logs it.
+func (st *stateStore) write(frames []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return fmt.Errorf("grid: journal closed")
 	}
-	// One Write call per frame: short writes on a local file are I/O
-	// errors, not partial successes, and frame+payload going down together
-	// keeps a concurrent append from interleaving mid-frame.
-	if _, err := st.f.Write(frame); err != nil {
+	if _, err := st.f.Write(frames); err != nil {
 		return fmt.Errorf("grid: journal append: %w", err)
 	}
 	return nil

@@ -40,12 +40,15 @@ func scriptRecords(t testing.TB) []journalRecord {
 		journalRecord{Op: opJob, Sweep: "s-bbbb", Index: 0, Job: &jobs[0]},
 	)
 	// Two results for the first sweep, delivered out of index order (the
-	// completion log is completion-ordered, not index-ordered).
+	// completion log is completion-ordered, not index-ordered), each in the
+	// earlier format that carried the job.
 	for _, idx := range []int{1, 0} {
-		recs = append(recs, journalRecord{Op: opResult, Sweep: "s-aaaa", Result: encodeResult(sweep.Result{
-			Index: idx, Job: jobs[idx],
-			Res: &core.Results{Stats: &pipeline.Stats{Committed: uint64(idx + 1)}},
-		})})
+		enc, err := json.Marshal(legacyResult{Index: idx, Job: jobs[idx],
+			Res: &core.Results{Stats: &pipeline.Stats{Committed: uint64(idx + 1)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, journalRecord{Op: opResult, Sweep: "s-aaaa", Result: enc})
 	}
 	recs = append(recs, journalRecord{Op: opClose, Sweep: "s-bbbb"})
 	return recs
@@ -63,7 +66,11 @@ func writeFrames(t *testing.T, recs []journalRecord) []byte {
 		t.Fatalf("fresh dir recovered %d sweeps, %d torn bytes", len(recovered), torn)
 	}
 	for _, rec := range recs {
-		if err := st.append(rec); err != nil {
+		frame, err := appendFrame(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +180,7 @@ func TestReplayIdempotent(t *testing.T) {
 	snap := stateSnapshot{Version: stateFormatVersion, Sweeps: []sweepSnapshot{{
 		ID: "s-aaaa", Nonce: "n-1", Tenant: "anonymous",
 		Jobs: []jobEntry{{Index: 0, Job: jobs[0]}, {Index: 1, Job: jobs[1]}},
-		Log:  []json.RawMessage{encodeResult(sweep.Result{Index: 1, Job: jobs[1], Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}})},
+		Log:  []json.RawMessage{encodeResult(sweep.WireResult{Index: 1, Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}})},
 	}}}
 	recovered, err := replayState(snap, recs)
 	if err != nil {
@@ -349,6 +356,92 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
+// TestRecoverParentFormatState: a state dir written before results dropped
+// their job, with a snapshot log entry and a journal result frame that
+// each carry "job", recovers. The adopted slots hold the jobs of the job
+// records (the snapshot's jobs and the opJob frames), not the ones the
+// results carry, and a client resuming the sweep by its nonce writes JSONL
+// rows byte-identical to a local run.
+func TestRecoverParentFormatState(t *testing.T) {
+	ctx := context.Background()
+	jobs := smallJobs(t, "exchange2")
+	rows := func(exec sweep.Executor) string {
+		t.Helper()
+		var out bytes.Buffer
+		if _, err := sweep.Run(ctx, jobs, sweep.Options{Workers: len(jobs), Executor: exec,
+			Sinks: []sweep.Sink{sweep.NewJSONL(&out)}}); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	local := rows(nil)
+
+	// legacy encodes job i's result as the earlier format did, under a job
+	// that differs from its job record.
+	legacy := func(i int) json.RawMessage {
+		t.Helper()
+		res, timing, err := sweep.LocalExecutor{}.ExecuteTimed(ctx, i, jobs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried := jobs[i]
+		carried.Mode = "carried-by-result"
+		b, err := json.Marshal(legacyResult{Index: i, Job: carried, Res: res, WallNS: 1, Timing: timing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// Job 1's result is in the snapshot and job 2's in the journal; job 0
+	// has none and is requeued.
+	dir := stateDirWithJournal(t, writeFrames(t, []journalRecord{
+		{Op: opJob, Sweep: "s-parent", Index: 2, Job: &jobs[2]},
+		{Op: opResult, Sweep: "s-parent", Result: legacy(2)},
+	}))
+	snap, err := json.Marshal(stateSnapshot{Version: stateFormatVersion, Sweeps: []sweepSnapshot{{
+		ID: "s-parent", Nonce: "n-parent", Tenant: "anonymous",
+		Jobs: []jobEntry{{Index: 0, Job: jobs[0]}, {Index: 1, Job: jobs[1]}},
+		Log:  []json.RawMessage{legacy(1)},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	server := NewServer(ServerOptions{})
+	if err := server.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer server.CloseState()
+	server.mu.Lock()
+	st := server.sweeps["s-parent"]
+	if st == nil || len(st.log) != 2 || len(st.slots) != len(jobs) {
+		server.mu.Unlock()
+		t.Fatalf("recovered %+v, want sweep s-parent with 2 logged results and %d slots", st, len(jobs))
+	}
+	for i, j := range jobs {
+		if got := st.slots[i].job; got != j {
+			t.Errorf("slot %d holds job %s, want its job record's %s", i, got, j)
+		}
+	}
+	server.mu.Unlock()
+
+	srv := httptest.NewServer(server.Handler())
+	defer srv.Close()
+	stop := startWorkers(t, srv.URL, 1)
+	defer stop()
+	re := remoteExec(t, srv.URL)
+	re.nonce = "n-parent"
+	if got := rows(re); got != local {
+		t.Errorf("resumed sweep rows differ from a local run:\n%s\nvs\n%s", got, local)
+	}
+	if snap := server.Stats(); snap.SweepsSubmitted != 0 || snap.Completed != 1 {
+		t.Errorf("want the recovered sweep resumed with only job 0 simulated, got %+v", snap)
+	}
+}
+
 // TestRecoveryServesCursorsAndRequeues is the end-to-end restart contract:
 // a second Server opening the same state dir serves the old sweep id, its
 // result cursor replays delivered results byte-for-byte, and the undelivered
@@ -372,9 +465,9 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 	// without CloseState, leaving only the journal behind.
 	lease := leaseOne(t, srv1.URL)
 	if _, err := doJSON(ctx, srv1.Client(), http.MethodPost, srv1.URL+"/v1/result", "", "",
-		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{
-			Index: lease.Index, Job: lease.Job,
-			Res: &core.Results{Stats: &pipeline.Stats{Committed: 7}},
+		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.WireResult{
+			Index: lease.Index,
+			Res:   &core.Results{Stats: &pipeline.Stats{Committed: 7}},
 		}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +547,8 @@ func TestRecoveryServesCursorsAndRequeues(t *testing.T) {
 // being cut off as a torn tail. Recovery must not panic, the compacting
 // CloseState must succeed, and reopening the compacted directory must
 // recover the same sweeps. The seed corpus under testdata/fuzz holds
-// scriptRecords journals.
+// scriptRecords journals: script and script-quarantine with results in the
+// earlier format that carried the job, script-nojob in the current one.
 func FuzzJournalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payloads []byte) {
 		var wal []byte
@@ -491,7 +585,7 @@ func sweepsDigest(t *testing.T, s *Server) string {
 	type sweepDigest struct {
 		ID, Nonce, Tenant string
 		Jobs              map[int]sweep.Job
-		Log               []sweep.Result
+		Log               []sweep.WireResult
 		Incidents         map[int][]taskIncident
 	}
 	s.mu.Lock()
@@ -522,9 +616,9 @@ func sweepsDigest(t *testing.T, s *Server) string {
 }
 
 // decodeLog decodes a completion log of encoded results.
-func decodeLog(t *testing.T, log []json.RawMessage) []sweep.Result {
+func decodeLog(t *testing.T, log []json.RawMessage) []sweep.WireResult {
 	t.Helper()
-	out := make([]sweep.Result, len(log))
+	out := make([]sweep.WireResult, len(log))
 	for i, enc := range log {
 		if err := json.Unmarshal(enc, &out[i]); err != nil {
 			t.Fatalf("log[%d]: %v", i, err)

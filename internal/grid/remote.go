@@ -11,9 +11,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,10 +57,9 @@ type RemoteExecutor struct {
 
 	mu        sync.Mutex
 	sweepID   string
-	nonce     string            // stable submission nonce: the recovery key across coordinator restarts
-	jobs      map[int]sweep.Job // everything submitted, for re-submission after a restart
-	received  map[int]bool      // indexes already dispatched (dedupes re-streamed results)
-	submitted map[int]bool
+	nonce     string                    // stable submission nonce: the recovery key across coordinator restarts
+	jobs      map[int]sweep.Job         // everything submitted, for re-submission after a restart
+	received  map[int]bool              // indexes already dispatched (dedupes re-streamed results)
 	waiters   map[int]chan sweep.Result // Execute calls parked on an index
 	arrived   map[int]sweep.Result      // streamed results nobody asked for yet
 	streamCtx context.CancelFunc        // non-nil while the streamer runs
@@ -141,10 +141,8 @@ func (r *RemoteExecutor) Submit(ctx context.Context, jobs []sweep.Job) error {
 	}
 	r.mu.Lock()
 	r.sweepID = resp.SweepID
-	r.submitted = make(map[int]bool, len(jobs))
 	r.jobs = make(map[int]sweep.Job, len(jobs))
 	for i, j := range jobs {
-		r.submitted[i] = true
 		r.jobs[i] = j
 	}
 	r.mu.Unlock()
@@ -353,10 +351,7 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 		return id, nil
 	}
 	nonce := r.nonce
-	jobs := make(map[int]sweep.Job, len(r.jobs))
-	for i, j := range r.jobs {
-		jobs[i] = j
-	}
+	jobs := maps.Clone(r.jobs)
 	r.mu.Unlock()
 	if nonce == "" {
 		return "", fmt.Errorf("sweep %s has no submission nonce to recover by", lostID)
@@ -371,12 +366,7 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 	if err != nil {
 		return "", fmt.Errorf("re-resolve by nonce: %w", err)
 	}
-	indexes := make([]int, 0, len(jobs))
-	for i := range jobs {
-		indexes = append(indexes, i)
-	}
-	sort.Ints(indexes)
-	for _, i := range indexes {
+	for _, i := range slices.Sorted(maps.Keys(jobs)) {
 		status, err := r.retry(ctx, func() (int, error) {
 			return r.call(ctx, http.MethodPost, "/v1/sweeps/"+resp.SweepID+"/jobs",
 				JobRequest{Index: i, Job: jobs[i]}, nil)
@@ -408,7 +398,8 @@ func (r *RemoteExecutor) setStreamErr(err error) {
 // index already dispatched is dropped: restart recovery can replay the
 // stream from an earlier cursor, and each cell must reach sweep.Run
 // exactly once.
-func (r *RemoteExecutor) dispatch(res sweep.Result) {
+func (r *RemoteExecutor) dispatch(w sweep.WireResult) {
+	res := w.Result()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.received[res.Index] {
@@ -443,17 +434,15 @@ func (r *RemoteExecutor) ensure(ctx context.Context, index int, j sweep.Job) (st
 			return "", fmt.Errorf("grid: open sweep on %s: %w", r.URL, err)
 		}
 		r.sweepID = resp.SweepID
-		r.submitted = make(map[int]bool)
 		r.jobs = make(map[int]sweep.Job)
 		r.log().Info("sweep opened for incremental submission", "sweep", resp.SweepID, "coordinator", r.URL)
 	}
 	id := r.sweepID
-	claimed := r.submitted[index]
+	_, claimed := r.jobs[index]
 	if !claimed {
 		// Claim before posting: a concurrent Execute for the same index (not
 		// that Run produces one) would double-post, which the server treats
 		// as a no-op anyway.
-		r.submitted[index] = true
 		r.jobs[index] = j
 	}
 	r.mu.Unlock()
@@ -495,8 +484,7 @@ func (r *RemoteExecutor) Close() error {
 	r.mu.Lock()
 	id := r.sweepID
 	cancel, end := r.streamCtx, r.streamEnd
-	r.sweepID, r.submitted = "", nil
-	r.nonce, r.jobs, r.received = "", nil, nil
+	r.sweepID, r.nonce, r.jobs, r.received = "", "", nil, nil
 	r.waiters, r.arrived = nil, nil
 	r.streamCtx, r.streamEnd = nil, nil
 	r.mu.Unlock()

@@ -527,9 +527,9 @@ func TestQuarantineHistorySurvivesRestart(t *testing.T) {
 			continue
 		}
 		if _, err := doJSON(ctx, srv2.Client(), http.MethodPost, srv2.URL+"/v1/result", "", "",
-			ResultRequest{LeaseID: lr.LeaseID, Result: sweep.Result{
-				Index: lr.Index, Job: lr.Job,
-				Res: &core.Results{Stats: &pipeline.Stats{Committed: uint64(lr.Index + 1)}},
+			ResultRequest{LeaseID: lr.LeaseID, Result: sweep.WireResult{
+				Index: lr.Index,
+				Res:   &core.Results{Stats: &pipeline.Stats{Committed: uint64(lr.Index + 1)}},
 			}}, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -189,9 +191,9 @@ type JobRequest struct {
 // the cursor to pass on the following poll; an empty Results with
 // Next == after means the long-poll window elapsed with nothing new.
 type ResultBatch struct {
-	SweepID string         `json:"sweep_id"`
-	Next    int            `json:"next"`
-	Results []sweep.Result `json:"results"`
+	SweepID string             `json:"sweep_id"`
+	Next    int                `json:"next"`
+	Results []sweep.WireResult `json:"results"`
 	// Submitted and Completed count the sweep's jobs at response time. Done
 	// reports all submitted jobs completed; with incremental submission it
 	// can flicker true between batches, so it is meaningful only once the
@@ -287,7 +289,7 @@ func (s *Server) OpenState(dir string) error {
 			// The token file changed across the restart and the owner is
 			// gone. Every lookup is tenant-scoped, so an ownerless sweep
 			// would be unreachable forever; drop it instead of leaking it.
-			s.journal(journalRecord{Op: opClose, Sweep: rs.ID})
+			s.journal(s.frames(journalRecord{Op: opClose, Sweep: rs.ID}))
 			dropped++
 			continue
 		}
@@ -303,32 +305,31 @@ func (s *Server) OpenState(dir string) error {
 }
 
 // adoptLocked rebuilds one recovered sweep's live state: logged results
-// become completed slots (the completion log in its original order so
-// client cursors keep indexing correctly), and jobs without a result
-// re-enter the queue — their leases died with the previous process.
-// Caller holds s.mu; returns the number of requeued jobs.
+// become completed slots holding their journaled jobs (the completion log
+// in its original order so client cursors keep indexing correctly), and
+// jobs without a result re-enter the queue — their leases died with the
+// previous process. Caller holds s.mu; returns the number of requeued jobs.
 func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	st := newSweep(rs.ID, rs.Nonce, tenant, s.opts.now())
 	for _, res := range rs.Log {
-		st.slots[res.Index] = &task{index: res.Index, job: res.Job, st: st, completed: true, logged: true}
+		st.slots[res.Index] = &task{index: res.Index, job: rs.Jobs[res.Index], st: st, completed: true, logged: true}
 		st.log = append(st.log, encodeResult(res))
 		if res.Timing != nil {
 			st.spans.Add(*res.Timing)
 			st.timed++
 		}
 	}
-	requeue := make([]int, 0, len(rs.Jobs))
-	for idx := range rs.Jobs {
-		if _, done := st.slots[idx]; !done {
-			requeue = append(requeue, idx)
+	// Jobs requeue in index order, deterministic across recoveries, and
+	// inherit their journaled incident history; one whose history already
+	// crosses the quarantine threshold (the crash landed between the
+	// deciding incident and its result) is quarantined right here instead
+	// of burning a fresh set of workers.
+	requeued := 0
+	for _, idx := range slices.Sorted(maps.Keys(rs.Jobs)) {
+		if _, done := st.slots[idx]; done {
+			continue
 		}
-	}
-	sort.Ints(requeue) // deterministic queue order across recoveries
-	// Requeued jobs inherit their journaled incident history; one whose
-	// history already crosses the quarantine threshold (the crash landed
-	// between the deciding incident and its result) is quarantined right
-	// here instead of burning a fresh set of workers.
-	for _, idx := range requeue {
+		requeued++
 		t := s.enqueueLocked(st, idx, rs.Jobs[idx])
 		if hist := rs.Incidents[idx]; len(hist) > 0 {
 			t.incidents = hist
@@ -339,7 +340,7 @@ func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	if st.nonce != "" {
 		s.byNonce[st.nonce] = st.id
 	}
-	return len(requeue)
+	return requeued
 }
 
 // CloseState folds the journal into a final snapshot and closes the state
@@ -357,41 +358,41 @@ func (s *Server) CloseState() error {
 		ss := sweepSnapshot{ID: st.id, Nonce: st.nonce, Tenant: st.tenant.Name,
 			Log: append([]json.RawMessage(nil), st.log...)}
 		for idx, t := range st.slots {
-			ss.Jobs = append(ss.Jobs, jobEntry{Index: idx, Job: t.job})
-			if !t.logged {
-				// Unfinished jobs carry their incident history forward, so a
-				// graceful restart cannot reset a poison job's quarantine
-				// progress.
-				for _, ti := range t.incidents {
-					ss.Incidents = append(ss.Incidents, incidentEntry{
-						Index: idx, Worker: ti.Worker, Kind: ti.Kind, Message: ti.Message})
-				}
-			}
+			ss.addJob(idx, t.job, t.logged, t.incidents)
 		}
-		sort.Slice(ss.Jobs, func(i, j int) bool { return ss.Jobs[i].Index < ss.Jobs[j].Index })
-		sort.Slice(ss.Incidents, func(i, j int) bool {
-			a, b := ss.Incidents[i], ss.Incidents[j]
-			if a.Index != b.Index {
-				return a.Index < b.Index
-			}
-			return a.Worker < b.Worker
-		})
-		sweeps = append(sweeps, ss)
+		sweeps = append(sweeps, ss.sorted())
 	}
 	s.mu.Unlock()
 	sort.Slice(sweeps, func(i, j int) bool { return sweeps[i].ID < sweeps[j].ID })
 	return store.close(sweeps)
 }
 
-// journal appends one mutation when a state store is attached. Failures
+// frames encodes journal records for one journal call (nil without a
+// state store). A record that does not encode is logged and left out, as a
+// failed write is.
+func (s *Server) frames(recs ...journalRecord) []byte {
+	if s.store == nil {
+		return nil
+	}
+	var b []byte
+	for _, rec := range recs {
+		var err error
+		if b, err = appendFrame(b, rec); err != nil {
+			s.opts.Log.Error("journal encode failed", "op", rec.Op, "sweep", rec.Sweep, "err", err.Error())
+		}
+	}
+	return b
+}
+
+// journal appends encoded frames to the state store in one write. Failures
 // degrade durability, not the running process — the in-memory state stays
 // authoritative — so they are logged rather than failing the request.
-func (s *Server) journal(rec journalRecord) {
-	if s.store == nil {
+func (s *Server) journal(frames []byte) {
+	if frames == nil {
 		return
 	}
-	if err := s.store.append(rec); err != nil {
-		s.opts.Log.Error("journal append failed", "op", rec.Op, "sweep", rec.Sweep, "err", err.Error())
+	if err := s.store.write(frames); err != nil {
+		s.opts.Log.Error("journal append failed", "err", err.Error())
 	}
 }
 
@@ -465,10 +466,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	tenant := requestTenant(req)
-	// The whole submission is one critical section (matrix enqueue is a
-	// few list pushes), so a concurrent retry of the same POST either sees
-	// nothing yet or the fully-populated sweep — never a partial matrix,
-	// and never a duplicate sweep for one nonce.
+	// The id is random, not sequential: a client that rides out a
+	// coordinator restart must see its old sweep id stop resolving (404)
+	// rather than silently adopt a sweep the restarted process assigned to
+	// someone else. It is chosen, and the matrix journaled, before the lock.
+	id := "s-" + newNonce()[:16]
+	recs := []journalRecord{{Op: opOpen, Sweep: id, Nonce: sr.Nonce, Tenant: tenant.Name}}
+	for i := range sr.Jobs {
+		recs = append(recs, journalRecord{Op: opJob, Sweep: id, Index: i, Job: &sr.Jobs[i]})
+	}
+	frames := s.frames(recs...)
+	// The rest is one critical section (one journal write and a few list
+	// pushes), so a concurrent retry of the same POST either sees nothing
+	// yet or the fully-populated sweep — never a partial matrix, and never
+	// a duplicate sweep for one nonce (a retry then wastes its encoding).
 	s.mu.Lock()
 	if sr.Nonce != "" {
 		if id, ok := s.byNonce[sr.Nonce]; ok {
@@ -483,14 +494,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
-	// The id is random, not sequential: a client that rides out a
-	// coordinator restart must see its old sweep id stop resolving (404)
-	// rather than silently adopt a sweep the restarted process assigned to
-	// someone else.
-	st := newSweep("s-"+newNonce()[:16], sr.Nonce, tenant, s.opts.now())
-	s.journal(journalRecord{Op: opOpen, Sweep: st.id, Nonce: sr.Nonce, Tenant: tenant.Name})
+	st := newSweep(id, sr.Nonce, tenant, s.opts.now())
+	s.journal(frames)
 	for i, j := range sr.Jobs {
-		s.addJobLocked(st, i, j)
+		s.enqueueLocked(st, i, j)
 	}
 	s.submitted++
 	s.sweeps[st.id] = st
@@ -647,7 +654,7 @@ func (s *Server) handleClose(w http.ResponseWriter, req *http.Request) {
 // the expired-lease index, so a late worker report for one gets 409 and is
 // discarded. Caller holds s.mu.
 func (s *Server) abandonLocked(st *sweepState) {
-	s.journal(journalRecord{Op: opClose, Sweep: st.id})
+	s.journal(s.frames(journalRecord{Op: opClose, Sweep: st.id}))
 	delete(s.sweeps, st.id)
 	if st.nonce != "" {
 		delete(s.byNonce, st.nonce)
@@ -685,7 +692,7 @@ func (s *Server) addJobLocked(st *sweepState, index int, job sweep.Job) bool {
 	if _, dup := st.slots[index]; dup {
 		return true // idempotent resubmission
 	}
-	s.journal(journalRecord{Op: opJob, Sweep: st.id, Index: index, Job: &job})
+	s.journal(s.frames(journalRecord{Op: opJob, Sweep: st.id, Index: index, Job: &job}))
 	s.enqueueLocked(st, index, job)
 	return true
 }
@@ -714,7 +721,7 @@ func (s *Server) logLocked(t *task, enc json.RawMessage, tm *sweep.Timing) {
 		st.spans.Add(*tm)
 		st.timed++
 	}
-	s.journal(journalRecord{Op: opResult, Sweep: st.id, Result: enc})
+	s.journal(s.frames(journalRecord{Op: opResult, Sweep: st.id, Result: enc}))
 	st.log = append(st.log, enc)
 	close(st.logGrew) // wake every batch long-poll
 	st.logGrew = make(chan struct{})

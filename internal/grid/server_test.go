@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,7 +119,7 @@ func TestServerAuth(t *testing.T) {
 		body         any
 	}{
 		{http.MethodPost, "/v1/lease", LeaseRequest{Worker: "w"}},
-		{http.MethodPost, "/v1/result", ResultRequest{LeaseID: "x", Result: sweep.Result{Err: errors.New("e")}}},
+		{http.MethodPost, "/v1/result", ResultRequest{LeaseID: "x", Result: sweep.WireResult{Err: "e"}}},
 		{http.MethodGet, "/v1/stats", nil},
 		{http.MethodPost, "/v1/sweeps", SubmitRequest{}},
 		{http.MethodPost, "/v1/sweeps/s-1/jobs", JobRequest{}},
@@ -288,18 +289,18 @@ func TestExpiredLeasesPurgedOnCompletion(t *testing.T) {
 	if snap := s.Stats(); snap.Expired != 1 || snap.Requeued != 1 {
 		t.Fatalf("expiry not indexed: %+v", snap)
 	}
-	if !s.report(release.LeaseID, sweep.Result{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
+	if !s.report(release.LeaseID, sweep.WireResult{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
 		t.Fatal("healthy completion rejected")
 	}
 	if snap := s.Stats(); snap.Expired != 0 {
 		t.Errorf("expired entries leaked past completion: %+v", snap)
 	}
-	if out := decodeLog(t, st.log); len(out) != 1 || out[0].Err != nil || out[0].Res == nil {
+	if out := decodeLog(t, st.log); len(out) != 1 || out[0].Err != "" || out[0].Res == nil {
 		t.Errorf("want one logged result, got %+v", out)
 	}
 	// The crasher's stale lease is gone from the index too: its late report
 	// is rejected rather than double-completing the job.
-	if s.report(crash.LeaseID, sweep.Result{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
+	if s.report(crash.LeaseID, sweep.WireResult{Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}}, "") {
 		t.Error("purged expired lease still accepted a result")
 	}
 }
@@ -326,8 +327,8 @@ func TestExpiredLeasesPurgedOnFailure(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("want the exhaustion error logged once, got %d results", len(out))
 	}
-	if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), "lease lost") {
-		t.Errorf("want lease-exhaustion error, got %v", out[0].Err)
+	if !strings.Contains(out[0].Err, "lease lost") {
+		t.Errorf("want lease-exhaustion error, got %q", out[0].Err)
 	}
 	if snap := s.Stats(); snap.Expired != 0 || snap.Failed != 1 {
 		t.Errorf("expired entries leaked past failure: %+v", snap)
@@ -554,6 +555,64 @@ func TestAddJobClosedSweep(t *testing.T) {
 	}
 	if n := s.Stats().Pending; n != 0 {
 		t.Fatalf("dropped job still queued: %d pending", n)
+	}
+}
+
+// TestConcurrentSubmitJournalsOnce: retries of one submission race each
+// other, each encoding its journal frames before it takes the lock. One
+// sweep is opened and journaled once with its whole matrix, and a restart
+// recovers that one sweep.
+func TestConcurrentSubmitJournalsOnce(t *testing.T) {
+	dir := t.TempDir()
+	server := NewServer(ServerOptions{})
+	if err := server.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.Handler())
+	jobs := smallJobs(t, "exchange2")
+	req := SubmitRequest{Jobs: jobs, Nonce: "n-race"}
+	ids := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp SubmitResponse
+			if _, err := doJSON(context.Background(), srv.Client(), http.MethodPost, srv.URL+"/v1/sweeps",
+				"", "", req, &resp); err != nil {
+				t.Error(err)
+			}
+			ids[i] = resp.SweepID
+		}()
+	}
+	wg.Wait()
+	srv.Close() // a kill -9: no CloseState, the journal holds everything
+	for _, id := range ids {
+		if id != ids[0] {
+			t.Fatalf("one nonce opened several sweeps: %v", ids)
+		}
+	}
+	recs, torn, err := readJournal(filepath.Join(dir, "journal.wal"))
+	if err != nil || torn != 0 {
+		t.Fatalf("journal: %v, %d torn bytes", err, torn)
+	}
+	ops := map[string]int{}
+	for _, rec := range recs {
+		if rec.Sweep != ids[0] {
+			t.Fatalf("journal names sweep %s, want only %s", rec.Sweep, ids[0])
+		}
+		ops[rec.Op]++
+	}
+	if ops[opOpen] != 1 || ops[opJob] != len(jobs) || len(recs) != 1+len(jobs) {
+		t.Fatalf("journal holds %v, want one open and %d jobs", ops, len(jobs))
+	}
+	second := NewServer(ServerOptions{})
+	if err := second.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer second.CloseState()
+	if st := second.Stats(); st.Sweeps != 1 || st.Pending != len(jobs) {
+		t.Errorf("recovered %+v, want one sweep with %d queued jobs", st, len(jobs))
 	}
 }
 

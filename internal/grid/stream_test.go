@@ -206,7 +206,7 @@ func TestStreamLateLeaseInterleave(t *testing.T) {
 	report := func(leaseID string) int {
 		t.Helper()
 		status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
-			ResultRequest{LeaseID: leaseID, Result: sweep.Result{
+			ResultRequest{LeaseID: leaseID, Result: sweep.WireResult{
 				Index: 0, Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}},
 			}}, nil)
 		if err != nil {

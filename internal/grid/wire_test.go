@@ -45,8 +45,8 @@ func TestTimingRoundTripsWire(t *testing.T) {
 	timing.SimulateNS = int64(7 * time.Millisecond) // pin for exact assertions
 	timing.CacheNS = int64(3 * time.Millisecond)
 	if status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
-		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{
-			Index: lease.Index, Job: lease.Job, Res: res, Timing: timing,
+		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.WireResult{
+			Index: lease.Index, Res: res, Timing: timing,
 		}}, nil); err != nil || status != http.StatusOK {
 		t.Fatalf("report: status %d, err %v", status, err)
 	}
@@ -108,8 +108,8 @@ func TestNoTimingPeerWireCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if status, err := doJSON(ctx, srv.Client(), http.MethodPost, srv.URL+"/v1/result", "", "",
-		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.Result{
-			Index: lease.Index, Job: lease.Job, Res: res,
+		ResultRequest{LeaseID: lease.LeaseID, Result: sweep.WireResult{
+			Index: lease.Index, Res: res,
 		}}, nil); err != nil || status != http.StatusOK {
 		t.Fatalf("old-peer report: status %d, err %v", status, err)
 	}
@@ -154,9 +154,15 @@ func oldPeerWorker(t *testing.T, ctx context.Context, url string) {
 			t.Errorf("old peer lease decode: %v", err)
 			return
 		}
-		out := sweep.Result{Index: lease.Index, Job: lease.Job}
-		out.Res, out.Err = sweep.LocalExecutor{}.Execute(ctx, lease.Index, lease.Job)
-		rb, _ := json.Marshal(ResultRequest{LeaseID: lease.LeaseID, Result: out})
+		out := legacyResult{Index: lease.Index, Job: lease.Job}
+		res, err := sweep.LocalExecutor{}.Execute(ctx, lease.Index, lease.Job)
+		if out.Res = res; err != nil {
+			out.Err = err.Error()
+		}
+		rb, _ := json.Marshal(struct {
+			LeaseID string       `json:"lease_id"`
+			Result  legacyResult `json:"result"`
+		}{lease.LeaseID, out})
 		rr, err := http.Post(url+"/v1/result", "application/json", bytes.NewReader(rb))
 		if err == nil {
 			rr.Body.Close()

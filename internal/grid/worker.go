@@ -217,7 +217,6 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		}
 
 		start := time.Now()
-		out := sweep.Result{Index: lease.Index} // the job stays off the wire: the coordinator holds it
 		got, inc := w.execContained(ctx, lease, exec)
 		if inc != nil {
 			// The job was contained (panic, watchdog, memory guard): the
@@ -229,10 +228,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			w.reportIncident(ctx, client, *inc)
 			continue
 		}
-		timing := got.timing
-		out.Res, out.Err = got.res, got.err
-		jobErr := out.Err
-		if ctx.Err() != nil && (errors.Is(jobErr, context.Canceled) || errors.Is(jobErr, context.DeadlineExceeded)) {
+		if ctx.Err() != nil && (errors.Is(got.err, context.Canceled) || errors.Is(got.err, context.DeadlineExceeded)) {
 			// The job died with this worker's own shutdown, not on its own
 			// merits. Reporting ctx.Err() would turn a recoverable worker
 			// crash into a permanent error row in the sweep; stay silent and
@@ -241,13 +237,12 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			jlog.Warn("job abandoned on shutdown; lease TTL will requeue it")
 			return nil
 		}
-		out.Wall = time.Since(start)
-		out.Timing = timing
-		if jobErr != nil {
+		out := sweep.Result{Index: lease.Index, Res: got.res, Err: got.err, Wall: time.Since(start), Timing: got.timing}
+		if got.err != nil {
 			m.Failed.Inc()
 		}
-		if timing != nil && timing.SimulateNS > 0 {
-			m.SimulateTime.Observe(time.Duration(timing.SimulateNS).Seconds())
+		if got.timing != nil && got.timing.SimulateNS > 0 {
+			m.SimulateTime.Observe(time.Duration(got.timing.SimulateNS).Seconds())
 		}
 		reportCtx, cancelReport := ctx, context.CancelFunc(func() {})
 		if ctx.Err() != nil {
@@ -423,13 +418,14 @@ var reportRetry = backoff{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
 // caller) is terminal: the coordinator rejected the payload itself, and
 // retrying the same bytes can only fail the same way.
 func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string, r sweep.Result) error {
+	req := ResultRequest{LeaseID: leaseID, Result: r.Wire()}
 	var err error
 	for attempt := 0; attempt < 8; attempt++ {
 		if attempt > 0 && !w.sleep(ctx, reportRetry.pause(attempt-1)) {
 			return ctx.Err()
 		}
 		var status int
-		status, err = w.post(ctx, client, "/v1/result", ResultRequest{LeaseID: leaseID, Result: r}, nil)
+		status, err = w.post(ctx, client, "/v1/result", req, nil)
 		if err != nil {
 			continue
 		}

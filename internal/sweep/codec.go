@@ -40,19 +40,15 @@ func (j Job) Hash() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// resultJSON is the wire form of a Result. Err travels as a string — an
-// error value does not survive a JSON round trip — so failure causes are
-// preserved across processes (the grid protocol) and restarts (JSONL
-// replay). All numeric fields are integers, so the round trip is exact and
-// sink output computed from a decoded Result is byte-identical to the
-// original.
-type resultJSON struct {
-	Index int `json:"index"`
-	// Job is left out when zero: a grid worker reports a result without
-	// the job it leased, which the coordinator already holds. Decoding a
-	// result without the field yields the zero Job, so the round trip stays
-	// exact.
-	Job    Job           `json:"job,omitzero"`
+// WireResult is the JSON form of a Result on the grid wire and in the
+// coordinator's journal, a plain struct that one encoding/json pass reads
+// or writes. Err travels as a string, since an error value does not survive
+// a JSON round trip. All numeric fields are integers, so the round trip is
+// exact and sink rows computed from a decoded result are byte-identical.
+// The job is left out: every receiver holds the job of each index, and an
+// older peer's "job" key is ignored as unknown.
+type WireResult struct {
+	Index  int           `json:"index"`
 	Res    *core.Results `json:"res,omitempty"`
 	Err    string        `json:"err,omitempty"`
 	WallNS int64         `json:"wall_ns,omitempty"`
@@ -62,27 +58,23 @@ type resultJSON struct {
 	Timing *Timing `json:"timing,omitempty"`
 }
 
-// MarshalJSON encodes the result for the grid wire protocol.
-func (r Result) MarshalJSON() ([]byte, error) {
-	w := resultJSON{Index: r.Index, Job: r.Job, Res: r.Res, WallNS: int64(r.Wall), Timing: r.Timing}
+// Wire returns the wire form of r, without its job.
+func (r Result) Wire() WireResult {
+	w := WireResult{Index: r.Index, Res: r.Res, WallNS: int64(r.Wall), Timing: r.Timing}
 	if r.Err != nil {
 		w.Err = r.Err.Error()
 	}
-	return json.Marshal(w)
+	return w
 }
 
-// UnmarshalJSON decodes a result. The error cause is reconstructed with the
-// original message (the concrete error type does not cross the wire).
-func (r *Result) UnmarshalJSON(b []byte) error {
-	var w resultJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*r = Result{Index: w.Index, Job: w.Job, Res: w.Res, Wall: time.Duration(w.WallNS), Timing: w.Timing}
+// Result rebuilds the result with a zero Job; the receiver supplies the job
+// it holds. The error cause keeps its message, not its concrete type.
+func (w WireResult) Result() Result {
+	r := Result{Index: w.Index, Res: w.Res, Wall: time.Duration(w.WallNS), Timing: w.Timing}
 	if w.Err != "" {
 		r.Err = errors.New(w.Err)
 	}
-	return nil
+	return r
 }
 
 // Executor runs one job and returns its simulator results. It is the seam

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -69,9 +68,9 @@ func TestJobHashStableAcrossCalls(t *testing.T) {
 }
 
 // TestResultJSONRoundTrip runs a real job and checks that a Result survives
-// the wire exactly: the sink row computed from the decoded result is
-// identical to the original, including the occupancy histograms behind the
-// sizing figures.
+// the wire exactly: the sink row computed from the decoded result, under
+// the job the receiver holds, is identical to the original, including the
+// occupancy histograms behind the sizing figures.
 func TestResultJSONRoundTrip(t *testing.T) {
 	spec := Quick()
 	spec.Benchmarks = []string{"exchange2"}
@@ -85,17 +84,19 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		b, err := json.Marshal(r)
+		b, err := json.Marshal(r.Wire())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back Result
-		if err := json.Unmarshal(b, &back); err != nil {
+		var w WireResult
+		if err := json.Unmarshal(b, &w); err != nil {
 			t.Fatal(err)
 		}
-		if back.Index != r.Index || back.Job != r.Job || back.Wall != r.Wall {
+		back := w.Result()
+		if back.Index != r.Index || back.Job != (Job{}) || back.Wall != r.Wall {
 			t.Errorf("metadata mutated: %+v vs %+v", back, r)
 		}
+		back.Job = r.Job
 		if MakeRow(back) != MakeRow(r) {
 			t.Errorf("row differs after round trip:\n%+v\nvs\n%+v", MakeRow(back), MakeRow(r))
 		}
@@ -112,37 +113,42 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultJSONZeroJobOmitted: a result whose Job is zero (a grid
-// worker's report) encodes without the job field and decodes back to the
-// zero Job; any other result still carries its job.
+// TestResultJSONZeroJobOmitted: the wire form of a result never carries
+// its job, whether the job is zero (a grid worker's report) or not, and
+// decodes back to the zero Job. An earlier encoding that still carries a
+// "job" key decodes alike: the key is ignored.
 func TestResultJSONZeroJobOmitted(t *testing.T) {
-	r := Result{Index: 3, Err: errors.New("boom"), Wall: time.Second}
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
+	const want = `{"index":3,"err":"boom","wall_ns":1000000000}`
+	for _, job := range []Job{{}, {Bench: "mcf"}} {
+		r := Result{Index: 3, Job: job, Err: errors.New("boom"), Wall: time.Second}
+		b, err := json.Marshal(r.Wire())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != want {
+			t.Fatalf("job %s encoded %s, want %s", job, b, want)
+		}
 	}
-	if want := `{"index":3,"err":"boom","wall_ns":1000000000}`; string(b) != want {
-		t.Fatalf("encoded %s, want %s", b, want)
-	}
-	var back Result
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Index != 3 || back.Job != (Job{}) || back.Err.Error() != "boom" || back.Wall != time.Second {
-		t.Errorf("round trip mutated: %+v", back)
-	}
-	r.Job = Job{Bench: "mcf"}
-	if b, err = json.Marshal(r); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"job":{"Bench":"mcf"`) {
-		t.Errorf("a non-zero job was left out: %s", b)
+	for _, b := range []string{want, `{"index":3,"job":{"Bench":"mcf","Mode":"wfc"},"err":"boom","wall_ns":1000000000}`} {
+		var w WireResult
+		if err := json.Unmarshal([]byte(b), &w); err != nil {
+			t.Fatal(err)
+		}
+		back := w.Result()
+		if back.Index != 3 || back.Job != (Job{}) || back.Err.Error() != "boom" || back.Wall != time.Second {
+			t.Errorf("%s decodes to %+v", b, back)
+		}
 	}
 }
 
-// BenchmarkResultCodec times one encode and one decode of a simulated
-// result with its occupancy histograms (about 4 KB of JSON), the unit of
-// work of every grid hop.
+// batchResults is how many results BenchmarkResultCodec decodes per batch.
+const batchResults = 16
+
+// BenchmarkResultCodec times the grid wire path of a simulated result with
+// its occupancy histograms (about 3 KB of JSON): encoding one result, as a
+// worker report and the coordinator's log do, and decoding a batch of
+// batchResults of them, as a result-stream poll does. us/result is the
+// decode cost per result.
 func BenchmarkResultCodec(b *testing.B) {
 	spec := Quick()
 	spec.Benchmarks = []string{"exchange2"}
@@ -157,28 +163,37 @@ func BenchmarkResultCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := results[0]
-	enc, err := json.Marshal(r)
+	enc, err := json.Marshal(r.Wire())
 	if err != nil {
 		b.Fatal(err)
 	}
+	batch := []byte(`{"results":[`)
+	for i := range batchResults {
+		if i > 0 {
+			batch = append(batch, ',')
+		}
+		batch = append(batch, enc...)
+	}
+	batch = append(batch, "]}"...)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(enc)))
 		for b.Loop() {
-			if _, err := json.Marshal(r); err != nil {
+			if _, err := json.Marshal(r.Wire()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("decode", func(b *testing.B) {
+	b.Run("decode-batch", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(len(enc)))
+		b.SetBytes(int64(len(batch)))
 		for b.Loop() {
-			var back Result
-			if err := json.Unmarshal(enc, &back); err != nil {
+			var back struct{ Results []WireResult }
+			if err := json.Unmarshal(batch, &back); err != nil || len(back.Results) != batchResults {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batchResults), "us/result")
 	})
 }
 
@@ -191,14 +206,16 @@ func TestResultJSONErrorPreserved(t *testing.T) {
 		Err:   errors.New(`workloads: unknown benchmark "nope"`),
 		Wall:  17 * time.Millisecond,
 	}
-	b, err := json.Marshal(r)
+	b, err := json.Marshal(r.Wire())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Result
-	if err := json.Unmarshal(b, &back); err != nil {
+	var w WireResult
+	if err := json.Unmarshal(b, &w); err != nil {
 		t.Fatal(err)
 	}
+	back := w.Result()
+	back.Job = r.Job
 	if back.Err == nil || back.Err.Error() != r.Err.Error() {
 		t.Errorf("error cause lost: %v", back.Err)
 	}
