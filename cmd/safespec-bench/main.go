@@ -56,7 +56,6 @@ type options struct {
 	instrs   uint64 // 0 = preset default
 	bench    string
 	seeds    string
-	serial   bool
 	workers  int
 	timeout  time.Duration
 	json     bool
@@ -82,7 +81,6 @@ func main() {
 	flag.StringVar(&o.figs, "figs", "all", "which outputs: all|sizing|perf|security|overhead|config (none = run nothing, for a standalone -cache-gc pass)")
 	flag.Uint64Var(&o.instrs, "instrs", 0, "committed instructions per benchmark run (default: preset)")
 	flag.StringVar(&o.bench, "bench", "", "comma-separated benchmark subset (default: all 21)")
-	flag.BoolVar(&o.serial, "serial", false, "run benchmarks one at a time (same as -workers 1)")
 	flag.IntVar(&o.workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the sweep after this long (0 = no bound)")
 	flag.BoolVar(&o.json, "json", false, "emit per-job JSON-lines rows on stdout instead of tables (requires -figs sizing|perf|overhead)")
@@ -224,8 +222,8 @@ func run(o options) error {
 }
 
 // sweepConfig derives the figures sweep configuration from the flags:
-// -quick selects the CI smoke matrix, -instrs/-bench/-seeds override the
-// preset, and -serial forces a single worker.
+// -quick selects the CI smoke matrix and -instrs/-bench/-seeds override the
+// preset.
 func sweepConfig(o options) (figures.SweepConfig, error) {
 	sc := figures.DefaultSweep()
 	if o.quick {
@@ -258,9 +256,6 @@ func sweepConfig(o options) (figures.SweepConfig, error) {
 		sc.Workers = 64
 	}
 	sc.Timeout = o.timeout
-	if o.serial {
-		sc.Workers = 1
-	}
 	return sc, nil
 }
 
@@ -276,8 +271,8 @@ func sweepConfig(o options) (figures.SweepConfig, error) {
 func buildExecutor(o options, log *slog.Logger) (exec sweep.Executor, finish func(), err error) {
 	finish = func() {}
 	reportGrid := func(s grid.ServerSnapshot) {
-		fmt.Fprintf(o.info, "grid: leases granted=%d completed=%d requeued=%d failed=%d incidents=%d quarantined=%d hedged=%d\n",
-			s.Granted, s.Completed, s.Requeued, s.Failed, s.Incidents, s.Quarantined, s.Hedged)
+		fmt.Fprintf(o.info, "grid: leases granted=%d completed=%d requeued=%d failed=%d incidents=%d quarantined=%d\n",
+			s.Granted, s.Completed, s.Requeued, s.Failed, s.Incidents, s.Quarantined)
 	}
 	switch {
 	case o.serve != "":

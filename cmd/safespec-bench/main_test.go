@@ -38,7 +38,7 @@ func TestRunSizingSubset(t *testing.T) {
 
 func TestRunPerfSubset(t *testing.T) {
 	o := testOpts(io.Discard)
-	o.figs, o.instrs, o.bench, o.serial = "perf", 3000, "exchange2", true
+	o.figs, o.instrs, o.bench, o.workers = "perf", 3000, "exchange2", 1
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +102,22 @@ func TestQuickPreset(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "geomean") {
 		t.Error("perf table missing geomean")
+	}
+}
+
+// TestOverheadTable: -figs overhead prints Table V with both rows, the
+// Secure worst case and the WFC sizing measured by the sweep.
+func TestOverheadTable(t *testing.T) {
+	var buf bytes.Buffer
+	o := testOpts(&buf)
+	o.figs, o.quick = "overhead", true
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"=== Table V: hardware overhead at 40nm ===", "\nSecure ", "\nSafeSpec WFC "} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -263,7 +279,7 @@ func TestCacheGCStandalonePrunes(t *testing.T) {
 	dir := t.TempDir()
 	// Warm a tiny cache.
 	o := testOpts(io.Discard)
-	o.figs, o.instrs, o.bench, o.serial = "perf", 1000, "exchange2", true
+	o.figs, o.instrs, o.bench, o.workers = "perf", 1000, "exchange2", 1
 	o.cacheDir = dir
 	if err := run(o); err != nil {
 		t.Fatal(err)

@@ -69,7 +69,6 @@ type config struct {
 	retries   int
 	sweepTTL  time.Duration
 	quarAfter int
-	hedge     time.Duration
 	stateDir  string
 	drainWait time.Duration
 	quiet     bool
@@ -91,7 +90,6 @@ func main() {
 	flag.IntVar(&c.retries, "lease-retries", 0, "lease grants per job before it fails as lost (default 5)")
 	flag.DurationVar(&c.sweepTTL, "sweep-ttl", 0, "abandon a sweep whose client stopped polling this long ago (default 10m)")
 	flag.IntVar(&c.quarAfter, "quarantine-after", 0, "quarantine a job after incidents from this many distinct workers (default 2; 1 quarantines on the first incident)")
-	flag.DurationVar(&c.hedge, "hedge-after", 0, "hedge a tail lease older than this to a second worker (0 = adaptive: 2x p95 of grant-to-report lease durations, at least 500ms; negative disables)")
 	flag.StringVar(&c.stateDir, "state-dir", "", "journal sweep state under this directory and recover it on restart (empty disables durability)")
 	flag.DurationVar(&c.drainWait, "drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, wait this long for in-flight requests to finish before closing")
 	flag.BoolVar(&c.quiet, "quiet", false, "suppress per-sweep progress lines (same as -log-level warn)")
@@ -132,7 +130,6 @@ func run(ctx context.Context, c config) error {
 		LeaseTTL:        c.leaseTTL,
 		MaxAttempts:     c.retries,
 		QuarantineAfter: c.quarAfter,
-		HedgeAfter:      c.hedge,
 		SweepTTL:        c.sweepTTL,
 		Log:             log,
 	})

@@ -7,6 +7,9 @@
 //	safespec-overhead                      # paper's published sizings
 //	safespec-overhead -ldq 72 -rob 224     # change the worst-case bounds
 //	safespec-overhead -wfc 28,25,25,10     # custom WFC sizing (d$,i$,dtlb,itlb)
+//
+// For the WFC sizing measured by a fresh workload sweep, run
+// safespec-bench -figs overhead.
 package main
 
 import (
@@ -15,7 +18,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"safespec/internal/figures"
 	"safespec/internal/hwmodel"
@@ -26,32 +28,20 @@ func main() {
 		ldq     = flag.Int("ldq", 72, "load-queue size bounding the data-side worst case")
 		rob     = flag.Int("rob", 224, "ROB size bounding the instruction-side worst case")
 		wfcSpec = flag.String("wfc", "", "WFC sizing as d$,i$,dtlb,itlb (default: paper's values)")
-		measure = flag.Bool("measure", false, "derive the WFC sizing from a fresh workload sweep")
-		workers = flag.Int("workers", 0, "sweep worker pool size for -measure (0 = GOMAXPROCS)")
-		timeout = flag.Duration("timeout", 0, "abort the -measure sweep after this long (0 = no bound)")
 	)
 	flag.Parse()
-	if err := run(*ldq, *rob, *wfcSpec, *measure, *workers, *timeout); err != nil {
+	if err := run(*ldq, *rob, *wfcSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "safespec-overhead:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ldq, rob int, wfcSpec string, measure bool, workers int, timeout time.Duration) error {
+func run(ldq, rob int, wfcSpec string) error {
 	tech := hwmodel.Tech40nm()
 	secure := hwmodel.SecureSizes(ldq, rob)
 
 	var rows [2]hwmodel.Report
 	switch {
-	case measure:
-		sc := figures.DefaultSweep()
-		sc.Workers = workers
-		sc.Timeout = timeout
-		sweepRes, err := figures.RunSweep(sc)
-		if err != nil {
-			return err
-		}
-		rows = figures.TableVFromSizing(figures.Sizing(sweepRes))
 	case wfcSpec != "":
 		parts := strings.Split(wfcSpec, ",")
 		if len(parts) != 4 {

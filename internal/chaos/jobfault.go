@@ -31,7 +31,7 @@ type JobFaults struct {
 	Panic float64
 
 	// Stall is the probability a job blocks for StallFor before running,
-	// long enough to trip the slot watchdog or the hedge policy.
+	// long enough to trip the slot watchdog or the lease TTL.
 	Stall float64
 
 	// StallFor is the injected stall length; zero means 2s.
@@ -143,8 +143,8 @@ type jobFaultExecutor struct {
 // fault for each job before delegating to inner. A panic fault panics with
 // a deterministic message (the worker's slot containment turns it into an
 // incident); stall and alloc faults delay or balloon the heap, then run
-// the job normally — only external policy (watchdog, memory guard, hedging)
-// turns those into failures.
+// the job normally — only external policy (watchdog, memory guard, lease
+// expiry) turns those into failures.
 func (ji *JobInjector) WrapExecutor(inner sweep.Executor) sweep.Executor {
 	return &jobFaultExecutor{ji: ji, inner: inner}
 }

@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -86,11 +85,9 @@ type Snapshot struct {
 	Failed    uint64 `json:"failed"`
 	// Incidents counts contained worker failures (panic/timeout/memory)
 	// reported through /v1/incident; Quarantined counts jobs completed as
-	// poison after incidents on enough distinct workers; Hedged counts
-	// duplicate tail leases issued against stalled workers.
+	// poison after incidents on enough distinct workers.
 	Incidents   uint64 `json:"incidents"`
 	Quarantined uint64 `json:"quarantined"`
-	Hedged      uint64 `json:"hedged"`
 }
 
 // task is one job of a submitted sweep, from enqueue until its result is
@@ -113,7 +110,6 @@ type task struct {
 
 	worker    string         // base worker id of the most recent grant
 	incidents []taskIncident // contained failures reported against this job
-	hedged    bool           // a duplicate tail lease was issued (once per task)
 }
 
 // withdrawLocked takes t out of the queue, the lease table and the
@@ -171,10 +167,8 @@ func (s *Server) requeueExpiredLocked(now time.Time) {
 // lease hands the oldest pending job to a worker (none while draining).
 // worker labels the lease id (free-form, typically "id/loop"); base is the
 // worker's identity for the holder rule: a retried job — requeued after an
-// incident or an expired lease, or hedged — is not granted back to the
-// worker that last held it while another worker is live. When the queue is
-// empty but leases remain, the poll may hedge a stalled tail lease (see
-// maybeHedgeLocked) and immediately grant the duplicate.
+// incident or an expired lease — is not granted back to the worker that
+// last held it while another worker is live.
 func (s *Server) lease(worker, base string) (LeaseResponse, bool) {
 	if s.draining.Load() {
 		return LeaseResponse{}, false
@@ -184,9 +178,6 @@ func (s *Server) lease(worker, base string) (LeaseResponse, bool) {
 	now := s.opts.now()
 	s.touchLocked(base, now)
 	s.requeueExpiredLocked(now)
-	if s.pending.Len() == 0 {
-		s.maybeHedgeLocked(now)
-	}
 	for e := s.pending.Front(); e != nil; e = e.Next() {
 		t := e.Value.(*task)
 		if t.attempts > 0 && t.worker == base && s.anyOtherLiveLocked(base, now) {
@@ -218,84 +209,6 @@ func (s *Server) lease(worker, base string) (LeaseResponse, bool) {
 	return LeaseResponse{}, false
 }
 
-// maybeHedgeLocked issues at most one duplicate lease against the oldest
-// stalled tail lease: the lease id moves to the expired index (the
-// original holder's late result is still welcome — first report wins, the
-// loser's gets 409 and is discarded, so output stays byte-identical) and
-// the task re-enters the queue front for the polling worker to take.
-// Caller holds s.mu and has verified the queue is empty.
-func (s *Server) maybeHedgeLocked(now time.Time) {
-	if len(s.leases) == 0 {
-		return
-	}
-	thr := s.hedgeThresholdLocked(now)
-	if thr <= 0 {
-		return
-	}
-	var best *task
-	var bestID string
-	for id, t := range s.leases {
-		if t.hedged || t.attempts >= s.opts.MaxAttempts {
-			continue // one hedge per task; never hedge past the attempt bound
-		}
-		if now.Sub(t.granted) < thr {
-			continue
-		}
-		if best == nil || t.granted.Before(best.granted) {
-			best, bestID = t, id
-		}
-	}
-	if best == nil {
-		return
-	}
-	delete(s.leases, bestID)
-	s.expired[bestID] = best
-	best.expired = append(best.expired, bestID)
-	best.leaseID = ""
-	best.hedged = true
-	s.hedged++
-	best.elem = s.pending.PushFront(best)
-}
-
-// hedgeThresholdLocked returns the lease age beyond which a tail lease is
-// hedged (0 disables). An explicit HedgeAfter wins; the adaptive default
-// needs a sample base and recomputes its quantile at most once a second.
-func (s *Server) hedgeThresholdLocked(now time.Time) time.Duration {
-	if s.opts.HedgeAfter != 0 {
-		return s.opts.HedgeAfter // negative disables
-	}
-	const (
-		minSamples = 8
-		floor      = 500 * time.Millisecond
-	)
-	if s.durN < minSamples {
-		return 0
-	}
-	if !s.hedgeThrAt.IsZero() && now.Sub(s.hedgeThrAt) < time.Second {
-		return s.hedgeThr
-	}
-	samples := make([]time.Duration, s.durN)
-	copy(samples, s.durs[:s.durN])
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	p95 := samples[(len(samples)*95+99)/100-1]
-	s.hedgeThr = max(2*p95, floor)
-	s.hedgeThrAt = now
-	return s.hedgeThr
-}
-
-// recordDurationLocked feeds one completed lease's grant-to-report
-// duration into the hedge sample ring. Caller holds s.mu.
-func (s *Server) recordDurationLocked(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	s.durs[s.durIdx] = d
-	s.durIdx = (s.durIdx + 1) % len(s.durs)
-	if s.durN < len(s.durs) {
-		s.durN++
-	}
-}
-
 // complete resolves a lease with its reported result's timing, returning
 // the task and a copy of the timing stamped with the server-side spans. An
 // expired lease is honored as long as its job has not completed elsewhere
@@ -320,7 +233,6 @@ func (s *Server) complete(leaseID string, tm *sweep.Timing, base string) (*task,
 	s.withdrawLocked(t)
 	t.completed = true
 	s.completed++
-	s.recordDurationLocked(now.Sub(t.granted))
 	if tm != nil {
 		// Stamp the server-side spans onto a copy of the worker's
 		// breakdown: queue wait (enqueue to the completing lease's grant)

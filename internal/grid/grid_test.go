@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -144,6 +145,46 @@ func TestGridEndToEnd(t *testing.T) {
 	s := server.Stats()
 	if s.Completed != uint64(len(jobs)) || s.Pending != 0 || s.Leased != 0 {
 		t.Errorf("coordinator accounting off: %+v", s)
+	}
+}
+
+// TestWorkerLogsJobHash: the worker's job records carry job_hash, the first
+// 12 hex digits of the leased job's content hash, although the hash is only
+// computed when a handler resolves it.
+func TestWorkerLogsJobHash(t *testing.T) {
+	jobs := smallJobs(t, "exchange2")[:1]
+	want, err := jobs[0].Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, url := startServer(t, ServerOptions{})
+	var logs bytes.Buffer // written under the handler's lock, read after the worker exits
+	stop := faultyWorker(t, url, "w", 1, sweep.LocalExecutor{},
+		func(w *Worker) { w.Log = slog.New(slog.NewJSONHandler(&logs, nil)) })
+	runFleetSweep(t, url, jobs)
+	stop()
+
+	// The sweep can end before the worker reads its report's answer, so the
+	// job's closing record may be "job done" or "result discarded"; every
+	// job-scoped record carries the hash.
+	var jobRecs int
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Sweep   string `json:"sweep"`
+			JobHash string `json:"job_hash"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Sweep != "" {
+			jobRecs++
+			if rec.JobHash != want[:12] {
+				t.Errorf("job_hash = %q, want %q in %s", rec.JobHash, want[:12], line)
+			}
+		}
+	}
+	if jobRecs == 0 {
+		t.Fatalf("no job-scoped log record:\n%s", logs.String())
 	}
 }
 

@@ -34,7 +34,6 @@ func (s *Server) newRegistry() *obs.Registry {
 
 	incidents := reg.Counter("safespec_incidents_total", "Contained worker incidents (panic, timeout, memory) reported to the coordinator.")
 	quarantined := reg.Counter("safespec_jobs_quarantined_total", "Jobs quarantined as poison after incidents on distinct workers.")
-	hedged := reg.Counter("safespec_leases_hedged_total", "Duplicate hedge leases issued against slow tail leases.")
 
 	sweeps := reg.Gauge("safespec_sweeps_active", "Sweeps currently open on the server.")
 	submitted := reg.Counter("safespec_sweeps_submitted_total", "Sweeps opened over the server's lifetime.")
@@ -66,7 +65,6 @@ func (s *Server) newRegistry() *obs.Registry {
 		failed.Set(snap.Failed)
 		incidents.Set(snap.Incidents)
 		quarantined.Set(snap.Quarantined)
-		hedged.Set(snap.Hedged)
 		sweeps.Set(int64(snap.Sweeps))
 		submitted.Set(snap.SweepsSubmitted)
 		abandoned.Set(snap.SweepsAbandoned)

@@ -8,6 +8,7 @@ import (
 	"crypto/x509"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -167,15 +168,21 @@ func (r *RemoteExecutor) nonceLocked() string {
 // POST idempotent: if an attempt landed but its response was lost, the
 // coordinator hands back the existing sweep instead of double-running it.
 func (r *RemoteExecutor) openSweep(ctx context.Context, jobs []sweep.Job, nonce string) (SubmitResponse, error) {
-	req := SubmitRequest{Jobs: jobs, Nonce: nonce}
 	var resp SubmitResponse
+	err := r.post(ctx, "/v1/sweeps", SubmitRequest{Jobs: jobs, Nonce: nonce}, &resp)
+	return resp, err
+}
+
+// post sends one POST through retry and turns any final status but 200
+// into an error.
+func (r *RemoteExecutor) post(ctx context.Context, path string, in, out any) error {
 	status, err := r.retry(ctx, func() (int, error) {
-		return r.call(ctx, http.MethodPost, "/v1/sweeps", req, &resp)
+		return r.call(ctx, http.MethodPost, path, in, out)
 	})
 	if err == nil && status != http.StatusOK {
 		err = statusErr(status)
 	}
-	return resp, err
+	return err
 }
 
 // Execute submits the job if the matrix announcement did not already cover
@@ -357,23 +364,11 @@ func (r *RemoteExecutor) reresolve(ctx context.Context, lostID string) (string, 
 		return "", fmt.Errorf("sweep %s has no submission nonce to recover by", lostID)
 	}
 	var resp SubmitResponse
-	status, err := r.retry(ctx, func() (int, error) {
-		return r.call(ctx, http.MethodPost, "/v1/sweeps", SubmitRequest{Nonce: nonce}, &resp)
-	})
-	if err == nil && status != http.StatusOK {
-		err = statusErr(status)
-	}
-	if err != nil {
+	if err := r.post(ctx, "/v1/sweeps", SubmitRequest{Nonce: nonce}, &resp); err != nil {
 		return "", fmt.Errorf("re-resolve by nonce: %w", err)
 	}
 	for _, i := range slices.Sorted(maps.Keys(jobs)) {
-		status, err := r.retry(ctx, func() (int, error) {
-			return r.call(ctx, http.MethodPost, "/v1/sweeps/"+resp.SweepID+"/jobs",
-				JobRequest{Index: i, Job: jobs[i]}, nil)
-		})
-		if err == nil && status != http.StatusOK {
-			err = statusErr(status)
-		}
+		err := r.post(ctx, "/v1/sweeps/"+resp.SweepID+"/jobs", JobRequest{Index: i, Job: jobs[i]}, nil)
 		if err != nil {
 			return "", fmt.Errorf("re-submit job %d: %w", i, err)
 		}
@@ -527,7 +522,8 @@ var remoteRetry = backoff{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
 // retry runs fn until it returns a status below 500 without a transport
 // error, backing off between attempts, and hands the final status to the
 // caller to interpret. Transport faults and 5xx are retried alike (both
-// are the shape of a coordinator or fronting proxy mid-restart).
+// are the shape of a coordinator or fronting proxy mid-restart); an
+// untrusted server certificate is returned at once, since no retry heals it.
 func (r *RemoteExecutor) retry(ctx context.Context, fn func() (int, error)) (int, error) {
 	var status int
 	var err error
@@ -536,8 +532,8 @@ func (r *RemoteExecutor) retry(ctx context.Context, fn func() (int, error)) (int
 			return 0, ctx.Err()
 		}
 		status, err = fn()
-		if err == nil && status < 500 {
-			return status, nil
+		if (err == nil && status < 500) || errors.As(err, new(*tls.CertificateVerificationError)) {
+			return status, err
 		}
 		if ctx.Err() != nil {
 			return 0, ctx.Err()

@@ -14,12 +14,12 @@ import (
 // with a deterministic error row, instead of marching through every worker
 // until MaxAttempts burns out fleet-wide.
 //
-// Stalls need no report: lease-TTL expiry requeues a lost job, and hedged
-// tail leases (see maybeHedgeLocked in grid.go) duplicate a slow one. A
-// retried job — after an incident, an expiry or a hedge — must not go back
-// to the worker that last held it while another worker is live, so the
-// server keeps each worker's last-contact time — and nothing else — to
-// answer "is anyone else live?".
+// A stalled job has two ways back to the queue: the worker's watchdog
+// reports a timeout incident at 90% of the lease TTL, and lease-TTL expiry
+// requeues a lease whose worker went silent. A retried job — after an
+// incident or an expiry — must not go back to the worker that last held it
+// while another worker is live, so the server keeps each worker's
+// last-contact time — and nothing else — to answer "is anyone else live?".
 
 // Incident kinds a worker reports. The taxonomy is closed: the coordinator
 // rejects other kinds so a typo'd client cannot grow unbounded label sets.

@@ -222,77 +222,6 @@ func TestWorkerSlotContainment(t *testing.T) {
 	}
 }
 
-// TestHedgedTailLease: a worker that stalls on every job it leases holds
-// the sweep's tail hostage until the coordinator hedges its lease to the
-// healthy worker. The output must stay byte-identical to a local run —
-// the loser's late report is suppressed by the stale-lease 409 path.
-func TestHedgedTailLease(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hedge e2e waits out injected stalls")
-	}
-	jobs := smallJobs(t, "exchange2")
-	local := localJSONL(t, jobs)
-
-	server := NewServer(ServerOptions{
-		LeaseTTL: 30 * time.Second, MaxAttempts: 10,
-		HedgeAfter: 150 * time.Millisecond,
-	})
-	srv := httptest.NewServer(server.Handler())
-	defer srv.Close()
-
-	// Worker "slow" stalls 5s before every job; worker "fast" is clean
-	// and drains the queue, then hedges slow's stuck lease. The submission
-	// and the slow worker start first, and fast joins only once slow holds
-	// a lease — otherwise fast can drain the whole matrix before slow ever
-	// polls and there is no tail to hedge.
-	slowJI := chaos.NewJobInjector(chaos.JobFaults{Seed: 1, Stall: 1, StallFor: 5 * time.Second})
-	stopSlow := faultyWorker(t, srv.URL, "slow", 1, slowJI.WrapExecutor(sweep.LocalExecutor{}), nil)
-	defer stopSlow()
-
-	type fleetOut struct {
-		results []sweep.Result
-		remote  []string
-	}
-	ch := make(chan fleetOut, 1)
-	go func() {
-		results, remote := runFleetSweep(t, srv.URL, jobs)
-		ch <- fleetOut{results, remote}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for server.Stats().Leased == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow worker never leased a job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	stopFast := faultyWorker(t, srv.URL, "fast", 2, sweep.LocalExecutor{}, nil)
-	defer stopFast()
-
-	out := <-ch
-	results, remote := out.results, out.remote
-	seen := make(map[int]bool)
-	for _, res := range results {
-		if res.Err != nil {
-			t.Errorf("cell %d errored under hedging: %v", res.Index, res.Err)
-		}
-		if seen[res.Index] {
-			t.Errorf("cell %d delivered twice", res.Index)
-		}
-		seen[res.Index] = true
-	}
-	if strings.Join(remote, "\n") != strings.Join(local, "\n") {
-		t.Errorf("hedged run diverged from local:\n%s\nvs\n%s",
-			strings.Join(remote, "\n"), strings.Join(local, "\n"))
-	}
-	snap := server.Stats()
-	if snap.Hedged == 0 {
-		t.Error("no lease was hedged — the tail drained through the stalled worker")
-	}
-	if st := slowJI.JobStats(); st.Stalls == 0 {
-		t.Error("slow worker never stalled — hedge untested")
-	}
-}
-
 // TestIncidentTimeoutWatchdog: a job stalling past the slot watchdog (90%
 // of the lease TTL) is contained as a timeout incident and, with
 // QuarantineAfter 1, quarantined into a deterministic error row naming
@@ -304,7 +233,7 @@ func TestIncidentTimeoutWatchdog(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
 	server := NewServer(ServerOptions{
 		LeaseTTL: 500 * time.Millisecond, MaxAttempts: 5,
-		QuarantineAfter: 1, HedgeAfter: -1,
+		QuarantineAfter: 1,
 	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
@@ -334,7 +263,7 @@ func TestIncidentMemoryGuard(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
 	server := NewServer(ServerOptions{
 		LeaseTTL: 10 * time.Second, MaxAttempts: 5,
-		QuarantineAfter: 1, HedgeAfter: -1,
+		QuarantineAfter: 1,
 	})
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
@@ -358,26 +287,30 @@ func TestIncidentMemoryGuard(t *testing.T) {
 	}
 }
 
-// TestHedgeSkipsHolder pins the holder rule with a fake clock, for a
-// hedged job and for one an incident requeued: the job is not granted back
-// to the worker that held it while another worker is live, and is granted
-// to it once every other worker has been silent past the live window, so a
-// one-worker fleet never stalls on a retry.
-func TestHedgeSkipsHolder(t *testing.T) {
+// TestRetrySkipsHolder pins the holder rule with a fake clock on both retry
+// paths, a lease requeued at expiry and one an incident requeued: the job
+// is not granted back to the worker that held it while another worker is
+// live, and is granted to it once every other worker has been silent past
+// the live window, so a one-worker fleet never stalls on a retry.
+func TestRetrySkipsHolder(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		incident   bool          // release the lease by incident, not by hedge
+		incident   bool          // release the lease by incident, not by expiry
 		wait       time.Duration // from the holder's grant to its next poll
 		wantHolder bool
 	}{
-		{"hedge, other worker live", false, 2 * time.Second, false},
-		{"hedge, other worker silent", false, 2 * workerLiveWindow, true},
+		{"expiry, other worker live", false, 2 * time.Second, false},
+		{"expiry, other worker silent", false, 2 * workerLiveWindow, true},
 		{"incident, other worker live", true, 2 * time.Second, false},
 		{"incident, other worker silent", true, 2 * workerLiveWindow, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := &fakeClock{now: time.Unix(1_000, 0)}
-			c := NewServer(ServerOptions{LeaseTTL: time.Hour, HedgeAfter: time.Second, now: clk.Now})
+			ttl := time.Second // expires before the holder's next poll
+			if tc.incident {
+				ttl = time.Hour // only the incident releases the lease
+			}
+			c := NewServer(ServerOptions{LeaseTTL: ttl, now: clk.Now})
 			if _, ok := c.lease("other/0", "other"); ok { // registers "other" as live
 				t.Fatal("empty queue granted a lease")
 			}
@@ -390,9 +323,13 @@ func TestHedgeSkipsHolder(t *testing.T) {
 			if tc.incident && !c.incident(held.LeaseID, taskIncident{Worker: "holder", Kind: IncidentPanic, Message: "boom"}) {
 				t.Fatal("incident rejected")
 			}
-			_, got := c.lease("holder/1", "holder") // hedges the stalled lease when no incident released it
-			if s := c.Stats(); s.Hedged+s.Incidents != 1 {
-				t.Fatalf("hedged = %d, incidents = %d, want one release", s.Hedged, s.Incidents)
+			_, got := c.lease("holder/1", "holder") // requeues the expired lease when no incident released it
+			wantIncidents := uint64(0)
+			if tc.incident {
+				wantIncidents = 1
+			}
+			if s := c.Stats(); s.Requeued != 1 || s.Incidents != wantIncidents {
+				t.Fatalf("requeued = %d, incidents = %d, want 1 and %d", s.Requeued, s.Incidents, wantIncidents)
 			}
 			if got != tc.wantHolder {
 				t.Fatalf("holder's second loop granted the retry = %v, want %v", got, tc.wantHolder)
@@ -480,7 +417,7 @@ func TestQuarantineHistorySurvivesRestart(t *testing.T) {
 	ctx := context.Background()
 	jobs := smallJobs(t, "exchange2")
 	opts := ServerOptions{
-		LeaseTTL: time.Minute, MaxAttempts: 10, QuarantineAfter: 2, HedgeAfter: -1,
+		LeaseTTL: time.Minute, MaxAttempts: 10, QuarantineAfter: 2,
 	}
 
 	first := NewServer(opts)

@@ -77,21 +77,12 @@ type Server struct {
 	seq uint64 // lease id counter
 
 	granted, completed, requeued, failed uint64
-	incidents, quarantined, hedged       uint64
+	incidents, quarantined               uint64
 
 	// seen is each worker's last contact (see selfheal.go); lastPrune
 	// rate-limits its idle-entry sweep.
 	seen      map[string]time.Time
 	lastPrune time.Time
-
-	// durs is a ring of recent lease durations (grant to accepted result)
-	// feeding the adaptive hedge threshold; hedgeThr/hedgeThrAt cache the
-	// computed quantile for a second so lease polls stay O(1).
-	durs       [256]time.Duration
-	durN       int // filled entries (caps at len(durs))
-	durIdx     int // next write position
-	hedgeThr   time.Duration
-	hedgeThrAt time.Time
 }
 
 // ServerOptions configures a Server.
@@ -115,13 +106,6 @@ type ServerOptions struct {
 	// worker's local trouble never condemns a job; 1 quarantines on the
 	// first incident).
 	QuarantineAfter int
-	// HedgeAfter tunes tail-lease hedging: once the queue is empty and a
-	// remaining lease is older than this, a duplicate hedge lease is issued
-	// to the next poller. 0 (the default) adapts the threshold to
-	// the fleet — twice the p95 of observed lease durations, at least
-	// 500ms, once 8 completions have been sampled; negative disables
-	// hedging entirely.
-	HedgeAfter time.Duration
 	// SweepTTL abandons a sweep whose client has neither submitted jobs nor
 	// polled results for this long (default 10 minutes). Live clients
 	// long-poll far more often than that.
@@ -422,7 +406,6 @@ func (s *Server) Stats() ServerSnapshot {
 			Failed:      s.failed,
 			Incidents:   s.incidents,
 			Quarantined: s.quarantined,
-			Hedged:      s.hedged,
 		},
 		Sweeps:          len(s.sweeps),
 		SweepsSubmitted: s.submitted,

@@ -3,8 +3,11 @@ package grid
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -538,6 +541,32 @@ func TestSubmitRetriesServerErrors(t *testing.T) {
 	re2 := &RemoteExecutor{URL: srv.URL + "/nope"}
 	if err := re2.Submit(context.Background(), smallJobs(t, "exchange2")[:1]); err == nil {
 		t.Fatal("submit to a bogus path reported success")
+	}
+}
+
+// TestSubmitUntrustedCertFailsFast: a coordinator whose certificate the
+// client does not trust is refused after one handshake, not retried
+// through the whole backoff schedule — no retry makes the certificate
+// trusted.
+func TestSubmitUntrustedCertFailsFast(t *testing.T) {
+	var handshakes atomic.Int32
+	srv := httptest.NewUnstartedServer(NewServer(ServerOptions{}).Handler())
+	srv.TLS = &tls.Config{GetConfigForClient: func(*tls.ClientHelloInfo) (*tls.Config, error) {
+		handshakes.Add(1)
+		return nil, nil
+	}}
+	srv.Config.ErrorLog = log.New(io.Discard, "", 0) // the refused handshake's server-side log line
+	srv.StartTLS()
+	defer srv.Close()
+
+	// The test server's certificate is self-signed and not in the system roots.
+	re := &RemoteExecutor{URL: srv.URL, Client: &http.Client{Transport: &http.Transport{}}}
+	err := re.Submit(context.Background(), smallJobs(t, "exchange2")[:1])
+	if !errors.As(err, new(*tls.CertificateVerificationError)) {
+		t.Fatalf("submit error = %v, want a certificate verification error", err)
+	}
+	if n := handshakes.Load(); n != 1 {
+		t.Fatalf("%d handshakes, want 1", n)
 	}
 }
 

@@ -53,8 +53,7 @@ td.full { background: #e4f3e4; }
 <p>queue: {{.Snap.Pending}} pending &middot; {{.Snap.Leased}} leased &middot;
 leases granted={{.Snap.Granted}} completed={{.Snap.Completed}}
 requeued={{.Snap.Requeued}} failed={{.Snap.Failed}} &middot;
-self-healing: incidents={{.Snap.Incidents}} quarantined={{.Snap.Quarantined}}
-hedged={{.Snap.Hedged}} &middot;
+self-healing: incidents={{.Snap.Incidents}} quarantined={{.Snap.Quarantined}} &middot;
 sweeps: {{.Snap.Sweeps}} open / {{.Snap.SweepsSubmitted}} lifetime
 ({{.Snap.SweepsAbandoned}} abandoned)</p>
 {{if .Snap.Tenants}}<table>

@@ -211,10 +211,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		unreachableSince, failures = time.Time{}, 0
 		m.Leased.Inc()
 		jlog := log.With("sweep", lease.SweepID, "bench", lease.Job.Bench,
-			"mode", lease.Job.Mode, "seed", lease.Job.Seed)
-		if hash, err := lease.Job.Hash(); err == nil {
-			jlog = jlog.With("job_hash", hash[:12])
-		}
+			"mode", lease.Job.Mode, "seed", lease.Job.Seed, "job_hash", jobHash{&lease.Job})
 
 		start := time.Now()
 		got, inc := w.execContained(ctx, lease, exec)
@@ -264,6 +261,17 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		m.Completed.Inc()
 		jlog.Info("job done", "wall", out.Wall.Round(time.Millisecond).String())
 	}
+}
+
+// jobHash logs a job's content-hash prefix, hashing only when a handler
+// resolves it; an unhashable job logs an empty group, which handlers drop.
+type jobHash struct{ job *sweep.Job }
+
+func (h jobHash) LogValue() slog.Value {
+	if hash, err := h.job.Hash(); err == nil {
+		return slog.StringValue(hash[:12])
+	}
+	return slog.GroupValue()
 }
 
 // contained is one contained job execution's outcome.
