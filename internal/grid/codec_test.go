@@ -190,16 +190,63 @@ func TestBatchJSONMatchesMarshal(t *testing.T) {
 			enc = []json.RawMessage{}
 		}
 		for _, res := range tc.results {
-			enc = append(enc, encodeResult(res))
+			enc = append(enc, sweep.MarshalWireResult(res))
 		}
 		got := batchJSON("s-1 <id>", 17, enc, tc.submitted, tc.completed)
-		want, err := json.Marshal(ResultBatch{SweepID: "s-1 <id>", Next: 17, Results: tc.results,
-			Submitted: tc.submitted, Completed: tc.completed, Done: tc.submitted > 0 && tc.completed == tc.submitted})
+		batch := ResultBatch{SweepID: "s-1 <id>", Next: 17, Results: tc.results,
+			Submitted: tc.submitted, Completed: tc.completed, Done: tc.submitted > 0 && tc.completed == tc.submitted}
+		want, err := json.Marshal(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("batch moved:\n got %s\nwant %s", got, want)
+		}
+		var back ResultBatch
+		if err := back.UnmarshalJSON(got); err != nil || !reflect.DeepEqual(back, batch) {
+			t.Errorf("batch decodes to %+v (err %v), want %+v", back, err, batch)
+		}
+	}
+}
+
+// TestResultRequestCodec: a report encodes as json.Marshal of the plain
+// struct writes it and decodes back to an equal value, and a body in any
+// other form (whitespace, reordered keys, an older worker's job) decodes
+// as encoding/json decodes it.
+func TestResultRequestCodec(t *testing.T) {
+	type plain ResultRequest
+	for _, rr := range []ResultRequest{
+		{LeaseID: "w/0-1", Result: sweep.WireResult{Index: 4, Res: &core.Results{Stats: &pipeline.Stats{Committed: 9}},
+			WallNS: 5, Timing: &sweep.Timing{SimulateNS: 3}}},
+		{LeaseID: `<w> & "x"/0-2`, Result: sweep.WireResult{Index: 1, Err: "boom <&>"}},
+	} {
+		got, err := rr.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(plain(rr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("report moved:\n got %s\nwant %s", got, want)
+		}
+		var back ResultRequest
+		if err := back.UnmarshalJSON(got); err != nil || !reflect.DeepEqual(back, rr) {
+			t.Errorf("report decodes to %+v (err %v), want %+v", back, err, rr)
+		}
+	}
+	for _, body := range []string{
+		`{"lease_id": "w/0-1", "result": {"index": 2, "err": "x"}}`,
+		`{"result":{"index":2,"err":"x"},"lease_id":"w/0-1"}`,
+		`{"lease_id":"w/0-1","result":{"index":2,"job":{"Bench":"mcf"},"err":"x"}}`,
+		`{"lease_id":"w/0-1","result":{"index":2,"err":"x"}`,
+	} {
+		var got ResultRequest
+		var want plain
+		err, werr := got.UnmarshalJSON([]byte(body)), json.Unmarshal([]byte(body), &want)
+		if (err == nil) != (werr == nil) || !reflect.DeepEqual(got, ResultRequest(want)) {
+			t.Errorf("%s decodes to %+v (err %v), encoding/json to %+v (err %v)", body, got, err, want, werr)
 		}
 	}
 }

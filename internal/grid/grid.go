@@ -71,6 +71,26 @@ type ResultRequest struct {
 	Result  sweep.WireResult `json:"result"`
 }
 
+// MarshalJSON writes the bytes json.Marshal writes for the plain struct,
+// through the sweep result codec.
+func (rr ResultRequest) MarshalJSON() ([]byte, error) {
+	b := sweep.AppendString(append(make([]byte, 0, 4<<10), `{"lease_id":`...), rr.LeaseID)
+	return append(sweep.AppendWireResult(append(b, `,"result":`...), rr.Result), '}'), nil
+}
+
+// UnmarshalJSON decodes the canonical form directly and anything else
+// through encoding/json.
+func (rr *ResultRequest) UnmarshalJSON(b []byte) error {
+	s := sweep.NewScan(b)
+	v := ResultRequest{LeaseID: s.Lit(`{"lease_id":`).Str(), Result: s.Lit(`,"result":`).WireResult()}
+	if s.Lit("}").Done() {
+		*rr = v
+		return nil
+	}
+	type plain ResultRequest
+	return json.Unmarshal(b, (*plain)(rr))
+}
+
 // Snapshot is the lease accounting, served at /v1/stats. Expired counts
 // timed-out leases still waiting for a late result; it returns to zero as
 // their jobs complete, fail, or are abandoned, so a persistent server holds
@@ -137,7 +157,7 @@ func (s *Server) withdrawLocked(t *task) {
 func (s *Server) failLocked(t *task, err error) {
 	t.completed = true
 	s.withdrawLocked(t)
-	s.logLocked(t, encodeResult(sweep.WireResult{Index: t.index, Err: err.Error()}), nil)
+	s.logLocked(t, sweep.MarshalWireResult(sweep.WireResult{Index: t.index, Err: err.Error()}), nil)
 }
 
 // requeueExpiredLocked re-queues every lease past its deadline, failing
@@ -258,7 +278,7 @@ func (s *Server) report(leaseID string, r sweep.WireResult, base string) bool {
 		return false
 	}
 	s.observe(tm)
-	enc := encodeResult(sweep.WireResult{Index: t.index, Res: r.Res, Err: r.Err, Timing: tm})
+	enc := sweep.MarshalWireResult(sweep.WireResult{Index: t.index, Res: r.Res, Err: r.Err, Timing: tm})
 	s.mu.Lock()
 	s.logLocked(t, enc, tm)
 	s.mu.Unlock()
@@ -422,11 +442,20 @@ func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 		http.Error(w, "body checksum mismatch (damaged in transit)", http.StatusServiceUnavailable)
 		return false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := unmarshal(body, v); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
 	return true
+}
+
+// unmarshal is json.Unmarshal, except that a json.Unmarshaler is handed
+// the bytes directly, without encoding/json's validating pre-scan.
+func unmarshal(b []byte, v any) error {
+	if u, ok := v.(json.Unmarshaler); ok {
+		return u.UnmarshalJSON(b)
+	}
+	return json.Unmarshal(b, v)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -443,20 +472,4 @@ func writeBody(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(sumHeader, bodySum(b))
 	w.Write(b)
-}
-
-// encodeResult is the one encoding of a delivered result. A result that
-// cannot be encoded is delivered as an error saying why.
-func encodeResult(r sweep.WireResult) json.RawMessage {
-	b, err := json.Marshal(r)
-	if err != nil {
-		b, _ = json.Marshal(sweep.WireResult{Index: r.Index, Err: "grid: encode result: " + err.Error()})
-	}
-	return b
-}
-
-// quote is s as a JSON string, as json.Marshal writes it.
-func quote(s string) []byte {
-	q, _ := json.Marshal(s)
-	return q
 }

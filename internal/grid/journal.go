@@ -211,10 +211,7 @@ func readJournal(path string) ([]journalRecord, int, error) {
 	}
 	var records []journalRecord
 	off := 0
-	for {
-		if off+8 > len(b) {
-			break
-		}
+	for off+8 <= len(b) {
 		n := int(binary.BigEndian.Uint32(b[off:]))
 		sum := binary.BigEndian.Uint32(b[off+4:])
 		if off+8+n > len(b) {
@@ -260,8 +257,8 @@ func replayState(snap stateSnapshot, records []journalRecord) ([]recoveredSweep,
 			rs.Jobs[je.Index] = je.Job
 		}
 		for _, enc := range ss.Log {
-			var res sweep.WireResult
-			if err := json.Unmarshal(enc, &res); err != nil {
+			res, err := sweep.DecodeWireResult(enc)
+			if err != nil {
 				return nil, err
 			}
 			if !rs.logged[res.Index] {
@@ -323,7 +320,7 @@ func recoveredSnapshots(recovered []recoveredSweep) []sweepSnapshot {
 	for _, rs := range recovered {
 		ss := sweepSnapshot{ID: rs.ID, Nonce: rs.Nonce, Tenant: rs.Tenant}
 		for _, res := range rs.Log {
-			ss.Log = append(ss.Log, encodeResult(res))
+			ss.Log = append(ss.Log, sweep.MarshalWireResult(res))
 		}
 		for idx, j := range rs.Jobs {
 			ss.addJob(idx, j, rs.logged[idx], rs.Incidents[idx])
@@ -367,7 +364,7 @@ func appendFrame(b []byte, rec journalRecord) ([]byte, error) {
 	off := len(b)
 	b = append(b, make([]byte, 8)...)
 	if rec.Result != nil {
-		b = fmt.Appendf(b, `{"op":%s,"sweep":%s,"result":%s}`, quote(rec.Op), quote(rec.Sweep), rec.Result)
+		b = fmt.Appendf(b, `{"op":%s,"sweep":%s,"result":%s}`, sweep.AppendString(nil, rec.Op), sweep.AppendString(nil, rec.Sweep), rec.Result)
 	} else {
 		payload, err := json.Marshal(rec)
 		if err != nil {

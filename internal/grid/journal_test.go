@@ -180,7 +180,7 @@ func TestReplayIdempotent(t *testing.T) {
 	snap := stateSnapshot{Version: stateFormatVersion, Sweeps: []sweepSnapshot{{
 		ID: "s-aaaa", Nonce: "n-1", Tenant: "anonymous",
 		Jobs: []jobEntry{{Index: 0, Job: jobs[0]}, {Index: 1, Job: jobs[1]}},
-		Log:  []json.RawMessage{encodeResult(sweep.WireResult{Index: 1, Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}})},
+		Log:  []json.RawMessage{sweep.MarshalWireResult(sweep.WireResult{Index: 1, Res: &core.Results{Stats: &pipeline.Stats{Committed: 2}}})},
 	}}}
 	recovered, err := replayState(snap, recs)
 	if err != nil {

@@ -187,6 +187,26 @@ type ResultBatch struct {
 	Done      bool `json:"done"`
 }
 
+// UnmarshalJSON decodes the canonical form (batchJSON) directly and
+// anything else through encoding/json.
+func (rb *ResultBatch) UnmarshalJSON(b []byte) error {
+	s := sweep.NewScan(b)
+	v := ResultBatch{
+		SweepID:   s.Lit(`{"sweep_id":`).Str(),
+		Next:      s.Lit(`,"next":`).Int(),
+		Results:   s.Lit(`,"results":`).WireResults(),
+		Submitted: s.Lit(`,"submitted":`).Int(),
+		Completed: s.Lit(`,"completed":`).Int(),
+		Done:      s.Lit(`,"done":`).Bool(),
+	}
+	if s.Lit("}").Done() {
+		*rb = v
+		return nil
+	}
+	type plain ResultBatch
+	return json.Unmarshal(b, (*plain)(rb))
+}
+
 // sweepState tracks one submitted sweep, guarded by Server.mu. Entries of
 // log are never changed once appended, so a log prefix sliced under the
 // lock can be read after it is released.
@@ -297,7 +317,7 @@ func (s *Server) adoptLocked(rs recoveredSweep, tenant *tenantState) int {
 	st := newSweep(rs.ID, rs.Nonce, tenant, s.opts.now())
 	for _, res := range rs.Log {
 		st.slots[res.Index] = &task{index: res.Index, job: rs.Jobs[res.Index], st: st, completed: true, logged: true}
-		st.log = append(st.log, encodeResult(res))
+		st.log = append(st.log, sweep.MarshalWireResult(res))
 		if res.Timing != nil {
 			st.spans.Add(*res.Timing)
 			st.timed++
@@ -584,7 +604,7 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 // result again. A nil results (nothing logged yet) is null, as json.Marshal
 // writes a nil slice.
 func batchJSON(id string, next int, results []json.RawMessage, submitted, completed int) []byte {
-	b := fmt.Appendf(nil, `{"sweep_id":%s,"next":%d,"results":`, quote(id), next)
+	b := fmt.Appendf(sweep.AppendString([]byte(`{"sweep_id":`), id), `,"next":%d,"results":`, next)
 	if results == nil {
 		b = append(b, "null"...)
 	} else {

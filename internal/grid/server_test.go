@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"safespec/internal/core"
+	"safespec/internal/obs"
 	"safespec/internal/pipeline"
 	"safespec/internal/sweep"
 )
@@ -246,6 +248,58 @@ func TestCancelledWorkerJobRequeued(t *testing.T) {
 	}
 	if s := server.Stats(); s.Requeued == 0 {
 		t.Errorf("lease loss not accounted: %+v", s)
+	}
+}
+
+// TestWorkerCancelledMidReport: a worker stopped while its result POST is
+// in flight still delivers the result. The coordinator accepts it, the
+// worker counts it completed, and nothing is logged as discarded.
+func TestWorkerCancelledMidReport(t *testing.T) {
+	server := NewServer(ServerOptions{})
+	inReport, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	h := server.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/v1/result" {
+			once.Do(func() { close(inReport) })
+			<-release
+		}
+		h.ServeHTTP(w, req)
+	}))
+	t.Cleanup(srv.Close)
+	done := runAsync(t, server, srv.URL, smallJobs(t, "exchange2")[:1])
+
+	var logs bytes.Buffer
+	m := NewWorkerMetrics(obs.NewRegistry())
+	ctx, cancel := context.WithCancel(context.Background())
+	wk := &Worker{Coordinator: srv.URL, ID: "w", Parallel: 1, Poll: 5 * time.Millisecond,
+		Metrics: m, Log: slog.New(slog.NewJSONHandler(&logs, nil))}
+	exited := make(chan error, 1)
+	go func() { exited <- wk.Run(ctx) }()
+	select {
+	case <-inReport:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never reported")
+	}
+	cancel()
+	time.Sleep(50 * time.Millisecond) // the cancel reaches the in-flight POST first
+	close(release)
+	if err := <-exited; err != nil {
+		t.Fatalf("cancelled worker must exit clean, got %v", err)
+	}
+	select {
+	case results := <-done:
+		if results[0].Err != nil || results[0].Res == nil {
+			t.Fatalf("sweep got %+v", results[0])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reported result never reached the sweep")
+	}
+	if c, r := m.Completed.Value(), m.Requeued.Value(); c != 1 || r != 0 {
+		t.Errorf("completed = %d, requeued = %d; want 1 and 0", c, r)
+	}
+	if strings.Contains(logs.String(), "result discarded") {
+		t.Errorf("an accepted result was logged as discarded:\n%s", logs.String())
 	}
 }
 

@@ -241,14 +241,9 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		if got.timing != nil && got.timing.SimulateNS > 0 {
 			m.SimulateTime.Observe(time.Duration(got.timing.SimulateNS).Seconds())
 		}
-		reportCtx, cancelReport := ctx, context.CancelFunc(func() {})
-		if ctx.Err() != nil {
-			// The worker is shutting down but the job finished anyway (the
-			// local simulator runs to completion): deliver the result on a
-			// short detached deadline instead of throwing the work away and
-			// making another worker wait out the lease TTL to redo it.
-			reportCtx, cancelReport = context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
-		}
+		// A finished job is delivered, not thrown away for another worker
+		// to redo after the lease TTL.
+		reportCtx, cancelReport := detached(ctx, 10*time.Second)
 		err = w.report(reportCtx, client, lease.LeaseID, out)
 		cancelReport()
 		if err != nil {
@@ -365,15 +360,21 @@ func (w *Worker) execContained(ctx context.Context, lease LeaseResponse, exec sw
 	}
 }
 
+// detached returns a context that outlives ctx's cancel by grace, for a
+// POST that must not be cut off when the worker stops, even mid-request
+// after the coordinator has acted on it. Call cancel when the POST is done.
+func detached(ctx context.Context, grace time.Duration) (context.Context, context.CancelFunc) {
+	dctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	stop := context.AfterFunc(ctx, func() { time.AfterFunc(grace, cancel) })
+	return dctx, func() { stop(); cancel() }
+}
+
 // reportIncident posts one contained failure, best-effort: a few transport
 // retries, then give up — the coordinator's lease TTL covers a lost
-// incident the same way it covers a lost worker. A shutting-down worker
-// reports on a short detached deadline, like final results.
+// incident the same way it covers a lost worker. A stopping worker still
+// reports for a short grace, like final results.
 func (w *Worker) reportIncident(ctx context.Context, client *http.Client, inc IncidentRequest) {
-	rctx, cancel := ctx, context.CancelFunc(func() {})
-	if ctx.Err() != nil {
-		rctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-	}
+	rctx, cancel := detached(ctx, 5*time.Second)
 	defer cancel()
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 && !w.sleep(rctx, reportRetry.pause(attempt-1)) {

@@ -88,6 +88,9 @@ func TestPutRoundTripsExactly(t *testing.T) {
 	if !reflect.DeepEqual(back, res) {
 		t.Fatalf("round trip changed the result:\n got %+v\nwant %+v", back, res)
 	}
+	if fast, ok := decodeCanonical(key, got); !ok || !reflect.DeepEqual(fast, res) {
+		t.Fatalf("the direct decoder refused or changed an entry Put wrote (ok=%v)", ok)
+	}
 }
 
 // TestFlippedDigitResimulated: one digit changed inside a stored result's
@@ -133,7 +136,8 @@ func TestFlippedDigitResimulated(t *testing.T) {
 }
 
 // BenchmarkCacheGet times one hit on an entry holding a simulated result
-// with its occupancy histograms (about 3.5 KB of JSON).
+// with its occupancy histograms (about 3.5 KB of JSON), read and decoded
+// through the result codec and, for comparison, through encoding/json.
 func BenchmarkCacheGet(b *testing.B) {
 	cache, err := Open(b.TempDir())
 	if err != nil {
@@ -143,10 +147,24 @@ func BenchmarkCacheGet(b *testing.B) {
 	if err := cache.Put(key, res); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, ok, err := cache.Get(key); !ok || err != nil {
-			b.Fatalf("Get: ok=%v err=%v", ok, err)
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, ok, err := cache.Get(key); !ok || err != nil {
+				b.Fatalf("Get: ok=%v err=%v", ok, err)
+			}
 		}
-	}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			raw, err := os.ReadFile(cache.path(key))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := decodeEntry(key, raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -137,29 +137,58 @@ func (c *Cache) Get(key string) (*core.Results, bool, error) {
 	if c.readFault != nil {
 		b = c.readFault(b)
 	}
-	// The result stays raw until its stored bytes have passed the checksum,
-	// so it is decoded once and never re-encoded.
-	var e envelope
-	if err := json.Unmarshal(b, &e); err != nil {
-		c.errs.Add(1)
-		return nil, false, fmt.Errorf("resultcache: corrupt entry %s: %w", key, err)
-	}
-	if e.Version != FormatVersion || e.Key != key || len(e.Res) == 0 || string(e.Res) == "null" {
-		c.errs.Add(1)
-		return nil, false, fmt.Errorf("resultcache: entry %s does not match its address (version %d, key %q)",
-			key, e.Version, e.Key)
-	}
-	if e.Sum != "" && resSum(e.Res) != e.Sum {
-		c.errs.Add(1)
-		return nil, false, fmt.Errorf("resultcache: entry %s failed its checksum (bit rot or damaged write)", key)
-	}
-	res := new(core.Results)
-	if err := json.Unmarshal(e.Res, res); err != nil {
-		c.errs.Add(1)
-		return nil, false, fmt.Errorf("resultcache: corrupt entry %s: %w", key, err)
+	res, ok := decodeCanonical(key, b)
+	if !ok {
+		if res, err = decodeEntry(key, b); err != nil {
+			c.errs.Add(1)
+			return nil, false, err
+		}
 	}
 	c.hits.Add(1)
 	return res, true, nil
+}
+
+// decodeEntry decodes an entry through encoding/json, judging any form.
+// The result stays raw until its stored bytes have passed the checksum, so
+// it is decoded once and never re-encoded.
+func decodeEntry(key string, b []byte) (*core.Results, error) {
+	var e envelope
+	if err := json.Unmarshal(b, &e); err != nil {
+		return nil, fmt.Errorf("resultcache: corrupt entry %s: %w", key, err)
+	}
+	if e.Version != FormatVersion || e.Key != key || len(e.Res) == 0 || string(e.Res) == "null" {
+		return nil, fmt.Errorf("resultcache: entry %s does not match its address (version %d, key %q)",
+			key, e.Version, e.Key)
+	}
+	if e.Sum != "" && resSum(e.Res) != e.Sum {
+		return nil, fmt.Errorf("resultcache: entry %s failed its checksum (bit rot or damaged write)", key)
+	}
+	res := new(core.Results)
+	if err := json.Unmarshal(e.Res, res); err != nil {
+		return nil, fmt.Errorf("resultcache: corrupt entry %s: %w", key, err)
+	}
+	return res, nil
+}
+
+// decodeCanonical decodes an entry in the exact form Put writes, without
+// reflection, when it matches its address and its checksum. It reports
+// false for anything else, which Get hands to decodeEntry, so what Get
+// accepts, refuses and returns never depends on this path.
+func decodeCanonical(key string, b []byte) (*core.Results, bool) {
+	s := sweep.NewScan(b)
+	version := s.Lit(`{"version":`).Int()
+	k := s.Lit(`,"key":`).Str()
+	sum := ""
+	if s.Opt(`,"sum":`) {
+		sum = s.Str()
+	}
+	raw, ok := bytes.CutSuffix(s.Lit(`,"res":`).Rest(), []byte("}\n"))
+	if !ok || version != FormatVersion || k != key || sum != "" && resSum(raw) != sum {
+		return nil, false
+	}
+	rs := sweep.NewScan(raw)
+	res := rs.Results()
+	return res, res != nil && rs.Done()
 }
 
 // Put stores res under key atomically. Only successful results are worth
@@ -171,19 +200,17 @@ func (c *Cache) Put(key string, res *core.Results) error {
 	if res == nil {
 		return fmt.Errorf("resultcache: refusing to store nil result under %s", key)
 	}
-	enc, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(envelope{Version: FormatVersion, Key: key, Sum: resSum(enc), Res: enc}); err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
+	// The envelope json.NewEncoder writes, followed by its newline.
+	enc := sweep.AppendResults(make([]byte, 0, 4<<10), res)
+	b := strconv.AppendInt(append(make([]byte, 0, len(enc)+len(key)+64), `{"version":`...), FormatVersion, 10)
+	b = sweep.AppendString(append(b, `,"key":`...), key)
+	b = sweep.AppendString(append(b, `,"sum":`...), resSum(enc))
+	b = append(append(append(b, `,"res":`...), enc...), "}\n"...)
 	dst := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	if err := writeAtomic(c.dir, dst, buf.Bytes()); err != nil {
+	if err := writeAtomic(c.dir, dst, b); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
 	c.puts.Add(1)

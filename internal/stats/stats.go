@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -196,38 +197,64 @@ type histogramJSON struct {
 }
 
 // MarshalJSON encodes the histogram for the sweep result cache and the grid
-// wire protocol. The bytes equal json.Marshal(histogramJSON{Counts: counts}):
-// the counts are written with strconv rather than through reflection, since
-// they are more than half of an encoded result.
+// wire protocol, as AppendJSON writes it.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
+	return h.AppendJSON(make([]byte, 0, len(`{"counts":[]}`)+4*len(h.counts))), nil
+}
+
+// AppendJSON appends the histogram's canonical encoding to b. The bytes
+// equal json.Marshal(histogramJSON{Counts: counts}): the counts are written
+// with strconv rather than through reflection, since they are more than
+// half of an encoded result.
+func (h *Histogram) AppendJSON(b []byte) []byte {
 	if h.counts == nil {
-		return []byte(`{"counts":null}`), nil
+		return append(b, `{"counts":null}`...)
 	}
-	b := make([]byte, 0, len(`{"counts":[]}`)+4*len(h.counts))
-	b = append(b, `{"counts":[`...)
+	b = append(slices.Grow(b, len(`{"counts":[]}`)+2*len(h.counts)), `{"counts":[`...)
 	for i, c := range h.counts {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendUint(b, c, 10)
+		if c < 10 {
+			b = append(b, byte('0'+c))
+		} else {
+			b = strconv.AppendUint(b, c, 10)
+		}
 	}
-	return append(b, "]}"...), nil
+	return append(b, "]}"...)
 }
 
 // UnmarshalJSON decodes a histogram, recomputing the sample count, sum and
 // maximum from the counts. The round trip is exact: all fields are integers.
-// The canonical form MarshalJSON writes is parsed directly; any other input
+// The canonical form AppendJSON writes is parsed directly; any other input
 // goes through json.Unmarshal, so what is accepted and what it decodes to do
 // not depend on the fast path.
 func (h *Histogram) UnmarshalJSON(b []byte) error {
-	counts, ok := parseCanonicalCounts(b)
-	if !ok {
-		var w histogramJSON
-		if err := json.Unmarshal(b, &w); err != nil {
-			return err
-		}
-		counts = w.Counts
+	if h.DecodeCanonical(b) {
+		return nil
 	}
+	var w histogramJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	h.setCounts(w.Counts)
+	return nil
+}
+
+// DecodeCanonical sets h from b when b is the canonical encoding
+// `{"counts":[c0,c1,...]}` that AppendJSON writes for a histogram with
+// counts, and reports whether it was; h is unchanged when it reports false.
+// It decodes b exactly as UnmarshalJSON does.
+func (h *Histogram) DecodeCanonical(b []byte) bool {
+	counts, ok := parseCanonicalCounts(b)
+	if ok {
+		h.setCounts(counts)
+	}
+	return ok
+}
+
+// setCounts installs counts and recomputes the derived fields.
+func (h *Histogram) setCounts(counts []uint64) {
 	if len(counts) == 0 {
 		counts = make([]uint64, 1)
 	}
@@ -241,7 +268,6 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 		h.sum += uint64(v) * c
 		h.max = v
 	}
-	return nil
 }
 
 // parseCanonicalCounts parses exactly `{"counts":[c0,c1,...]}` with each
@@ -258,17 +284,30 @@ func parseCanonicalCounts(b []byte) ([]uint64, bool) {
 		return counts, true
 	}
 	for {
-		var c uint64
+		if len(body) > 1 && body[1] == ',' && body[0]-'0' <= 9 {
+			// Most counts are one digit, most of them zero.
+			counts = append(counts, uint64(body[0]-'0'))
+			body = body[2:]
+			continue
+		}
 		i := 0
-		for ; i < len(body) && body[i] >= '0' && body[i] <= '9'; i++ {
-			d := uint64(body[i] - '0')
-			if c > (math.MaxUint64-d)/10 {
+		for i < len(body) && body[i]-'0' <= 9 {
+			i++
+		}
+		digits := body[:i]
+		if i == 0 || (i > 1 && digits[0] == '0') {
+			return nil, false
+		}
+		var c uint64
+		if i < 20 { // at most 19 digits cannot overflow
+			for _, d := range digits {
+				c = c*10 + uint64(d-'0')
+			}
+		} else {
+			var err error
+			if c, err = strconv.ParseUint(string(digits), 10, 64); err != nil {
 				return nil, false
 			}
-			c = c*10 + d
-		}
-		if i == 0 || (i > 1 && body[0] == '0') {
-			return nil, false
 		}
 		counts = append(counts, c)
 		if i == len(body) {

@@ -147,7 +147,8 @@ const batchResults = 16
 // BenchmarkResultCodec times the grid wire path of a simulated result with
 // its occupancy histograms (about 3 KB of JSON): encoding one result, as a
 // worker report and the coordinator's log do, and decoding a batch of
-// batchResults of them, as a result-stream poll does. us/result is the
+// batchResults of them, as a result-stream poll does. Each runs through the
+// result codec and, for comparison, through encoding/json. us/result is the
 // decode cost per result.
 func BenchmarkResultCodec(b *testing.B) {
 	spec := Quick()
@@ -162,11 +163,8 @@ func BenchmarkResultCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := results[0]
-	enc, err := json.Marshal(r.Wire())
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := results[0].Wire()
+	enc := AppendWireResult(nil, w)
 	batch := []byte(`{"results":[`)
 	for i := range batchResults {
 		if i > 0 {
@@ -175,26 +173,51 @@ func BenchmarkResultCodec(b *testing.B) {
 		batch = append(batch, enc...)
 	}
 	batch = append(batch, "]}"...)
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(enc)))
-		for b.Loop() {
-			if _, err := json.Marshal(r.Wire()); err != nil {
-				b.Fatal(err)
+	encoders := map[string]func() []byte{
+		"codec": func() []byte { return MarshalWireResult(w) },
+		"json": func() []byte {
+			b, _ := json.Marshal(w)
+			return b
+		},
+	}
+	decoders := map[string]func() []WireResult{
+		"codec": func() []WireResult {
+			s := NewScan(batch)
+			rs := s.Lit(`{"results":`).WireResults()
+			if !s.Lit("}").Done() {
+				return nil
 			}
-		}
-	})
-	b.Run("decode-batch", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(batch)))
-		for b.Loop() {
+			return rs
+		},
+		"json": func() []WireResult {
 			var back struct{ Results []WireResult }
-			if err := json.Unmarshal(batch, &back); err != nil || len(back.Results) != batchResults {
-				b.Fatal(err)
+			json.Unmarshal(batch, &back)
+			return back.Results
+		},
+	}
+	for _, name := range []string{"codec", "json"} {
+		b.Run("encode/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for b.Loop() {
+				if len(encoders[name]()) != len(enc) {
+					b.Fatal("encoding moved")
+				}
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batchResults), "us/result")
-	})
+		})
+	}
+	for _, name := range []string{"codec", "json"} {
+		b.Run("decode-batch/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(batch)))
+			for b.Loop() {
+				if len(decoders[name]()) != batchResults {
+					b.Fatal("batch did not decode")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batchResults), "us/result")
+		})
+	}
 }
 
 // TestResultJSONErrorPreserved is the error-serialization contract: an

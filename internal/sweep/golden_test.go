@@ -3,8 +3,10 @@ package sweep_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"safespec/internal/sweep"
@@ -84,11 +86,12 @@ func TestGoldenFullJSONLByteIdentity(t *testing.T) {
 func checkGoldenJSONL(t *testing.T, jobs []sweep.Job, path string) {
 	t.Helper()
 	var buf bytes.Buffer
-	_, err := sweep.Run(context.Background(), jobs,
+	results, err := sweep.Run(context.Background(), jobs,
 		sweep.Options{Workers: 4, Sinks: []sweep.Sink{sweep.NewJSONL(&buf)}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResultCodec(t, results)
 	maybeUpdate(t, path, buf.Bytes())
 	want, err := os.ReadFile(path)
 	if err != nil {
@@ -97,6 +100,28 @@ func checkGoldenJSONL(t *testing.T, jobs []sweep.Job, path string) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("%s: JSONL diverged from golden (%d vs %d bytes);\n"+
 			"single-thread results must stay byte-identical", path, buf.Len(), len(want))
+	}
+}
+
+// checkResultCodec re-encodes every result through the fleet result codec:
+// the bytes must equal json.Marshal's, and the fast decoder must read them
+// back to an equal result.
+func checkResultCodec(t *testing.T, results []sweep.Result) {
+	t.Helper()
+	for _, r := range results {
+		w := r.Wire()
+		want, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sweep.AppendWireResult(nil, w)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: codec encoding differs from json.Marshal:\n got %s\nwant %s", r.Job, got, want)
+		}
+		s := sweep.NewScan(got)
+		if back := s.WireResult(); !s.Done() || !reflect.DeepEqual(back, w) {
+			t.Fatalf("%s: codec decoding differs (fast path taken: %v)", r.Job, s.Done())
+		}
 	}
 }
 
