@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -241,6 +242,8 @@ func TestResultRequestCodec(t *testing.T) {
 		`{"result":{"index":2,"err":"x"},"lease_id":"w/0-1"}`,
 		`{"lease_id":"w/0-1","result":{"index":2,"job":{"Bench":"mcf"},"err":"x"}}`,
 		`{"lease_id":"w/0-1","result":{"index":2,"err":"x"}`,
+		`{"lease_id":7,"result":{"index":2,"err":"x"}}`,
+		`{"lease_id":"w/0-1","result":5}`,
 	} {
 		var got ResultRequest
 		var want plain
@@ -248,6 +251,17 @@ func TestResultRequestCodec(t *testing.T) {
 		if (err == nil) != (werr == nil) || !reflect.DeepEqual(got, ResultRequest(want)) {
 			t.Errorf("%s decodes to %+v (err %v), encoding/json to %+v (err %v)", body, got, err, want, werr)
 		}
+		// A refused body's error names the request, not the method-free
+		// copy the fallback decodes into.
+		if werr != nil {
+			if want := strings.Replace(werr.Error(), "plain.", "ResultRequest.", 1); err.Error() != want {
+				t.Errorf("%s is refused with %q, want %q", body, err, want)
+			}
+		}
+	}
+	var batch ResultBatch
+	if err := batch.UnmarshalJSON([]byte(`{"sweep_id":1}`)); err == nil || !strings.Contains(err.Error(), "field ResultBatch.sweep_id") {
+		t.Errorf("a batch with a numeric sweep id is refused with %v, want an error naming ResultBatch.sweep_id", err)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -88,7 +89,7 @@ func (rr *ResultRequest) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	type plain ResultRequest
-	return json.Unmarshal(b, (*plain)(rr))
+	return decodePlain(b, (*plain)(rr), "ResultRequest")
 }
 
 // Snapshot is the lease accounting, served at /v1/stats. Expired counts
@@ -456,6 +457,17 @@ func unmarshal(b []byte, v any) error {
 		return u.UnmarshalJSON(b)
 	}
 	return json.Unmarshal(b, v)
+}
+
+// decodePlain is json.Unmarshal into v, a pointer to a method-free copy
+// of the type named name, with a type error naming name, as it would
+// without the copy.
+func decodePlain(b []byte, v any, name string) error {
+	err := json.Unmarshal(b, v)
+	if te, ok := err.(*json.UnmarshalTypeError); ok && te.Struct == reflect.TypeOf(v).Elem().Name() {
+		te.Struct = name
+	}
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

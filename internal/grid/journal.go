@@ -211,7 +211,10 @@ func readJournal(path string) ([]journalRecord, int, error) {
 	}
 	var records []journalRecord
 	off := 0
-	for off+8 <= len(b) {
+	for {
+		if off+8 > len(b) {
+			break
+		}
 		n := int(binary.BigEndian.Uint32(b[off:]))
 		sum := binary.BigEndian.Uint32(b[off+4:])
 		if off+8+n > len(b) {

@@ -136,8 +136,8 @@ func (r *RemoteExecutor) Submit(ctx context.Context, jobs []sweep.Job) error {
 	r.mu.Lock()
 	nonce := r.nonceLocked()
 	r.mu.Unlock()
-	var resp SubmitResponse
-	if err := r.post(ctx, "/v1/sweeps", SubmitRequest{Jobs: jobs, Nonce: nonce}, &resp); err != nil {
+	resp, err := r.openSweep(ctx, jobs, nonce)
+	if err != nil {
 		return fmt.Errorf("grid: submit sweep to %s: %w", r.URL, err)
 	}
 	r.mu.Lock()
@@ -161,6 +161,16 @@ func (r *RemoteExecutor) nonceLocked() string {
 		r.nonce = newNonce()
 	}
 	return r.nonce
+}
+
+// openSweep POSTs a sweep-creation request carrying jobs (nil opens an
+// empty sweep for incremental submission). The nonce makes the retried
+// POST idempotent: if an attempt landed but its response was lost, the
+// coordinator hands back the existing sweep instead of double-running it.
+func (r *RemoteExecutor) openSweep(ctx context.Context, jobs []sweep.Job, nonce string) (SubmitResponse, error) {
+	var resp SubmitResponse
+	err := r.post(ctx, "/v1/sweeps", SubmitRequest{Jobs: jobs, Nonce: nonce}, &resp)
+	return resp, err
 }
 
 // post sends one POST through retry and turns any final status but 200
@@ -413,8 +423,8 @@ func (r *RemoteExecutor) dispatch(w sweep.WireResult) {
 func (r *RemoteExecutor) ensure(ctx context.Context, index int, j sweep.Job) (string, error) {
 	r.mu.Lock()
 	if r.sweepID == "" {
-		var resp SubmitResponse
-		if err := r.post(ctx, "/v1/sweeps", SubmitRequest{Nonce: r.nonceLocked()}, &resp); err != nil {
+		resp, err := r.openSweep(ctx, nil, r.nonceLocked())
+		if err != nil {
 			r.mu.Unlock()
 			return "", fmt.Errorf("grid: open sweep on %s: %w", r.URL, err)
 		}
@@ -496,10 +506,13 @@ func (r *RemoteExecutor) Close() error {
 func (r *RemoteExecutor) Stats(ctx context.Context) (ServerSnapshot, error) {
 	var snap ServerSnapshot
 	status, err := r.call(ctx, http.MethodGet, "/v1/stats", nil, &snap)
-	if err == nil && status != http.StatusOK {
-		err = fmt.Errorf("grid: stats: unexpected status %d", status)
+	if err != nil {
+		return snap, err
 	}
-	return snap, err
+	if status != http.StatusOK {
+		return snap, fmt.Errorf("grid: stats: unexpected status %d", status)
+	}
+	return snap, nil
 }
 
 // remoteRetry is the executor's backoff schedule for transport faults and

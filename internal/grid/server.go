@@ -204,7 +204,7 @@ func (rb *ResultBatch) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	type plain ResultBatch
-	return json.Unmarshal(b, (*plain)(rb))
+	return decodePlain(b, (*plain)(rb), "ResultBatch")
 }
 
 // sweepState tracks one submitted sweep, guarded by Server.mu. Entries of

@@ -1,13 +1,10 @@
 package grid
 
 import (
-	"cmp"
 	"fmt"
 	"html/template"
 	"io"
-	"maps"
-	"slices"
-	"strings"
+	"sort"
 	"time"
 
 	"safespec/internal/sweep"
@@ -89,50 +86,77 @@ func (s *Server) WriteStatus(w io.Writer) {
 	now := s.opts.now()
 	page := statusPage{Now: now.UTC().Format(time.RFC3339), Snap: s.Stats()}
 	s.mu.Lock()
-	states := slices.SortedFunc(maps.Values(s.sweeps), func(a, b *sweepState) int {
-		return cmp.Or(a.created.Compare(b.created), strings.Compare(a.id, b.id))
+	states := make([]*sweepState, 0, len(s.sweeps))
+	for _, st := range s.sweeps {
+		states = append(states, st)
+	}
+	sort.Slice(states, func(i, j int) bool {
+		if !states[i].created.Equal(states[j].created) {
+			return states[i].created.Before(states[j].created)
+		}
+		return states[i].id < states[j].id
 	})
+
 	for _, st := range states {
 		sw := statusSweep{
 			ID:        st.id,
-			Tenant:    st.tenant.Name,
 			Age:       now.Sub(st.created).Round(time.Second).String(),
 			Submitted: len(st.slots),
 			Completed: len(st.log),
 			Done:      len(st.slots) > 0 && len(st.log) == len(st.slots),
 		}
-		if n := int64(st.timed); n > 0 {
-			sw.Spans = sweep.Timing{QueueNS: st.spans.QueueNS / n, CacheNS: st.spans.CacheNS / n,
-				SimulateNS: st.spans.SimulateNS / n, ReportNS: st.spans.ReportNS / n}.String()
+		if st.tenant != nil {
+			sw.Tenant = st.tenant.Name
 		}
-		// Rows and columns in order of first appearance by job index.
+		if st.timed > 0 {
+			n := int64(st.timed)
+			mean := sweep.Timing{
+				QueueNS:    st.spans.QueueNS / n,
+				CacheNS:    st.spans.CacheNS / n,
+				SimulateNS: st.spans.SimulateNS / n,
+				ReportNS:   st.spans.ReportNS / n,
+			}
+			sw.Spans = mean.String()
+		}
+		indices := make([]int, 0, len(st.slots))
+		for i := range st.slots {
+			indices = append(indices, i)
+		}
+		sort.Ints(indices)
 		type counts struct{ done, total int }
-		cells := make(map[[2]string]*counts)
-		for _, i := range slices.Sorted(maps.Keys(st.slots)) {
+		cells := make(map[string]map[string]*counts)
+		for _, i := range indices {
 			t := st.slots[i]
-			cell := [2]string{t.job.Bench, t.job.Mode}
-			if !slices.Contains(sw.Benches, cell[0]) {
-				sw.Benches = append(sw.Benches, cell[0])
+			if cells[t.job.Bench] == nil {
+				sw.Benches = append(sw.Benches, t.job.Bench)
+				cells[t.job.Bench] = make(map[string]*counts)
 			}
-			if !slices.Contains(sw.Modes, cell[1]) {
-				sw.Modes = append(sw.Modes, cell[1])
+			if cells[t.job.Bench][t.job.Mode] == nil {
+				cells[t.job.Bench][t.job.Mode] = &counts{}
 			}
-			c := cells[cell]
-			if c == nil {
-				c = &counts{}
-				cells[cell] = c
-			}
+			c := cells[t.job.Bench][t.job.Mode]
 			c.total++
 			if t.logged {
 				c.done++
+			}
+		}
+		// Column order: first appearance across the whole matrix.
+		seenMode := make(map[string]bool)
+		for _, i := range indices {
+			if m := st.slots[i].job.Mode; !seenMode[m] {
+				seenMode[m] = true
+				sw.Modes = append(sw.Modes, m)
 			}
 		}
 		sw.Cells = make([][]statusCell, len(sw.Benches))
 		for bi, b := range sw.Benches {
 			sw.Cells[bi] = make([]statusCell, len(sw.Modes))
 			for mi, m := range sw.Modes {
-				if c := cells[[2]string{b, m}]; c != nil {
-					sw.Cells[bi][mi] = statusCell{Text: fmt.Sprintf("%d/%d", c.done, c.total), Full: c.done == c.total}
+				if c := cells[b][m]; c != nil {
+					sw.Cells[bi][mi] = statusCell{
+						Text: fmt.Sprintf("%d/%d", c.done, c.total),
+						Full: c.done == c.total,
+					}
 				}
 			}
 		}

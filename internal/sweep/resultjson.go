@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
-	"sync"
 
 	"safespec/internal/bpred"
 	"safespec/internal/cache"
@@ -238,18 +237,11 @@ func AppendWireResult(b []byte, w WireResult) []byte {
 	return append(e.b, '}')
 }
 
-// encodeBufs recycles MarshalWireResult's scratch buffers.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // MarshalWireResult returns w's encoding (AppendWireResult) in a slice of
 // its own length, for a caller that keeps it.
 func MarshalWireResult(w WireResult) []byte {
-	p := encodeBufs.Get().(*[]byte)
-	*p = AppendWireResult((*p)[:0], w)
-	out := make([]byte, len(*p))
-	copy(out, *p)
-	encodeBufs.Put(p)
-	return out
+	b := AppendWireResult(make([]byte, 0, 4<<10), w)
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // AppendString appends s as a JSON string, byte for byte as json.Marshal
