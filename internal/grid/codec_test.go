@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -404,6 +405,126 @@ func TestWorkerReportOmitsJob(t *testing.T) {
 		}
 		if i == 1 && (got.Err == "" || got.Res != nil) {
 			t.Errorf("report 1 carries err %q and res %v, want the job's error", got.Err, got.Res)
+		}
+	}
+}
+
+// presetJobs returns every job of the Quick and Full presets and of Quick
+// at Threads=2.
+func presetJobs(t *testing.T) []sweep.Job {
+	t.Helper()
+	smt := sweep.Quick()
+	smt.Threads = []int{2}
+	var all []sweep.Job
+	for _, spec := range []sweep.MatrixSpec{sweep.Quick(), sweep.Full(), smt} {
+		jobs, err := spec.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, jobs...)
+	}
+	return all
+}
+
+// matchesPlain fails t unless v (a LeaseResponse or SubmitRequest value)
+// encodes as json.Marshal of its method-free copy p writes, and decodes back
+// through back to a value equal to v.
+func matchesPlain(t *testing.T, v json.Marshaler, p any, back json.Unmarshaler) {
+	t.Helper()
+	got, err := v.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustJSON(t, p); !bytes.Equal(got, want) {
+		t.Fatalf("%T moved:\n got %s\nwant %s", v, got, want)
+	}
+	if err := back.UnmarshalJSON(got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reflect.ValueOf(back).Elem().Interface(), v) {
+		t.Fatalf("%s decodes to %+v", got, back)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestJobBodiesMatchJSON: every body that carries jobs (a lease, a
+// submission and an opJob journal frame) encodes as json.Marshal of the
+// plain struct writes it and decodes back to an equal value, for every
+// preset job; a body in any other form decodes as encoding/json decodes
+// it, with a refusal naming the public type.
+func TestJobBodiesMatchJSON(t *testing.T) {
+	type plainLease LeaseResponse
+	type plainSubmit SubmitRequest
+	jobs := presetJobs(t)
+	for i, j := range jobs {
+		lr := LeaseResponse{LeaseID: fmt.Sprintf("w <%d>/0-%d", i, i), Index: i, Job: j, TTLMS: 120_000}
+		if i%2 == 1 {
+			lr.SweepID = "s-" + lr.LeaseID
+		}
+		matchesPlain(t, lr, plainLease(lr), new(LeaseResponse))
+	}
+	for _, sr := range []SubmitRequest{{Jobs: jobs, Nonce: "n <&>"}, {Jobs: jobs[:1]}, {Nonce: "n-1"}, {}} {
+		matchesPlain(t, sr, plainSubmit(sr), new(SubmitRequest))
+	}
+	for _, index := range []int{0, 7} {
+		rec := journalRecord{Op: opJob, Sweep: "s-1", Index: index, Job: &jobs[index]}
+		frame, err := appendFrame(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustJSON(t, rec); !bytes.Equal(frame[8:], want) {
+			t.Fatalf("job frame at index %d moved:\n got %s\nwant %s", index, frame[8:], want)
+		}
+	}
+
+	job := string(sweep.AppendJob(nil, &jobs[0]))
+	for _, body := range []string{
+		`{"lease_id": "w/0-1", "index": 2, "job": ` + job + `, "ttl_ms": 5}`,
+		`{"index":2,"lease_id":"w/0-1","job":` + job + `,"ttl_ms":5}`,
+		`{"lease_id":"w/0-1","index":2,"job":null,"ttl_ms":5,"sweep_id":"s"}`,
+		`{"lease_id":"w/0-1","index":2,"job":` + job + `,"ttl_ms":5,"extra":1}`,
+		`{"lease_id":"w/0-1","index":2,"job":` + job + `,"ttl_ms":5`,
+		`{"lease_id":"w/0-1","index":2,"job":{"Seed":"x"},"ttl_ms":5}`,
+	} {
+		var got LeaseResponse
+		var want plainLease
+		err, werr := got.UnmarshalJSON([]byte(body)), json.Unmarshal([]byte(body), &want)
+		checkFallback(t, body, "LeaseResponse", got, LeaseResponse(want), err, werr)
+	}
+	for _, body := range []string{
+		`{ "jobs": [` + job + `], "nonce": "n" }`,
+		`{"nonce":"n","jobs":[` + job + `]}`,
+		`{"jobs":null}`,
+		`{"jobs":[` + job + `],}`,
+		`{"jobs":[` + job + `,]}`,
+		`{"jobs":[{"Bench":1}]}`,
+		`{"nonce":7}`,
+	} {
+		var got SubmitRequest
+		var want plainSubmit
+		err, werr := got.UnmarshalJSON([]byte(body)), json.Unmarshal([]byte(body), &want)
+		checkFallback(t, body, "SubmitRequest", got, SubmitRequest(want), err, werr)
+	}
+}
+
+// checkFallback fails t unless a body decoded to got with err as
+// encoding/json decoded it to want with werr, a refusal naming the type.
+func checkFallback(t *testing.T, body, name string, got, want any, err, werr error) {
+	t.Helper()
+	if (err == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s decodes to %+v (err %v), encoding/json to %+v (err %v)", body, got, err, want, werr)
+	}
+	if werr != nil && err != nil {
+		if want := regexp.MustCompile(`plain\w*\.`).ReplaceAllString(werr.Error(), name+"."); err.Error() != want {
+			t.Errorf("%s is refused with %q, want %q", body, err, want)
 		}
 	}
 }

@@ -26,7 +26,9 @@
 //
 // Job execution errors are final results (exactly as in a local run) and
 // travel as strings in sweep.WireResult; only lost leases retry. No result
-// carries its job: the sweep's job records hold it.
+// carries its job: the sweep's job records hold it. Leases, submissions,
+// reports, result batches and journal frames hold the bytes encoding/json
+// writes; the sweep codec (internal/sweep) builds them without reflection.
 package grid
 
 import (
@@ -63,6 +65,34 @@ type LeaseResponse struct {
 	SweepID string `json:"sweep_id,omitempty"`
 }
 
+// MarshalJSON writes json.Marshal's bytes through the sweep job codec.
+func (lr LeaseResponse) MarshalJSON() ([]byte, error) {
+	b := sweep.AppendString(append(make([]byte, 0, 2<<10), `{"lease_id":`...), lr.LeaseID)
+	b = strconv.AppendInt(append(b, `,"index":`...), int64(lr.Index), 10)
+	b = sweep.AppendJob(append(b, `,"job":`...), &lr.Job)
+	b = strconv.AppendInt(append(b, `,"ttl_ms":`...), lr.TTLMS, 10)
+	if lr.SweepID != "" {
+		b = sweep.AppendString(append(b, `,"sweep_id":`...), lr.SweepID)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads the canonical form directly, the rest via encoding/json.
+func (lr *LeaseResponse) UnmarshalJSON(b []byte) error {
+	s := sweep.NewScan(b)
+	v := LeaseResponse{LeaseID: s.Lit(`{"lease_id":`).Str(), Index: s.Lit(`,"index":`).Int(),
+		Job: s.Lit(`,"job":`).Job(), TTLMS: s.Lit(`,"ttl_ms":`).Int64()}
+	if s.Opt(`,"sweep_id":`) {
+		v.SweepID = s.Str()
+	}
+	if s.Lit("}").Done() {
+		*lr = v
+		return nil
+	}
+	type plain LeaseResponse
+	return decodePlain(b, (*plain)(lr), "LeaseResponse")
+}
+
 // ResultRequest reports a finished lease. Result carries the job's error
 // (if any) as a string; it is a final outcome, not a retry trigger. The
 // job is not sent: the server holds the one it leased, and the "job" key
@@ -72,15 +102,13 @@ type ResultRequest struct {
 	Result  sweep.WireResult `json:"result"`
 }
 
-// MarshalJSON writes the bytes json.Marshal writes for the plain struct,
-// through the sweep result codec.
+// MarshalJSON writes json.Marshal's bytes through the sweep result codec.
 func (rr ResultRequest) MarshalJSON() ([]byte, error) {
 	b := sweep.AppendString(append(make([]byte, 0, 4<<10), `{"lease_id":`...), rr.LeaseID)
 	return append(sweep.AppendWireResult(append(b, `,"result":`...), rr.Result), '}'), nil
 }
 
-// UnmarshalJSON decodes the canonical form directly and anything else
-// through encoding/json.
+// UnmarshalJSON reads the canonical form directly, the rest via encoding/json.
 func (rr *ResultRequest) UnmarshalJSON(b []byte) error {
 	s := sweep.NewScan(b)
 	v := ResultRequest{LeaseID: s.Lit(`{"lease_id":`).Str(), Result: s.Lit(`,"result":`).WireResult()}
@@ -450,6 +478,14 @@ func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 	return true
 }
 
+// marshal is json.Marshal, taking a json.Marshaler's bytes as they are.
+func marshal(v any) ([]byte, error) {
+	if m, ok := v.(json.Marshaler); ok {
+		return m.MarshalJSON()
+	}
+	return json.Marshal(v)
+}
+
 // unmarshal is json.Unmarshal, except that a json.Unmarshaler is handed
 // the bytes directly, without encoding/json's validating pre-scan.
 func unmarshal(b []byte, v any) error {
@@ -471,7 +507,7 @@ func decodePlain(b []byte, v any, name string) error {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
+	b, err := marshal(v)
 	if err != nil {
 		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
 		return

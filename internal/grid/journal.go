@@ -361,14 +361,22 @@ func (ss sweepSnapshot) sorted() sweepSnapshot {
 }
 
 // appendFrame appends rec's journal frame to b. A result is framed from
-// its logged bytes as they are, byte for byte as json.Marshal of the record
-// would write them. On an encoding failure b is returned unchanged.
+// its logged bytes as they are and a job through the job codec, byte for
+// byte as json.Marshal of the record would write them (an opJob record sets
+// only sweep, index and job). On an encoding failure b is unchanged.
 func appendFrame(b []byte, rec journalRecord) ([]byte, error) {
 	off := len(b)
 	b = append(b, make([]byte, 8)...)
-	if rec.Result != nil {
+	switch {
+	case rec.Result != nil:
 		b = fmt.Appendf(b, `{"op":%s,"sweep":%s,"result":%s}`, sweep.AppendString(nil, rec.Op), sweep.AppendString(nil, rec.Sweep), rec.Result)
-	} else {
+	case rec.Op == opJob:
+		b = sweep.AppendString(append(b, `{"op":"job","sweep":`...), rec.Sweep)
+		if rec.Index != 0 {
+			b = strconv.AppendInt(append(b, `,"index":`...), int64(rec.Index), 10)
+		}
+		b = append(sweep.AppendJob(append(b, `,"job":`...), rec.Job), '}')
+	default:
 		payload, err := json.Marshal(rec)
 		if err != nil {
 			return b[:off], fmt.Errorf("grid: journal encode: %w", err)

@@ -7,7 +7,6 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -579,13 +578,7 @@ func doJSON(ctx context.Context, client *http.Client, method, url, token, worker
 	var body io.Reader
 	var sum string
 	if in != nil {
-		var b []byte
-		var err error
-		if m, ok := in.(json.Marshaler); ok {
-			b, err = m.MarshalJSON() // as encoding/json would, without re-scanning it
-		} else {
-			b, err = json.Marshal(in)
-		}
+		b, err := marshal(in)
 		if err != nil {
 			return 0, err
 		}

@@ -155,6 +155,40 @@ type SubmitRequest struct {
 	Nonce string `json:"nonce,omitempty"`
 }
 
+// MarshalJSON writes json.Marshal's bytes through the sweep job codec.
+func (sr SubmitRequest) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	if len(sr.Jobs) > 0 {
+		b = append(sweep.AppendJobs(append(b, `"jobs":`...), sr.Jobs), ',')
+	}
+	if sr.Nonce != "" {
+		b = append(sweep.AppendString(append(b, `"nonce":`...), sr.Nonce), ',')
+	}
+	if b[len(b)-1] == ',' {
+		b = b[:len(b)-1] // no comma after the last field
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads the canonical form directly, the rest via encoding/json.
+func (sr *SubmitRequest) UnmarshalJSON(b []byte) error {
+	s := sweep.NewScan(b)
+	var v SubmitRequest
+	jobs := s.Lit("{").Opt(`"jobs":`)
+	if jobs {
+		v.Jobs = s.Jobs()
+	}
+	if jobs && s.Opt(`,"nonce":`) || !jobs && s.Opt(`"nonce":`) {
+		v.Nonce = s.Str()
+	}
+	if s.Lit("}").Done() {
+		*sr = v
+		return nil
+	}
+	type plain SubmitRequest
+	return decodePlain(b, (*plain)(sr), "SubmitRequest")
+}
+
 // SubmitResponse identifies the created sweep.
 type SubmitResponse struct {
 	SweepID string `json:"sweep_id"`
@@ -187,8 +221,7 @@ type ResultBatch struct {
 	Done      bool `json:"done"`
 }
 
-// UnmarshalJSON decodes the canonical form (batchJSON) directly and
-// anything else through encoding/json.
+// UnmarshalJSON reads batchJSON's form directly, the rest via encoding/json.
 func (rb *ResultBatch) UnmarshalJSON(b []byte) error {
 	s := sweep.NewScan(b)
 	v := ResultBatch{

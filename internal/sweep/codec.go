@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"time"
 
@@ -19,25 +18,24 @@ const jobHashDomain = "safespec/sweep.Job/v1\n"
 // Canonical returns the canonical JSON encoding of the job: the pipeline
 // configuration is normalized first, so two jobs that run identically —
 // e.g. a zero config and one with the Table I defaults spelled out — encode
-// to identical bytes. Every field of core.Config is a plain exported scalar
-// or struct (no maps), so the encoding is deterministic.
+// to identical bytes. The bytes are json.Marshal's (AppendJob), and the
+// error is always nil.
 func (j Job) Canonical() ([]byte, error) {
+	return j.appendCanonical(make([]byte, 0, 2<<10)), nil
+}
+
+func (j Job) appendCanonical(b []byte) []byte {
 	j.Config.Pipeline = j.Config.Pipeline.Normalize()
-	return json.Marshal(j)
+	return AppendJob(b, &j)
 }
 
 // Hash returns the job's content address: a hex SHA-256 over the versioned
 // canonical encoding. It is the key of internal/resultcache and the
 // identity of a job on the grid wire protocol.
 func (j Job) Hash() (string, error) {
-	b, err := j.Canonical()
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	h.Write([]byte(jobHashDomain))
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	b := j.appendCanonical(append(make([]byte, 0, 2<<10), jobHashDomain...))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // WireResult is the JSON form of a Result on the grid wire and in the

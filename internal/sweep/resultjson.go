@@ -22,14 +22,21 @@ import (
 // directly and parses that canonical form back without reflection. Input in
 // any other form (whitespace, reordered or unknown keys, a number spelled
 // another way) goes to encoding/json, so what is accepted, what is refused
-// and what it decodes to never depend on the fast path.
+// and what it decodes to never depend on the fast path. Jobs (jobjson.go)
+// share the codec.
 
-// A fieldCodec encodes or decodes the fields of a result one at a time.
-// The walk functions drive it through each struct's fields in declaration
-// order, the order json.Marshal writes them, so one field list serves both
-// directions.
+// A fieldCodec encodes or decodes the fields of a result or a job one at a
+// time. The walk functions drive it through each struct's fields in
+// declaration order, the order json.Marshal writes them, so one field list
+// serves both directions.
 type fieldCodec interface {
 	counter(key string, p *uint64)
+	integer(key string, p *int)
+	optInteger(key string, p *int) // an omitempty int
+	signed(key string, p *int64)
+	small(key string, p *uint8)
+	flag(key string, p *bool)
+	text(key string, p *string)
 	begin(key string) // a nested object field
 	end()
 	histogram(key string, p **stats.Histogram)
@@ -150,6 +157,33 @@ func (e *encoder) key(k string) {
 func (e *encoder) counter(k string, p *uint64) {
 	e.key(k)
 	e.b = strconv.AppendUint(e.b, *p, 10)
+}
+
+func (e *encoder) integer(k string, p *int) {
+	e.key(k)
+	e.b = strconv.AppendInt(e.b, int64(*p), 10)
+}
+
+func (e *encoder) optInteger(k string, p *int) { e.optInt(k, int64(*p)) }
+
+func (e *encoder) signed(k string, p *int64) {
+	e.key(k)
+	e.b = strconv.AppendInt(e.b, *p, 10)
+}
+
+func (e *encoder) small(k string, p *uint8) {
+	e.key(k)
+	e.b = strconv.AppendUint(e.b, uint64(*p), 10)
+}
+
+func (e *encoder) flag(k string, p *bool) {
+	e.key(k)
+	e.b = strconv.AppendBool(e.b, *p)
+}
+
+func (e *encoder) text(k string, p *string) {
+	e.key(k)
+	e.b = AppendString(e.b, *p)
 }
 
 func (e *encoder) begin(k string) {
@@ -328,7 +362,7 @@ func (s *Scan) optKey(k string) bool {
 // optInt reads an omitempty integer field.
 func (s *Scan) optInt(k string, p *int64) {
 	if s.optKey(k) {
-		*p = s.int64()
+		*p = s.Int64()
 	}
 }
 
@@ -360,7 +394,8 @@ func (s *Scan) uint64() uint64 {
 	return v
 }
 
-func (s *Scan) int64() int64 {
+// Int64 reads a signed 64-bit integer.
+func (s *Scan) Int64() int64 {
 	neg := s.Opt("-")
 	u := s.uint64()
 	switch {
@@ -376,7 +411,7 @@ func (s *Scan) int64() int64 {
 
 // Int reads a signed integer.
 func (s *Scan) Int() int {
-	v := s.int64()
+	v := s.Int64()
 	if int64(int(v)) != v {
 		s.bad = true
 		return 0
@@ -432,6 +467,15 @@ func (s *Scan) slowStr(open int) string {
 	return str
 }
 
+func (s *Scan) uint8() uint8 {
+	v := s.uint64()
+	if v > math.MaxUint8 {
+		s.bad = true
+		return 0
+	}
+	return uint8(v)
+}
+
 func (s *Scan) object() {
 	s.Lit("{")
 	s.first = true
@@ -440,6 +484,37 @@ func (s *Scan) object() {
 func (s *Scan) counter(k string, p *uint64) {
 	s.key(k)
 	*p = s.uint64()
+}
+
+func (s *Scan) integer(k string, p *int) {
+	s.key(k)
+	*p = s.Int()
+}
+
+func (s *Scan) optInteger(k string, p *int) {
+	if s.optKey(k) {
+		*p = s.Int()
+	}
+}
+
+func (s *Scan) signed(k string, p *int64) {
+	s.key(k)
+	*p = s.Int64()
+}
+
+func (s *Scan) small(k string, p *uint8) {
+	s.key(k)
+	*p = s.uint8()
+}
+
+func (s *Scan) flag(k string, p *bool) {
+	s.key(k)
+	*p = s.Bool()
+}
+
+func (s *Scan) text(k string, p *string) {
+	s.key(k)
+	*p = s.Str()
 }
 
 func (s *Scan) begin(k string) {
@@ -503,11 +578,7 @@ func (s *Scan) Results() *core.Results {
 		walkStats(s, r.Stats)
 		s.key("Mode")
 	}
-	if m := s.uint64(); m <= math.MaxUint8 {
-		r.Mode = core.Mode(m)
-	} else {
-		s.bad = true
-	}
+	r.Mode = core.Mode(s.uint8())
 	s.end()
 	return r
 }
