@@ -136,17 +136,4 @@ func (s *Scan) Job() Job {
 }
 
 // Jobs reads an array of encoded Jobs or null.
-func (s *Scan) Jobs() []Job {
-	if s.Opt("null") {
-		return nil
-	}
-	s.Lit("[")
-	js := []Job{}
-	for !s.bad && !s.Opt("]") {
-		if len(js) > 0 {
-			s.Lit(",")
-		}
-		js = append(js, s.Job())
-	}
-	return js
-}
+func (s *Scan) Jobs() []Job { return scanArray(s, s.Job) }

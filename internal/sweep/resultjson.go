@@ -611,19 +611,22 @@ func (s *Scan) WireResult() WireResult {
 }
 
 // WireResults reads an array of encoded WireResults or null.
-func (s *Scan) WireResults() []WireResult {
+func (s *Scan) WireResults() []WireResult { return scanArray(s, s.WireResult) }
+
+// scanArray reads an array of values that elem reads, or null.
+func scanArray[T any](s *Scan, elem func() T) []T {
 	if s.Opt("null") {
 		return nil
 	}
 	s.Lit("[")
-	ws := []WireResult{}
+	vs := []T{}
 	for !s.bad && !s.Opt("]") {
-		if len(ws) > 0 {
+		if len(vs) > 0 {
 			s.Lit(",")
 		}
-		ws = append(ws, s.WireResult())
+		vs = append(vs, elem())
 	}
-	return ws
+	return vs
 }
 
 // DecodeWireResult decodes one encoded result: the canonical form directly,
