@@ -118,12 +118,8 @@ func (ji *JobInjector) Classify(j sweep.Job) string {
 // FNV-64a over the hash hex, xored with a golden-ratio-spread seed, then a
 // splitmix64 finalizer to decorrelate the low-entropy xor.
 func (ji *JobInjector) roll(j sweep.Job) float64 {
-	hex, err := j.Hash()
-	if err != nil {
-		return 1 // unhashable jobs draw no fault
-	}
 	h := fnv.New64a()
-	h.Write([]byte(hex))
+	h.Write([]byte(j.Hash()))
 	x := h.Sum64() ^ (uint64(ji.cfg.Seed) * 0x9E3779B97F4A7C15)
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9

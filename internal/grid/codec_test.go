@@ -211,16 +211,19 @@ func TestBatchJSONMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestResultRequestCodec: a report encodes as json.Marshal of the plain
-// struct writes it and decodes back to an equal value, and a body in any
-// other form (whitespace, reordered keys, an older worker's job) decodes
-// as encoding/json decodes it.
+// TestResultRequestCodec: a report, with or without the next lease label,
+// encodes as json.Marshal of the plain struct writes it and decodes back to
+// an equal value, and a body in any other form (whitespace, reordered keys,
+// an older worker's job) decodes as encoding/json decodes it.
 func TestResultRequestCodec(t *testing.T) {
 	type plain ResultRequest
 	for _, rr := range []ResultRequest{
 		{LeaseID: "w/0-1", Result: sweep.WireResult{Index: 4, Res: &core.Results{Stats: &pipeline.Stats{Committed: 9}},
 			WallNS: 5, Timing: &sweep.Timing{SimulateNS: 3}}},
 		{LeaseID: `<w> & "x"/0-2`, Result: sweep.WireResult{Index: 1, Err: "boom <&>"}},
+		{LeaseID: "w/0-3", Result: sweep.WireResult{Index: 2, Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}}},
+			Next: "w/0"},
+		{LeaseID: `<w> & "x"/1-4`, Result: sweep.WireResult{Index: 3, Err: "boom"}, Next: `<w> & "x"/1`},
 	} {
 		got, err := rr.MarshalJSON()
 		if err != nil {
@@ -245,6 +248,11 @@ func TestResultRequestCodec(t *testing.T) {
 		`{"lease_id":"w/0-1","result":{"index":2,"err":"x"}`,
 		`{"lease_id":7,"result":{"index":2,"err":"x"}}`,
 		`{"lease_id":"w/0-1","result":5}`,
+		`{"lease_id": "w/0-1", "result": {"index": 2, "err": "x"}, "next": "w/0"}`,
+		`{"next":"w/0","lease_id":"w/0-1","result":{"index":2,"err":"x"}}`,
+		`{"lease_id":"w/0-1","result":{"index":2,"err":"x"},"next":"w/0","job":{"Bench":"mcf"}}`,
+		`{"lease_id":"w/0-1","result":{"index":2,"err":"x"},"next":7}`,
+		`{"lease_id":"w/0-1","result":{"index":2,"err":"x"},"next":"w/0"`,
 	} {
 		var got ResultRequest
 		var want plain

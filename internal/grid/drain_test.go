@@ -122,9 +122,9 @@ func TestReportRetriesConnectionRefused(t *testing.T) {
 		Coordinator: srv.URL,
 		sleepFn:     func(ctx context.Context, d time.Duration) bool { return true },
 	}
-	err := w.report(context.Background(), &http.Client{Transport: flaky}, "lease-1", sweep.Result{
+	_, err := w.report(context.Background(), &http.Client{Transport: flaky}, "lease-1", sweep.Result{
 		Index: 0, Res: &core.Results{Stats: &pipeline.Stats{Committed: 1}},
-	})
+	}, "")
 	if err != nil {
 		t.Fatalf("report through 3 refused connections: %v", err)
 	}

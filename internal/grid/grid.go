@@ -15,7 +15,8 @@
 // three endpoints, clients the sweep endpoints:
 //
 //	POST   /v1/lease                   LeaseRequest    -> 200 LeaseResponse | 204 (no work)
-//	POST   /v1/result                  ResultRequest   -> 200 | 409 (lease unknown or expired)
+//	POST   /v1/result                  ResultRequest   -> 200 LeaseResponse (with "next": the next job)
+//	                                                      | 200 (no next job) | 409 (lease unknown or expired)
 //	                                   (no job: a sent one is ignored)
 //	POST   /v1/incident                IncidentRequest -> 200 | 409 (lease unknown)
 //	GET    /v1/stats                                   -> 200 ServerSnapshot
@@ -23,6 +24,9 @@
 //	POST   /v1/sweeps/{id}/jobs        JobRequest      -> 200 (idempotent per index)
 //	GET    /v1/sweeps/{id}/results?after=N&wait=30s    -> 200 ResultBatch
 //	DELETE /v1/sweeps/{id}                             -> 200 (sweep state released)
+//
+// A report's "next" is the worker's next lease request, so a busy worker
+// makes one round trip per job.
 //
 // Job execution errors are final results (exactly as in a local run) and
 // travel as strings in sweep.WireResult; only lost leases retry. No result
@@ -100,18 +104,28 @@ func (lr *LeaseResponse) UnmarshalJSON(b []byte) error {
 type ResultRequest struct {
 	LeaseID string           `json:"lease_id"`
 	Result  sweep.WireResult `json:"result"`
+	// Next, the lease label a LeaseRequest would carry, asks for the
+	// worker's next job in the answer (an older coordinator ignores it).
+	Next string `json:"next,omitempty"`
 }
 
 // MarshalJSON writes json.Marshal's bytes through the sweep result codec.
 func (rr ResultRequest) MarshalJSON() ([]byte, error) {
 	b := sweep.AppendString(append(make([]byte, 0, 4<<10), `{"lease_id":`...), rr.LeaseID)
-	return append(sweep.AppendWireResult(append(b, `,"result":`...), rr.Result), '}'), nil
+	b = sweep.AppendWireResult(append(b, `,"result":`...), rr.Result)
+	if rr.Next != "" {
+		b = sweep.AppendString(append(b, `,"next":`...), rr.Next)
+	}
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON reads the canonical form directly, the rest via encoding/json.
 func (rr *ResultRequest) UnmarshalJSON(b []byte) error {
 	s := sweep.NewScan(b)
 	v := ResultRequest{LeaseID: s.Lit(`{"lease_id":`).Str(), Result: s.Lit(`,"result":`).WireResult()}
+	if s.Opt(`,"next":`) {
+		v.Next = s.Str()
+	}
 	if s.Lit("}").Done() {
 		*rr = v
 		return nil
@@ -420,6 +434,13 @@ func (s *Server) handleResult(w http.ResponseWriter, req *http.Request) {
 	if !s.report(rr.LeaseID, rr.Result, reqWorker(req, "")) {
 		http.Error(w, "unknown or expired lease", http.StatusConflict)
 		return
+	}
+	if rr.Next != "" {
+		// The worker's next lease request, on the one lease path.
+		if next, ok := s.lease(rr.Next, reqWorker(req, rr.Next)); ok {
+			writeJSON(w, next)
+			return
+		}
 	}
 	w.WriteHeader(http.StatusOK)
 }

@@ -154,10 +154,7 @@ func TestGridEndToEnd(t *testing.T) {
 // computed when a handler resolves it.
 func TestWorkerLogsJobHash(t *testing.T) {
 	jobs := smallJobs(t, "exchange2")[:1]
-	want, err := jobs[0].Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := jobs[0].Hash()
 	_, url := startServer(t, ServerOptions{})
 	var logs bytes.Buffer // written under the handler's lock, read after the worker exits
 	stop := faultyWorker(t, url, "w", 1, sweep.LocalExecutor{},

@@ -475,8 +475,8 @@ func (s *Server) Stats() ServerSnapshot {
 
 // Handler returns the full authenticated HTTP surface: the worker
 // endpoints plus the sweep-submission API. Abandoned-sweep GC runs
-// lazily on every request (workers poll /v1/lease continuously, so an idle
-// orphan sweep never outlives SweepTTL by much).
+// lazily on every request (idle workers poll /v1/lease and busy ones
+// report, so an idle orphan sweep never outlives SweepTTL by much).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", s.handleLease)

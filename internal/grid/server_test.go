@@ -552,8 +552,8 @@ func TestReportTerminal4xx(t *testing.T) {
 		}))
 		w := &Worker{Coordinator: srv.URL,
 			sleepFn: func(ctx context.Context, d time.Duration) bool { return true }}
-		err := w.report(context.Background(), srv.Client(), "lease-1",
-			sweep.Result{Err: errors.New("job error")})
+		_, err := w.report(context.Background(), srv.Client(), "lease-1",
+			sweep.Result{Err: errors.New("job error")}, "w/0")
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("status %d: got error %v, want %q", tc.status, err, tc.wantErr)
 		}

@@ -27,8 +27,8 @@ type WorkerMetrics struct {
 	// CacheHits/CacheMisses mirror the worker's result cache at scrape time
 	// (the binary wires the mirror; they stay 0 without a cache).
 	CacheHits, CacheMisses *obs.Counter
-	// LeaseLatency observes the lease POST round trip; SimulateTime
-	// observes each job's simulate span.
+	// LeaseLatency observes each lease POST and each report that returned
+	// the next lease; SimulateTime observes each job's simulate span.
 	LeaseLatency, SimulateTime *obs.Histogram
 	// Incidents counts contained job failures by kind (panic, timeout,
 	// memory) — each one a job this worker survived instead of dying on.
@@ -44,7 +44,7 @@ func NewWorkerMetrics(reg *obs.Registry) *WorkerMetrics {
 		Requeued:     reg.Counter("safespec_worker_jobs_requeued_total", "Results discarded (stale lease) or jobs abandoned on shutdown."),
 		CacheHits:    reg.Counter("safespec_worker_cache_hits_total", "Result-cache hits (0 without -cache-dir)."),
 		CacheMisses:  reg.Counter("safespec_worker_cache_misses_total", "Result-cache misses (0 without -cache-dir)."),
-		LeaseLatency: reg.Histogram("safespec_worker_lease_latency_seconds", "Lease request round-trip latency.", nil),
+		LeaseLatency: reg.Histogram("safespec_worker_lease_latency_seconds", "Round-trip latency of lease grants and idle lease polls (a report that returns the next lease counts as its grant).", nil),
 		SimulateTime: reg.Histogram("safespec_worker_job_simulate_seconds", "Per-job simulation time.", nil),
 		Incidents:    reg.CounterVec("safespec_worker_incidents_total", "Contained job failures reported to the coordinator, by kind.", "kind"),
 	}
@@ -119,10 +119,10 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
 // Run polls until ctx is cancelled (or the coordinator stays unreachable
 // past MaxIdle). It returns nil on cancellation: being told to stop is the
 // normal end of a worker's life. Shutdown is graceful, not immediate: the
-// local simulator does not observe ctx mid-job, so in-flight jobs run to
-// completion and their results are still reported (on a short detached
-// deadline); a ctx-honoring Exec that dies with the cancellation instead
-// has its job silently requeued via lease expiry.
+// local simulator does not observe ctx mid-job, so in-flight jobs (and one
+// a report's answer leased) run to completion and are still reported (on a
+// short detached deadline); a ctx-honoring Exec that dies with the
+// cancellation instead has its job silently requeued via lease expiry.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Coordinator == "" {
 		return fmt.Errorf("grid: worker needs a coordinator URL")
@@ -158,63 +158,71 @@ func (w *Worker) Run(ctx context.Context) error {
 	return err
 }
 
-// loop is one lease loop: lease, execute, report, repeat.
+// loop is one lease loop: lease, execute, report (which asks for the next
+// lease, so a busy loop makes one round trip per job), repeat.
 func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 	exec sweep.Executor, poll time.Duration, m *WorkerMetrics) error {
 	log := w.log().With("worker", w.ID, "loop", loop)
+	label := fmt.Sprintf("%s/%d", w.ID, loop)
 	// The lease backoff schedule: first retry after one poll interval,
 	// doubling to 16x. failures counts consecutive lease faults and resets
 	// on any answer from a healthy queue.
 	leaseRetry := backoff{Base: poll, Cap: 16 * poll}
 	failures := 0
 	var unreachableSince time.Time
+	// lease is the job in hand, nil to poll /v1/lease. One a report's
+	// answer granted is run and reported even after ctx is cancelled.
+	var lease *LeaseResponse
 	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		leaseStart := time.Now()
-		lease, ok, err := w.lease(ctx, client, loop)
-		if err == nil {
-			m.LeaseLatency.Observe(time.Since(leaseStart).Seconds())
-		}
-		// Readiness tracks reachability, not queue depth: any useful answer
-		// — including 204 (idle) — proves the coordinator is there;
-		// transport failures and auth rejections flip it off.
-		w.ready.Store(err == nil)
-		switch {
-		case errors.Is(err, errUnauthorized):
-			// A wrong token never becomes right; polling on would only spam
-			// the coordinator's auth log.
-			return err
-		case err != nil:
-			if unreachableSince.IsZero() {
-				unreachableSince = time.Now()
-			}
-			if w.MaxIdle > 0 && time.Since(unreachableSince) > w.MaxIdle {
-				return fmt.Errorf("grid: coordinator %s unreachable for %v: %w",
-					w.Coordinator, w.MaxIdle, err)
-			}
-			pause := leaseRetry.pause(failures)
-			failures++
-			log.Warn("lease failed, backing off", "err", err.Error(), "pause", pause.String())
-			if !w.sleep(ctx, pause) {
+		if lease == nil {
+			if ctx.Err() != nil {
 				return nil
 			}
-			continue
-		case !ok: // empty queue
+			leaseStart := time.Now()
+			got, ok, err := w.lease(ctx, client, label)
+			if err == nil {
+				m.LeaseLatency.Observe(time.Since(leaseStart).Seconds())
+			}
+			// Readiness tracks reachability, not queue depth: any useful
+			// answer — including 204 (idle) — proves the coordinator is
+			// there; transport failures and auth rejections flip it off.
+			w.ready.Store(err == nil)
+			switch {
+			case errors.Is(err, errUnauthorized):
+				// A wrong token never becomes right; polling on would only
+				// spam the coordinator's auth log.
+				return err
+			case err != nil:
+				if unreachableSince.IsZero() {
+					unreachableSince = time.Now()
+				}
+				if w.MaxIdle > 0 && time.Since(unreachableSince) > w.MaxIdle {
+					return fmt.Errorf("grid: coordinator %s unreachable for %v: %w",
+						w.Coordinator, w.MaxIdle, err)
+				}
+				pause := leaseRetry.pause(failures)
+				failures++
+				log.Warn("lease failed, backing off", "err", err.Error(), "pause", pause.String())
+				if !w.sleep(ctx, pause) {
+					return nil
+				}
+				continue
+			case !ok: // empty queue
+				unreachableSince, failures = time.Time{}, 0
+				if !w.sleep(ctx, poll) {
+					return nil
+				}
+				continue
+			}
 			unreachableSince, failures = time.Time{}, 0
-			if !w.sleep(ctx, poll) {
-				return nil
-			}
-			continue
+			lease = &got
 		}
-		unreachableSince, failures = time.Time{}, 0
 		m.Leased.Inc()
 		jlog := log.With("sweep", lease.SweepID, "bench", lease.Job.Bench,
 			"mode", lease.Job.Mode, "seed", lease.Job.Seed, "job_hash", jobHash{&lease.Job})
 
 		start := time.Now()
-		got, inc := w.execContained(ctx, lease, exec)
+		got, inc := w.execContained(ctx, *lease, exec)
 		if inc != nil {
 			// The job was contained (panic, watchdog, memory guard): the
 			// slot survives and the incident — not a dead process — tells
@@ -223,6 +231,7 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 			m.Incidents.With(inc.Kind).Inc()
 			jlog.Warn("job contained", "kind", inc.Kind, "msg", inc.Message)
 			w.reportIncident(ctx, client, *inc)
+			lease = nil
 			continue
 		}
 		if ctx.Err() != nil && (errors.Is(got.err, context.Canceled) || errors.Is(got.err, context.DeadlineExceeded)) {
@@ -243,15 +252,23 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 		}
 		// A finished job is delivered, not thrown away for another worker
 		// to redo after the lease TTL.
+		next := label
+		if ctx.Err() != nil {
+			next = "" // a stopping worker asks for no further job
+		}
 		reportCtx, cancelReport := detached(ctx, 10*time.Second)
-		err = w.report(reportCtx, client, lease.LeaseID, out)
+		reportStart := time.Now()
+		granted, err := w.report(reportCtx, client, lease.LeaseID, out, next)
 		cancelReport()
-		if err != nil {
+		if lease = granted; err != nil {
 			// The lease expired or the coordinator re-queued the job; the
 			// authoritative copy is theirs now.
 			m.Requeued.Inc()
 			jlog.Warn("result discarded", "err", err.Error())
 			continue
+		}
+		if lease != nil {
+			m.LeaseLatency.Observe(time.Since(reportStart).Seconds())
 		}
 		m.Completed.Inc()
 		jlog.Info("job done", "wall", out.Wall.Round(time.Millisecond).String())
@@ -259,15 +276,10 @@ func (w *Worker) loop(ctx context.Context, loop int, client *http.Client,
 }
 
 // jobHash logs a job's content-hash prefix, hashing only when a handler
-// resolves it; an unhashable job logs an empty group, which handlers drop.
+// resolves it.
 type jobHash struct{ job *sweep.Job }
 
-func (h jobHash) LogValue() slog.Value {
-	if hash, err := h.job.Hash(); err == nil {
-		return slog.StringValue(hash[:12])
-	}
-	return slog.GroupValue()
-}
+func (h jobHash) LogValue() slog.Value { return slog.StringValue(h.job.Hash()[:12]) }
 
 // contained is one contained job execution's outcome.
 type contained struct {
@@ -394,11 +406,10 @@ func (w *Worker) reportIncident(ctx context.Context, client *http.Client, inc In
 // retrying) instead of hammering the coordinator's auth log.
 var errUnauthorized = errors.New("coordinator rejected the bearer token (status 401); check -token/SAFESPEC_TOKEN")
 
-// lease requests one job; ok is false on an empty queue (204).
-func (w *Worker) lease(ctx context.Context, client *http.Client, loop int) (LeaseResponse, bool, error) {
+// lease requests one job for label ("id/loop"); ok is false on a 204.
+func (w *Worker) lease(ctx context.Context, client *http.Client, label string) (LeaseResponse, bool, error) {
 	var resp LeaseResponse
-	status, err := w.post(ctx, client, "/v1/lease",
-		LeaseRequest{Worker: fmt.Sprintf("%s/%d", w.ID, loop)}, &resp)
+	status, err := w.post(ctx, client, "/v1/lease", LeaseRequest{Worker: label}, &resp)
 	if err != nil {
 		return resp, false, err
 	}
@@ -425,31 +436,35 @@ var reportRetry = backoff{Base: 200 * time.Millisecond, Cap: 2 * time.Second}
 // its backoff budget runs out, then giving the job back to the coordinator
 // via lease expiry. Any 4xx other than 409 (stale lease, reported by the
 // caller) is terminal: the coordinator rejected the payload itself, and
-// retrying the same bytes can only fail the same way.
-func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string, r sweep.Result) error {
-	req := ResultRequest{LeaseID: leaseID, Result: r.Wire()}
+// retrying the same bytes can only fail the same way. A non-empty next
+// asks for the next job under that lease label, returned if granted.
+func (w *Worker) report(ctx context.Context, client *http.Client, leaseID string, r sweep.Result, next string) (*LeaseResponse, error) {
+	req := ResultRequest{LeaseID: leaseID, Result: r.Wire(), Next: next}
 	var err error
 	for attempt := 0; attempt < 8; attempt++ {
 		if attempt > 0 && !w.sleep(ctx, reportRetry.pause(attempt-1)) {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		var status int
-		status, err = w.post(ctx, client, "/v1/result", req, nil)
+		var granted LeaseResponse
+		status, err = w.post(ctx, client, "/v1/result", req, &granted)
 		if err != nil {
 			continue
 		}
 		switch {
+		case status == http.StatusOK && granted.LeaseID == "":
+			return nil, nil // no next job, or a coordinator that predates it
 		case status == http.StatusOK:
-			return nil
+			return &granted, nil
 		case status == http.StatusConflict:
-			return fmt.Errorf("result: lease %s no longer valid", leaseID)
+			return nil, fmt.Errorf("result: lease %s no longer valid", leaseID)
 		case status >= 400 && status < 500:
-			return fmt.Errorf("result: permanently rejected with status %d", status)
+			return nil, fmt.Errorf("result: permanently rejected with status %d", status)
 		default:
 			err = fmt.Errorf("result: unexpected status %d", status)
 		}
 	}
-	return err
+	return nil, err
 }
 
 // post sends one JSON request and decodes a JSON body into out (when non-nil

@@ -42,11 +42,7 @@ func simulated(tb testing.TB) (string, *core.Results) {
 	if res.OccD == nil {
 		tb.Fatal("test setup: the job records no occupancy histograms")
 	}
-	key, err := j.Hash()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return key, res
+	return j.Hash(), res
 }
 
 // TestPutRoundTripsExactly: an entry Put writes is byte-identical to the

@@ -62,7 +62,8 @@ type Cache struct {
 // clears it). Set before concurrent use.
 func (c *Cache) SetReadFault(f func([]byte) []byte) { c.readFault = f }
 
-// Stats is a snapshot of the cache counters.
+// Stats is a snapshot of the cache counters. Errors counts corrupt or
+// unreadable entries and failed writes, each degraded to a miss.
 type Stats struct {
 	Hits, Misses, Puts, Errors uint64
 }
@@ -351,15 +352,11 @@ func NewExecutor(c *Cache, inner sweep.Executor) *Executor {
 }
 
 // Execute resolves one job: cache hit, or inner execution plus a store.
-// Cache failures (unhashable job, corrupt entry, failed write) degrade to
-// plain execution — a broken cache must never fail a sweep whose
+// Cache failures (corrupt entry, failed write) degrade to plain
+// execution — a broken cache must never fail a sweep whose
 // simulations succeed — and are visible in the Errors counter.
 func (e *Executor) Execute(ctx context.Context, index int, j sweep.Job) (*core.Results, error) {
-	key, err := j.Hash()
-	if err != nil {
-		e.cache.errs.Add(1)
-		return e.inner.Execute(ctx, index, j)
-	}
+	key := j.Hash()
 	if res, ok, _ := e.cache.Get(key); ok {
 		return res, nil
 	}
@@ -377,19 +374,14 @@ func (e *Executor) Execute(ctx context.Context, index int, j sweep.Job) (*core.R
 // spans (a hit has no simulate span at all).
 func (e *Executor) ExecuteTimed(ctx context.Context, index int, j sweep.Job) (*core.Results, *sweep.Timing, error) {
 	t := &sweep.Timing{}
-	key, err := j.Hash()
-	if err != nil {
-		e.cache.errs.Add(1)
-		res, err := e.innerTimed(ctx, index, j, t)
-		return res, t, err
-	}
+	key := j.Hash()
 	start := time.Now()
 	res, ok, _ := e.cache.Get(key)
 	t.CacheNS += int64(time.Since(start))
 	if ok {
 		return res, t, nil
 	}
-	res, err = e.innerTimed(ctx, index, j, t)
+	res, err := e.innerTimed(ctx, index, j, t)
 	if err == nil && res != nil {
 		start = time.Now()
 		perr := e.cache.Put(key, res)

@@ -115,10 +115,7 @@ func TestCorruptEntryDegradesToMiss(t *testing.T) {
 		sweep.Options{Executor: NewExecutor(cache, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	key, err := jobs[0].Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := jobs[0].Hash()
 	if err := os.WriteFile(cache.path(key), []byte("{ not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +154,7 @@ func TestKeyMismatchRejected(t *testing.T) {
 		sweep.Options{Executor: NewExecutor(cache, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	key0, _ := jobs[0].Hash()
-	key1, _ := jobs[1].Hash()
+	key0, key1 := jobs[0].Hash(), jobs[1].Hash()
 	if err := os.MkdirAll(filepath.Dir(cache.path(key1)), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,11 @@ import (
 // result-cache entries and mixed-version grid workers can never alias.
 const jobHashDomain = "safespec/sweep.Job/v1\n"
 
-// Canonical returns the canonical JSON encoding of the job: the pipeline
-// configuration is normalized first, so two jobs that run identically —
-// e.g. a zero config and one with the Table I defaults spelled out — encode
-// to identical bytes. The bytes are json.Marshal's (AppendJob), and the
-// error is always nil.
-func (j Job) Canonical() ([]byte, error) {
-	return j.appendCanonical(make([]byte, 0, 2<<10)), nil
-}
-
+// appendCanonical appends the canonical JSON encoding of the job: the
+// pipeline configuration is normalized first, so two jobs that run
+// identically — e.g. a zero config and one with the Table I defaults
+// spelled out — encode to identical bytes. The bytes are json.Marshal's
+// (AppendJob).
 func (j Job) appendCanonical(b []byte) []byte {
 	j.Config.Pipeline = j.Config.Pipeline.Normalize()
 	return AppendJob(b, &j)
@@ -32,10 +28,10 @@ func (j Job) appendCanonical(b []byte) []byte {
 // Hash returns the job's content address: a hex SHA-256 over the versioned
 // canonical encoding. It is the key of internal/resultcache and the
 // identity of a job on the grid wire protocol.
-func (j Job) Hash() (string, error) {
+func (j Job) Hash() string {
 	b := j.appendCanonical(append(make([]byte, 0, 2<<10), jobHashDomain...))
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // WireResult is the JSON form of a Result on the grid wire and in the

@@ -16,14 +16,7 @@ func TestJobHashNormalizationInvariance(t *testing.T) {
 	zero := Job{Bench: "mcf", Mode: "baseline", Config: core.Baseline()}
 	spelled := zero
 	spelled.Config.Pipeline = spelled.Config.Pipeline.Normalize()
-	h1, err := zero.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := spelled.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1, h2 := zero.Hash(), spelled.Hash()
 	if h1 != h2 {
 		t.Errorf("normalization changed the hash: %s vs %s", h1, h2)
 	}
@@ -47,10 +40,7 @@ func TestJobHashDiscriminates(t *testing.T) {
 			return j
 		}(),
 	} {
-		h, err := j.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := j.Hash()
 		if prev, dup := seen[h]; dup {
 			t.Errorf("hash collision between %s and %s", prev, j)
 		}
@@ -60,8 +50,7 @@ func TestJobHashDiscriminates(t *testing.T) {
 
 func TestJobHashStableAcrossCalls(t *testing.T) {
 	j := Job{Bench: "lbm", Mode: "wfb", Seed: 3, Config: core.WFB().WithLimits(5000, 100000)}
-	h1, _ := j.Hash()
-	h2, _ := j.Hash()
+	h1, h2 := j.Hash(), j.Hash()
 	if h1 != h2 {
 		t.Errorf("hash not stable: %s vs %s", h1, h2)
 	}

@@ -86,7 +86,7 @@ func TestJobCodecMatchesJSON(t *testing.T) {
 		if back := s.Job(); !s.Done() || back != j {
 			t.Fatalf("job %d: fast path read %s as %+v (done %v), want %+v", i, got, back, s.Done(), j)
 		}
-		canon, _ := j.Canonical()
+		canon := j.appendCanonical(nil)
 		norm := j
 		norm.Config.Pipeline = norm.Config.Pipeline.Normalize()
 		if want := mustMarshal(t, norm); !bytes.Equal(canon, want) {

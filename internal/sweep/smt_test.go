@@ -75,10 +75,7 @@ func TestSMTThreadsAxisInJobIdentity(t *testing.T) {
 	}
 	hashes := make(map[string]string)
 	for _, j := range jobs {
-		h, err := j.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := j.Hash()
 		if prev, dup := hashes[h]; dup {
 			t.Errorf("jobs %s and %s share hash %s", prev, j.String(), h)
 		}
